@@ -6,6 +6,7 @@ so the CLI can pin thread counts before numpy comes in):
 - ``gplab.potential``  radial interactions, traps, strength diagnostics
 - ``gplab.scattering`` zero-energy pair problem and scattering length
 - ``gplab.grids``      periodic grids and single-particle states
+- ``gplab.spectral``   scipy.fft transforms, wavenumber tables, Parseval sums
 - ``gplab.gp``         nonlinear orbital evolution and ground states
 - ``gplab.manybody``   exact few-boson dynamics and reduced density matrices
 - ``gplab.hierarchy``  marginal-hierarchy residuals, collision terms, series
@@ -25,4 +26,5 @@ __all__ = [
     "potential",
     "scattering",
     "snapshots",
+    "spectral",
 ]

@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 configuration problem (malformed JSON, bad schema,
 invalid model), 3 numerical failure.  One experiment per invocation; the
 experiment is named inside the config.  `GPLAB_OUTPUT_DIR` overrides the
 configured output directory.  Heavy imports happen after argument parsing so
-`--threads` can pin the BLAS/FFT thread pools before numpy loads.
+`--threads` can pin the BLAS thread pools before numpy loads; the same count
+caps scipy.fft's workers for the run.
 """
 
 from __future__ import annotations
@@ -172,6 +173,7 @@ def _run_manybody(cfg, out_dir: Path):
     from .grids import gaussian_packet
     from .manybody import (
         condensate_overlap,
+        energy_moment,
         evolve_manybody,
         marginal,
         product_state,
@@ -192,15 +194,16 @@ def _run_manybody(cfg, out_dir: Path):
     sigma = _resolve_coupling(cfg, base)
     phi0 = gaussian_packet(grid, width=grid.box_length / 8.0)
     psi = product_state(phi0, n)
-
-    from .manybody import energy_moment
-
     steps = max(1, int(round(cfg.t_final / cfg.dt)))
     stride = max(1, steps // 200)
     rows = []
+    reference_t, reference = 0.0, phi0
 
     def record(t, state):
-        reference = evolve_gp(phi0, sigma, t, cfg.dt) if t > 0 else phi0
+        nonlocal reference_t, reference
+        if t > reference_t:  # advance the mean-field reference from the last sample
+            reference = evolve_gp(reference, sigma, t - reference_t, cfg.dt)
+            reference_t = t
         overlap = condensate_overlap(marginal(state, 1), reference)
         energy = energy_moment(state, pair, trap, 1)
         rows.append([t, state.norm(), energy, overlap, 1.0 - overlap])
@@ -280,6 +283,8 @@ _EXPERIMENTS = {
 
 
 def run(config_path: str | Path, threads: int = 1) -> int:
+    import scipy.fft
+
     from .config import load_config
 
     started = time.perf_counter()
@@ -292,7 +297,8 @@ def run(config_path: str | Path, threads: int = 1) -> int:
         return 0
     runner = _EXPERIMENTS[cfg.experiment]
     out_dir.mkdir(parents=True, exist_ok=True)
-    header, rows = runner(cfg, out_dir)
+    with scipy.fft.set_workers(threads):
+        header, rows = runner(cfg, out_dir)
     results_path = out_dir / f"{cfg.output_prefix}_results.csv"
     _write_csv(results_path, header, rows)
     manifest = {
@@ -370,11 +376,13 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     run_parser = sub.add_parser("run", help="execute the experiment named in a config")
     run_parser.add_argument("--config", required=True, help="path to a scenario JSON file")
-    run_parser.add_argument("--threads", type=int, default=1, help="thread-pool cap (default 1)")
+    run_parser.add_argument("--threads", type=int, default=1, help="thread cap (default 1)")
     report_parser = sub.add_parser("report", help="merge run directories into a summary CSV")
     report_parser.add_argument("run_dirs", nargs="*", help="directories holding manifests")
     report_parser.add_argument("--out", default="summary.csv", help="summary CSV path")
     args = parser.parse_args(argv)
+    if args.command == "run" and args.threads < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
 
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,

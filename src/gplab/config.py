@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -206,6 +207,8 @@ def parse_config(data: dict) -> ScenarioConfig:
         _require_keys("time", time_block, {"t_final", "dt"}, {"t_final", "dt"})
         t_final = float(time_block["t_final"])
         dt = float(time_block["dt"])
+        if not (0.0 <= t_final < math.inf and 0.0 < dt < math.inf):
+            raise ConfigurationError(f"time: need finite t_final >= 0 and dt > 0, got {time_block}")
 
     coupling_mode, coupling_value = "born", None
     if "coupling" in data:
@@ -226,6 +229,10 @@ def parse_config(data: dict) -> ScenarioConfig:
     output = dict(data["output"])
     _require_keys("output", output, {"dir", "prefix", "binary_snapshots"}, {"dir", "prefix"})
 
+    particles = int(data.get("particles", 2))
+    if experiment == "manybody" and particles < 2:
+        raise ConfigurationError(f"particles: manybody needs at least 2, got {particles}")
+
     scaling = data.get("scaling_N", [1])
     if not isinstance(scaling, list) or not scaling:
         raise ConfigurationError("scaling_N must be a non-empty list of counts")
@@ -238,7 +245,7 @@ def parse_config(data: dict) -> ScenarioConfig:
         grid_dim=grid_dim,
         grid_points=grid_points,
         grid_box=grid_box,
-        particles=int(data.get("particles", 2)),
+        particles=particles,
         scaling_n=tuple(int(n) for n in scaling),
         t_final=t_final,
         dt=dt,

@@ -22,8 +22,9 @@ from typing import Callable
 
 import numpy as np
 
+from . import spectral
 from .errors import ConfigurationError, ConvergenceError, DomainError, SolverError
-from .grids import GridSpec, WaveFunction, gaussian_packet
+from .grids import GridSpec, WaveFunction, gaussian_packet, kinetic_energy
 from .potential import TrapModel
 
 DynamicsCallback = Callable[[int, float, WaveFunction], None]
@@ -31,24 +32,15 @@ DynamicsCallback = Callable[[int, float, WaveFunction], None]
 
 def gp_energy(phi: WaveFunction, a0: float, trap: TrapModel | None = None) -> float:
     """Energy functional: spectral gradient term, sampled trap, quartic term."""
-    grid = phi.grid
-    hat = np.fft.fftn(phi.values)
-    kinetic = np.sum(grid.k_squared_mesh() * np.abs(hat) ** 2) * grid.cell_volume / grid.size
-    density = np.abs(phi.values) ** 2
-    quartic = 4.0 * np.pi * a0 * np.sum(density**2) * grid.cell_volume
-    external = 0.0
-    if trap is not None and trap.confining:
-        external = np.sum(trap.sample(grid) * density) * grid.cell_volume
+    v_ext = trap.sample(phi.grid) if trap is not None and trap.confining else None
+    return _energy(phi.values, kinetic_energy(phi), v_ext, a0, phi.grid.cell_volume)
+
+
+def _energy(values: np.ndarray, kinetic: float, v_ext, a0: float, cell_volume: float) -> float:
+    density = np.abs(values) ** 2
+    quartic = 4.0 * np.pi * a0 * np.sum(density**2) * cell_volume
+    external = 0.0 if v_ext is None else np.sum(v_ext * density) * cell_volume
     return float(kinetic + external + quartic)
-
-
-def _resolve_steps(t: float, dt: float) -> tuple[int, float]:
-    if dt <= 0:
-        raise DomainError("dt must be positive")
-    if t == 0.0:
-        return 0, dt
-    steps = max(1, int(round(abs(t) / dt)))
-    return steps, t / steps
 
 
 def evolve_gp(
@@ -65,7 +57,7 @@ def evolve_gp(
     """
     if not np.all(np.isfinite(phi0.values)):
         raise SolverError("initial state contains non-finite values")
-    steps, dt_eff = _resolve_steps(t, dt)
+    steps, dt_eff = spectral.split_steps(t, dt)
     grid = phi0.grid
     values = phi0.values.astype(complex, copy=True)
     if steps == 0:
@@ -78,11 +70,12 @@ def evolve_gp(
             RuntimeWarning,
             stacklevel=2,
         )
-    half_kinetic = np.exp(-1j * grid.k_squared_mesh() * (dt_eff / 2.0))
+    half_kinetic = np.exp(-1j * spectral.k_squared(grid) * (dt_eff / 2.0))
     for step in range(steps):
-        values = np.fft.ifftn(np.fft.fftn(values) * half_kinetic)
+        # the callback may keep the previous step's array: never overwrite it
+        values = spectral.fourier_multiply(values, half_kinetic)
         values *= np.exp(-1j * sigma * dt_eff * np.abs(values) ** 2)
-        values = np.fft.ifftn(np.fft.fftn(values) * half_kinetic)
+        values = spectral.fourier_multiply(values, half_kinetic, overwrite_x=True)
         if callback is not None:
             callback(step + 1, (step + 1) * dt_eff, WaveFunction(grid, values))
     if not np.all(np.isfinite(values)):
@@ -118,20 +111,26 @@ def minimize_gp(
     if initial is None:
         initial = gaussian_packet(grid, width=0.25 * grid.box_length / 2.0)
     values = initial.normalized().values.astype(complex, copy=True)
-    k2 = grid.k_squared_mesh()
+    k2 = spectral.k_squared(grid)
     v_ext = trap.sample(grid)
     dtau = float(step0)
     step_cap = 4.0 * step0
+    decrease_rate = None
     energy = gp_energy(WaveFunction(grid, values), a0, trap)
     if callback is not None:
         callback(0, energy)
     for iteration in range(1, max_iterations + 1):
         half_kinetic = np.exp(-k2 * (dtau / 2.0))
-        trial = np.fft.ifftn(np.fft.fftn(values) * half_kinetic)
+        trial = spectral.fourier_multiply(values, half_kinetic)
         trial *= np.exp(-dtau * (v_ext + sigma * np.abs(trial) ** 2))
-        trial = np.fft.ifftn(np.fft.fftn(trial) * half_kinetic)
-        trial /= np.sqrt(np.sum(np.abs(trial) ** 2) * grid.cell_volume)
-        trial_energy = gp_energy(WaveFunction(grid, trial), a0, trap)
+        # the last spectrum is the trial's: its kinetic energy needs no transform
+        hat = spectral.fftn(trial, overwrite_x=True)
+        hat *= half_kinetic
+        trial = spectral.ifftn(hat)
+        norm_sq = np.sum(np.abs(trial) ** 2) * grid.cell_volume
+        trial /= np.sqrt(norm_sq)
+        kinetic = spectral.parseval_energy(hat, k2, grid.cell_volume) / norm_sq
+        trial_energy = _energy(trial, kinetic, v_ext, a0, grid.cell_volume)
         if trial_energy > energy:
             dtau *= 0.5
             if dtau < 1e-10:
@@ -151,8 +150,8 @@ def minimize_gp(
             continue
         dtau = min(dtau * 1.1, step_cap)
     else:
+        rate = "none, no step accepted" if decrease_rate is None else f"{decrease_rate:.3e}"
         raise ConvergenceError(
-            f"gradient flow hit the iteration cap ({max_iterations}); "
-            f"last decrease rate {decrease_rate:.3e}"
+            f"gradient flow hit the iteration cap ({max_iterations}); last decrease rate {rate}"
         )
     return WaveFunction(grid, values), energy

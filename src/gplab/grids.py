@@ -2,18 +2,20 @@
 
 Units follow the rest of the package: hbar = 1, particle mass 1/2, so the
 kinetic operator is minus the Laplacian and a Fourier mode exp(ikx) carries
-kinetic energy k^2.  Forward transforms are unnormalized, inverse transforms
-carry 1/M per axis (numpy's convention), which keeps file output
-bit-comparable across runs.
+kinetic energy k^2.  Transforms run on scipy.fft through `gplab.spectral`:
+forward transforms are unnormalized, inverse transforms carry 1/M per axis,
+and single-threaded runs are bit-comparable across reruns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
+import scipy.fft
 
+from . import spectral
 from .errors import ConfigurationError, DomainError, GridMismatchError
 
 
@@ -66,17 +68,11 @@ class GridSpec:
         return sum(c**2 for c in mesh)
 
     def k_axis(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
+        return 2.0 * np.pi * scipy.fft.fftfreq(self.points_per_axis, d=self.spacing)
 
     def k_squared_mesh(self) -> np.ndarray:
         """Sum of squared wavenumbers, shaped like the grid."""
-        k2 = self.k_axis() ** 2
-        total = np.zeros(self.shape)
-        for axis in range(self.dim):
-            shape = [1] * self.dim
-            shape[axis] = self.points_per_axis
-            total = total + k2.reshape(shape)
-        return total
+        return spectral.k_squared(self)
 
 
 def ensure_same_grid(a: GridSpec, b: GridSpec) -> None:
@@ -99,18 +95,6 @@ class WaveFunction:
         if n == 0.0 or not np.isfinite(n):
             raise DomainError("cannot normalize a zero or non-finite field")
         return WaveFunction(self.grid, self.values / n)
-
-    def copy(self) -> "WaveFunction":
-        return WaveFunction(self.grid, self.values.copy())
-
-
-def sample_function(grid: GridSpec, fn: Callable[..., np.ndarray]) -> WaveFunction:
-    """Sample fn(x), fn(x, y) or fn(x, y, z) on the grid and normalize."""
-    mesh = grid.coordinate_mesh()
-    values = np.asarray(fn(*mesh), dtype=complex)
-    if values.shape != grid.shape:
-        raise ConfigurationError("sampled values do not match the grid shape")
-    return WaveFunction(grid, values).normalized()
 
 
 def plane_wave(grid: GridSpec, modes: int | Sequence[int] = 1) -> WaveFunction:
@@ -156,11 +140,6 @@ def gaussian_packet(
     return WaveFunction(grid, values).normalized()
 
 
-def inner_product(a: WaveFunction, b: WaveFunction) -> complex:
-    ensure_same_grid(a.grid, b.grid)
-    return complex(np.sum(np.conj(a.values) * b.values) * a.grid.cell_volume)
-
-
 def l2_distance(a: WaveFunction, b: WaveFunction) -> float:
     ensure_same_grid(a.grid, b.grid)
     return float(
@@ -170,15 +149,11 @@ def l2_distance(a: WaveFunction, b: WaveFunction) -> float:
 
 def kinetic_energy(phi: WaveFunction) -> float:
     """Spectral integral of |grad phi|^2 (kinetic operator is -Laplacian)."""
-    hat = np.fft.fftn(phi.values)
-    weight = phi.grid.k_squared_mesh()
-    return float(
-        np.sum(weight * np.abs(hat) ** 2) * phi.grid.cell_volume / phi.grid.size
-    )
+    hat = spectral.fftn(phi.values)
+    return spectral.parseval_energy(hat, spectral.k_squared(phi.grid), phi.grid.cell_volume)
 
 
 def free_evolve(phi: WaveFunction, t: float) -> WaveFunction:
     """Exact evolution of i d/dt phi = -Laplacian phi on the grid."""
-    hat = np.fft.fftn(phi.values)
-    hat *= np.exp(-1j * phi.grid.k_squared_mesh() * t)
-    return WaveFunction(phi.grid, np.fft.ifftn(hat))
+    phase = np.exp(-1j * spectral.k_squared(phi.grid) * t)
+    return WaveFunction(phi.grid, spectral.fourier_multiply(phi.values, phase))

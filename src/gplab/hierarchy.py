@@ -26,6 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import spectral
 from .errors import ConfigurationError, DomainError, GridMismatchError
 from .grids import GridSpec, WaveFunction, ensure_same_grid, free_evolve
 from .manybody import MAX_KERNEL_ENTRIES, DensityMatrix
@@ -57,35 +58,22 @@ def kernel_distance(a: np.ndarray, b: np.ndarray, grid: GridSpec, k: int) -> flo
     return kernel_norm(a - b, grid, k)
 
 
-def _per_axis(kernel: np.ndarray, grid: GridSpec, k: int) -> np.ndarray:
-    return kernel.reshape(grid.shape * (2 * k))
-
-
-def _k2_broadcast(grid: GridSpec, k: int, block: int) -> np.ndarray:
-    """Sum of squared wavenumbers over one k-particle axis block (block 0 is
-    the row block, 1 the column block), broadcastable over the 2k-block."""
-    k2_axis = grid.k_axis() ** 2
-    n_axes = 2 * k * grid.dim
-    total = np.zeros((1,) * n_axes)
-    for a in range(k * grid.dim):
-        shape = [1] * n_axes
-        shape[block * k * grid.dim + a] = grid.points_per_axis
-        total = total + k2_axis.reshape(shape)
-    return total
+def _per_axis(kernel: np.ndarray, grid: GridSpec, k: int):
+    """Per-axis view of a k-particle kernel, with its row and column axes."""
+    rows, cols = tuple(range(k * grid.dim)), tuple(range(k * grid.dim, 2 * k * grid.dim))
+    return kernel.reshape(grid.shape * (2 * k)), rows, cols
 
 
 def free_propagate_kernel(kernel: np.ndarray, grid: GridSpec, k: int, t: float) -> np.ndarray:
     """Conjugate a k-particle kernel by the free flow exp(i t Laplacian)."""
-    shape = kernel.shape
-    work = _per_axis(kernel, grid, k)
-    d = grid.dim
-    rows = tuple(range(k * d))
-    cols = tuple(range(k * d, 2 * k * d))
-    phase_rows = np.exp(-1j * t * _k2_broadcast(grid, k, 0))
-    phase_cols = np.exp(1j * t * _k2_broadcast(grid, k, 1))
-    work = np.fft.ifftn(np.fft.fftn(work, axes=rows) * phase_rows, axes=rows)
-    work = np.fft.fftn(np.fft.ifftn(work, axes=cols) * phase_cols, axes=cols)
-    return work.reshape(shape)
+    work, rows, cols = _per_axis(kernel, grid, k)
+    phase_rows = np.exp(-1j * t * spectral.k_squared(grid, 2 * k, range(k)))
+    work = spectral.fourier_multiply(work, phase_rows, rows)
+    # the column block carries the adjoint flow: inverse transform first
+    work = spectral.ifftn(work, axes=cols, overwrite_x=True)
+    work *= np.exp(1j * t * spectral.k_squared(grid, 2 * k, range(k, 2 * k)))
+    work = spectral.fftn(work, axes=cols, overwrite_x=True)
+    return work.reshape(kernel.shape)
 
 
 def free_propagate(dm: DensityMatrix, t: float) -> DensityMatrix:
@@ -95,14 +83,13 @@ def free_propagate(dm: DensityMatrix, t: float) -> DensityMatrix:
 
 def kinetic_commutator(kernel: np.ndarray, grid: GridSpec, k: int) -> np.ndarray:
     """[-Laplacian_total, kernel], computed spectrally on both slots."""
-    shape = kernel.shape
-    work = _per_axis(kernel, grid, k)
-    d = grid.dim
-    rows = tuple(range(k * d))
-    cols = tuple(range(k * d, 2 * k * d))
-    left = np.fft.ifftn(np.fft.fftn(work, axes=rows) * _k2_broadcast(grid, k, 0), axes=rows)
-    right = np.fft.fftn(np.fft.ifftn(work, axes=cols) * _k2_broadcast(grid, k, 1), axes=cols)
-    return (left - right).reshape(shape)
+    work, rows, cols = _per_axis(kernel, grid, k)
+    left = spectral.fourier_multiply(work, spectral.k_squared(grid, 2 * k, range(k)), rows)
+    right = spectral.ifftn(work, axes=cols)
+    right *= spectral.k_squared(grid, 2 * k, range(k, 2 * k))
+    right = spectral.fftn(right, axes=cols, overwrite_x=True)
+    left -= right
+    return left.reshape(kernel.shape)
 
 
 # --- collision operator ---------------------------------------------------
@@ -499,18 +486,11 @@ def sobolev_trace_norm(dm: DensityMatrix) -> float:
     orbital, and is invariant under the free flow.
     """
     grid, k = dm.grid, dm.k
-    work = _per_axis(dm.kernel, grid, k)
-    rows = tuple(range(k * grid.dim))
-    k2_axis = grid.k_axis() ** 2
+    work, rows, _ = _per_axis(dm.kernel, grid, k)
     weight = np.ones((1,) * (2 * k * grid.dim))
     for particle in range(k):
-        part = np.zeros((1,) * (2 * k * grid.dim))
-        for a in range(grid.dim):
-            shape = [1] * (2 * k * grid.dim)
-            shape[particle * grid.dim + a] = grid.points_per_axis
-            part = part + k2_axis.reshape(shape)
-        weight = weight * (1.0 + part)
-    work = np.fft.ifftn(np.fft.fftn(work, axes=rows) * weight, axes=rows)
+        weight = weight * (1.0 + spectral.k_squared(grid, 2 * k, (particle,)))
+    work = spectral.fourier_multiply(work, weight, rows)
     kernel = work.reshape(dm.kernel.shape)
     return float(np.real(np.trace(kernel)) * grid.cell_volume**k)
 

@@ -20,8 +20,9 @@ from typing import Callable
 
 import numpy as np
 
+from . import spectral
 from .errors import ConfigurationError, DomainError, SolverError
-from .grids import GridSpec, WaveFunction, ensure_same_grid
+from .grids import GridSpec, WaveFunction, ensure_same_grid, kinetic_energy
 from .potential import PotentialModel, TrapModel
 
 MAX_STATE_AMPLITUDES = 2**28
@@ -113,15 +114,12 @@ def total_potential(
     total = np.zeros(grid.shape * n_particles)
     if trap is not None and trap.confining:
         v1 = trap.sample(grid)
-        for i in range(n_particles):
-            shape = [1] * (n_particles * d)
-            for a in range(d):
-                shape[i * d + a] = grid.points_per_axis
-            total = total + v1.reshape(shape)
+        for i in range(n_particles):  # slot i: its d axes, then 1s for the later slots
+            total += v1.reshape(grid.shape + (1,) * (d * (n_particles - 1 - i)))
     if pair is not None:
         matrix = pair(pair_displacement_distance(grid))
         for i, j in itertools.combinations(range(n_particles), 2):
-            total = total + _pair_axes_view(matrix, grid, n_particles, i, j)
+            total += _pair_axes_view(matrix, grid, n_particles, i, j)
     return total
 
 
@@ -191,16 +189,6 @@ def random_symmetric_state(grid: GridSpec, n_particles: int, seed: int) -> ManyB
 # --- dynamics -----------------------------------------------------------
 
 
-def _many_body_k_squared(grid: GridSpec, n_particles: int) -> np.ndarray:
-    k2_axis = grid.k_axis() ** 2
-    total = np.zeros(grid.shape * n_particles)
-    for axis in range(n_particles * grid.dim):
-        shape = [1] * (n_particles * grid.dim)
-        shape[axis] = grid.points_per_axis
-        total = total + k2_axis.reshape(shape)
-    return total
-
-
 def evolve_manybody(
     psi0: ManyBodyState,
     pair: PotentialModel | None,
@@ -215,22 +203,20 @@ def evolve_manybody(
     factor is a phase so the norm and the exchange symmetry are preserved
     exactly.  Negative t runs the evolution backwards.
     """
-    if dt <= 0:
-        raise DomainError("dt must be positive")
     if not np.all(np.isfinite(psi0.values)):
         raise SolverError("initial state contains non-finite values")
-    if t == 0.0:
+    steps, dt_eff = spectral.split_steps(t, dt)
+    if steps == 0:
         return ManyBodyState(psi0.grid, psi0.n_particles, psi0.values.copy())
-    steps = max(1, int(round(abs(t) / dt)))
-    dt_eff = t / steps
     grid, n = psi0.grid, psi0.n_particles
-    half_kinetic = np.exp(-1j * _many_body_k_squared(grid, n) * (dt_eff / 2.0))
+    half_kinetic = np.exp(-1j * spectral.k_squared(grid, n) * (dt_eff / 2.0))
     potential_phase = np.exp(-1j * total_potential(grid, n, pair, trap) * dt_eff)
     values = psi0.values.astype(complex, copy=True)
     for step in range(steps):
-        values = np.fft.ifftn(np.fft.fftn(values) * half_kinetic)
+        # the callback may keep the previous step's array: never overwrite it
+        values = spectral.fourier_multiply(values, half_kinetic)
         values *= potential_phase
-        values = np.fft.ifftn(np.fft.fftn(values) * half_kinetic)
+        values = spectral.fourier_multiply(values, half_kinetic, overwrite_x=True)
         if callback is not None:
             callback(step + 1, (step + 1) * dt_eff, ManyBodyState(grid, n, values))
     if not np.all(np.isfinite(values)):
@@ -247,11 +233,12 @@ def energy_moment(
     """<psi, H^order psi> with spectral kinetic part and sampled potentials."""
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
-    k2 = _many_body_k_squared(psi.grid, psi.n_particles)
+    k2 = spectral.k_squared(psi.grid, psi.n_particles)
     w = total_potential(psi.grid, psi.n_particles, pair, trap)
-    h_psi = np.fft.ifftn(np.fft.fftn(psi.values) * k2) + w * psi.values
     if order == 1:
-        return float(np.real(np.sum(np.conj(psi.values) * h_psi)) * psi.measure)
+        kinetic = spectral.parseval_energy(spectral.fftn(psi.values), k2, psi.measure)
+        return kinetic + float(np.sum(w * np.abs(psi.values) ** 2) * psi.measure)
+    h_psi = spectral.fourier_multiply(psi.values, k2) + w * psi.values
     return float(np.sum(np.abs(h_psi) ** 2) * psi.measure)
 
 
@@ -285,19 +272,6 @@ class DensityMatrix:
         """Occupation numbers, descending."""
         vals = np.linalg.eigvalsh(self.kernel) * self.measure
         return vals[::-1]
-
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Occupations (descending) and orbitals (columns), each orbital's
-        first non-negligible component rotated to the positive real axis."""
-        vals, vecs = np.linalg.eigh(self.kernel)
-        vals = vals[::-1] * self.measure
-        vecs = vecs[:, ::-1] / np.sqrt(self.measure)
-        for col in range(vecs.shape[1]):
-            v = vecs[:, col]
-            idx = np.argmax(np.abs(v) > 1e-12 * np.max(np.abs(v)))
-            phase = v[idx] / abs(v[idx])
-            vecs[:, col] = v / phase
-        return vals, vecs
 
 
 def marginal(psi: ManyBodyState, k: int) -> DensityMatrix:
@@ -383,22 +357,9 @@ def correlation_quotient(
         if np.any(factor <= 0.0) or not np.all(np.isfinite(factor)):
             raise DomainError("pair profile must be positive on the whole grid")
         values = values / factor
-    hat = np.fft.fftn(values)
-    k2_axis = grid.k_axis() ** 2
-
-    def particle_k2(p: int) -> np.ndarray:
-        total = np.zeros(grid.shape * n)
-        for a in range(grid.dim):
-            shape = [1] * (n * grid.dim)
-            shape[p * grid.dim + a] = grid.points_per_axis
-            total = total + k2_axis.reshape(shape)
-        return total
-
-    weight = particle_k2(i) * particle_k2(j)
-    total_points = grid.size**n
-    return float(
-        np.sum(weight * np.abs(hat) ** 2) * psi.measure / total_points
-    )
+    hat = spectral.fftn(values, overwrite_x=values is not psi.values)
+    weight = spectral.k_squared(grid, n, (i,)) * spectral.k_squared(grid, n, (j,))
+    return spectral.parseval_energy(hat, weight, psi.measure)
 
 
 def hardy_check(phi: WaveFunction) -> tuple[float, float]:
@@ -417,11 +378,7 @@ def hardy_check(phi: WaveFunction) -> tuple[float, float]:
     weight[nonzero] = 1.0 / r2[nonzero]
     weight[~nonzero] = 1.0 / grid.spacing**2  # face neighbors all sit at |r| = dx
     lhs = float(np.sum(weight * np.abs(phi.values) ** 2) * grid.cell_volume)
-    hat = np.fft.fftn(phi.values)
-    kinetic = float(
-        np.sum(grid.k_squared_mesh() * np.abs(hat) ** 2) * grid.cell_volume / grid.size
-    )
-    return lhs, 4.0 * kinetic
+    return lhs, 4.0 * kinetic_energy(phi)
 
 
 def scale_potential_analog1d(model: PotentialModel, n: int) -> PotentialModel:

@@ -1,0 +1,71 @@
+"""Spectral core of the split-step solvers: every transform of the package,
+the step rule, wavenumber tables and Parseval sums.
+
+Transforms are scipy.fft's, forward unnormalized and inverse carrying 1/M per
+axis, looked up at call time so `scipy.fft.set_workers` applies to them.
+Tables describe `n_slots` particle slots of `grid.dim` axes each (slot j owns
+axes [j*dim, (j+1)*dim)); only the per-grid 1D table of k_axis^2 is cached,
+so no tensor-sized table outlives the computation that needs it.
+"""
+
+from __future__ import annotations
+
+import functools
+from typing import Iterable
+
+import numpy as np
+import scipy.fft
+
+from .errors import DomainError
+
+
+def fftn(x: np.ndarray, axes=None, overwrite_x: bool = False) -> np.ndarray:
+    """Unnormalized forward transform over `axes` (all axes by default)."""
+    return scipy.fft.fftn(x, axes=axes, overwrite_x=overwrite_x)
+
+
+def ifftn(x: np.ndarray, axes=None, overwrite_x: bool = False) -> np.ndarray:
+    """Inverse transform over `axes`, normalized by 1/M per axis."""
+    return scipy.fft.ifftn(x, axes=axes, overwrite_x=overwrite_x)
+
+
+def fourier_multiply(x: np.ndarray, multiplier, axes=None, overwrite_x: bool = False):
+    """ifftn(multiplier * fftn(x)) over `axes`.  Pass overwrite_x=True only for
+    an `x` the caller owns and no longer needs: its buffer may be reused."""
+    hat = fftn(x, axes=axes, overwrite_x=overwrite_x)
+    hat *= multiplier
+    return ifftn(hat, axes=axes, overwrite_x=True)
+
+
+def split_steps(t: float, dt: float) -> tuple[int, float]:
+    """Steps to time t: round(|t|/dt) of them (one or more unless t = 0) of t/steps."""
+    if dt <= 0:
+        raise DomainError("dt must be positive")
+    if t == 0.0:
+        return 0, dt
+    steps = max(1, int(round(abs(t) / dt)))
+    return steps, t / steps
+
+
+@functools.lru_cache(maxsize=16)
+def _axis_k_squared(grid) -> np.ndarray:
+    table = grid.k_axis() ** 2
+    table.flags.writeable = False
+    return table
+
+
+def k_squared(grid, n_slots: int = 1, slots: Iterable[int] | None = None) -> np.ndarray:
+    """Sum of k_axis^2 over every axis of the chosen slots (all by default),
+    shaped to broadcast against the rank-(n_slots * dim) layout."""
+    table, d, rank = _axis_k_squared(grid), grid.dim, n_slots * grid.dim
+    total = np.zeros((1,) * rank)
+    for slot in range(n_slots) if slots is None else slots:
+        for axis in range(slot * d, (slot + 1) * d):
+            total = total + table.reshape((-1,) + (1,) * (rank - 1 - axis))
+    return total
+
+
+def parseval_energy(hat: np.ndarray, weight: np.ndarray, measure: float) -> float:
+    """<f, W f> for a real Fourier multiplier W from hat = fftn(f), with the
+    layout's volume element `measure`; W = k_squared(...) gives int |grad f|^2."""
+    return float(np.sum(weight * np.abs(hat) ** 2) * measure / hat.size)

@@ -258,3 +258,71 @@ def test_coupling_validation():
                 "output": {"dir": "x", "prefix": "y"},
             }
         )
+
+
+def _manybody_config(tmp_path, **fields):
+    data = {
+        "schema_version": "1",
+        "experiment": "manybody",
+        "potential": {"kind": "gaussian", "v0": 1.0, "width": 0.5},
+        "grid": {"dim": 1, "points_per_axis": 16, "box_length": 8.0},
+        "particles": 2,
+        "time": {"t_final": 0.02, "dt": 0.002},
+        "coupling": {"mode": "explicit", "value": 0.7},
+        "output": {"dir": str(tmp_path / "mb"), "prefix": "mb"},
+    }
+    data.update(fields)
+    path = tmp_path / "mb.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"time": {"t_final": 0.1, "dt": 0.0}}, "dt"),
+        ({"time": {"t_final": 0.1, "dt": -1e-3}}, "dt"),
+        ({"time": {"t_final": -0.1, "dt": 1e-3}}, "t_final"),
+        ({"particles": 1}, "particles"),
+    ],
+)
+def test_bad_time_and_particle_fields_exit_2(tmp_path, capsys, fields, message):
+    path = _manybody_config(tmp_path, **fields)
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "mb").exists()
+    with pytest.raises(ConfigurationError, match=message):
+        load_config(path)
+
+
+def test_manybody_reference_matches_run_from_zero(tmp_path, monkeypatch):
+    """The stepped mean-field reference equals evolve_gp run from t = 0 at
+    every sample (401 steps: stride 2 and a shorter last interval)."""
+    from gplab import manybody
+    from gplab.gp import evolve_gp
+    from gplab.grids import l2_distance
+
+    references = []
+    overlap = manybody.condensate_overlap
+
+    def recording(dm, phi):
+        references.append(phi)
+        return overlap(dm, phi)
+
+    monkeypatch.setattr(manybody, "condensate_overlap", recording)
+    path = _manybody_config(tmp_path, time={"t_final": 0.401, "dt": 0.001})
+    assert cli.main(["run", "--config", str(path)]) == 0
+    _, rows = _read_rows(tmp_path / "mb" / "mb_results.csv")
+    times = [float(row[0]) for row in rows]
+    assert len(times) == len(references) == 202
+    phi0 = gaussian_packet(GridSpec(1, 16, 8.0), width=1.0)
+    for t, reference in zip(times, references):
+        assert l2_distance(reference, evolve_gp(phi0, 0.7, t, 0.001)) < 1e-12
+
+
+def test_threads_must_be_positive(tmp_path):
+    config = _scatter_config(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["run", "--config", str(config), "--threads", "0"])
+    assert excinfo.value.code == 2
+    assert cli.main(["run", "--config", str(config), "--threads", "2"]) == 0

@@ -185,3 +185,13 @@ def test_ground_state_iteration_cap():
     grid = GridSpec(1, 64, 12.0)
     with pytest.raises(ConvergenceError):
         minimize_gp(TrapModel("harmonic", 1.0), 0.0, grid, tol=0.0, max_iterations=5)
+
+
+def test_iteration_cap_before_any_accepted_step():
+    from gplab.errors import ConvergenceError
+
+    grid = GridSpec(1, 64, 12.0)
+    trap = TrapModel("harmonic", 1.0)
+    phi, _ = minimize_gp(trap, 0.0, grid, tol=1e-10)
+    with pytest.raises(ConvergenceError, match="no step accepted"):
+        minimize_gp(trap, 0.0, grid, initial=phi, step0=5.0, max_iterations=1, tol=1e-30)
