@@ -245,10 +245,8 @@ def _run_hierarchy(cfg, out_dir: Path):
     sigma = _resolve_coupling(cfg, model)
     phi0 = gaussian_packet(grid, width=grid.box_length / 8.0)
     t, dt = cfg.t_final, cfg.dt
-    rows = []
-    for k in (1, 2):
-        frames = {tt: evolve_gp(phi0, sigma, tt, dt) for tt in (t - dt, t, t + dt)}
-        rows.append([k, 0, t, infinite_hierarchy_residual(frames, k, sigma, t, dt)])
+    frames = {tt: evolve_gp(phi0, sigma, tt, dt) for tt in (t - dt, t, t + dt)}
+    rows = [[k, 0, t, infinite_hierarchy_residual(frames, k, sigma, t, dt)] for k in (1, 2)]
     family = HierarchyFamily.from_orbital(phi0, 3, sigma)
     exact = factorized_kernel(evolve_gp(phi0, sigma, t, min(dt, 1e-3)), 1)
     for n in (1, 2, 3):

@@ -69,7 +69,12 @@ class PotentialSpec:
         if kind == "table":
             _require_keys("potential", data, {"kind", "radii", "values", "csv_path"}, {"kind"})
             if "csv_path" in data:
-                return cls(kind, csv_path=str(data["csv_path"]))
+                from .potential import from_table_csv
+
+                # read once, so the hash covers the table and not only its path
+                path = str(data["csv_path"])
+                table = from_table_csv(path)
+                return cls(kind, radii=table.radii, values=table.values, csv_path=path)
             if "radii" not in data or "values" not in data:
                 raise ConfigurationError("potential: table needs csv_path or radii+values")
             return cls(
@@ -96,8 +101,6 @@ class PotentialSpec:
             return pot.BarrierPotential(self.v0, self.radius)
         if self.kind == "gaussian":
             return pot.GaussianPotential(self.v0, self.width, self.cutoff_radius)
-        if self.csv_path is not None:
-            return pot.from_table_csv(self.csv_path)
         return pot.TablePotential(self.radii, self.values)
 
 

@@ -29,7 +29,12 @@ import numpy as np
 from . import spectral
 from .errors import ConfigurationError, DomainError, GridMismatchError
 from .grids import GridSpec, WaveFunction, ensure_same_grid, free_evolve
-from .manybody import MAX_KERNEL_ENTRIES, DensityMatrix
+from .manybody import (
+    MAX_KERNEL_ENTRIES,
+    DensityMatrix,
+    _pair_axes_view,
+    pair_displacement_distance,
+)
 from .potential import PotentialModel
 
 _LETTERS = string.ascii_lowercase
@@ -42,12 +47,7 @@ def factorized_kernel(phi: WaveFunction, k: int) -> np.ndarray:
     """Kernel of the pure k-fold product of one orbital."""
     if k < 1:
         raise DomainError("k must be >= 1")
-    v = phi.values.ravel()
-    single = np.outer(v, v.conj())
-    kernel = single
-    for _ in range(k - 1):
-        kernel = np.kron(kernel, single)
-    return kernel
+    return _assemble_terms([(1.0, [(phi.values, phi.values)] * k)], phi.grid.size)
 
 
 def kernel_norm(kernel: np.ndarray, grid: GridSpec, k: int) -> float:
@@ -95,10 +95,32 @@ def kinetic_commutator(kernel: np.ndarray, grid: GridSpec, k: int) -> np.ndarray
 # --- collision operator ---------------------------------------------------
 
 
-def collision_apply(gamma_next: DensityMatrix, sigma: float, j: int) -> np.ndarray:
-    """j-th summand of the contact collision term applied to a (k+1)-kernel.
+# Two back ends compute sum_j Tr_{k+1}[W(x_j, z), gamma^(k+1)] for a pair
+# weight W that already carries the trace's grid measure: a dense one on a
+# d = 1 kernel and one on rank-one product terms (_collide_terms, below).
 
-    Returns the k-particle kernel -i sigma [gamma(x, x_j; x', x_j) -
+
+def _collide_dense(
+    kernel_next: np.ndarray, grid: GridSpec, k: int, weight: np.ndarray
+) -> np.ndarray:
+    """Dense back end on the (M^(k+1), M^(k+1)) kernel of a d = 1 grid."""
+    m = grid.points_per_axis
+    work = kernel_next.reshape((m,) * (2 * k + 2))
+    rows, cols, z = _LETTERS[:k], _LETTERS[k : 2 * k], "z"
+    # the traced slot's diagonal, taken once for every j
+    diag = np.einsum(rows + z + cols + z + "->" + rows + cols + z, work)
+    out = np.zeros((m,) * (2 * k), dtype=complex)
+    for j in range(k):
+        t1 = np.einsum(rows[j] + "z," + rows + cols + "z->" + rows + cols, weight, diag)
+        t2 = np.einsum(cols[j] + "z," + rows + cols + "z->" + rows + cols, weight, diag)
+        out += t1 - t2
+    return out.reshape(m**k, m**k)
+
+
+def collision_apply(gamma_next: DensityMatrix, sigma: float) -> np.ndarray:
+    """Contact collision term of strength sigma applied to a (k+1)-kernel.
+
+    Returns the k-particle kernel -i sigma sum_j [gamma(x, x_j; x', x_j) -
     gamma(x, x'_j; x', x'_j)]; traceless and anti-hermitian-consistent by
     construction.  The general path keeps the full kernel in memory and is
     restricted to one-dimensional grids; use the factorized fast path for
@@ -110,41 +132,22 @@ def collision_apply(gamma_next: DensityMatrix, sigma: float, j: int) -> np.ndarr
     k = gamma_next.k - 1
     if k < 1:
         raise DomainError("gamma_next must have at least two particles")
-    if not 0 <= j < k:
-        raise DomainError(f"summand index must lie in 0..{k - 1}")
-    m = grid.points_per_axis
-    work = gamma_next.kernel.reshape((m,) * (2 * k + 2))
-    rows, cols, z = _LETTERS[:k], _LETTERS[k : 2 * k], "z"
-    src = rows + z + cols + z
-    # evaluate the traced slot at x_j resp. x'_j (diagonal extraction, no sum)
-    first = np.einsum(src.replace(z, rows[j]) + "->" + rows + cols, work)
-    second = np.einsum(src.replace(z, cols[j]) + "->" + rows + cols, work)
     # the delta's (dx)^-d weight cancels the partial trace's (dx)^d measure
-    out = (-1j * sigma) * (first - second)
-    return out.reshape(m**k, m**k)
+    contact = np.eye(grid.points_per_axis)
+    return -1j * sigma * _collide_dense(gamma_next.kernel, grid, k, contact)
 
 
-def collision_apply_factorized(
-    phi: WaveFunction, k: int, sigma: float, j: int
-) -> np.ndarray:
-    """Closed form of the j-th collision summand on the (k+1)-fold product.
+def collision_apply_factorized(phi: WaveFunction, k: int, sigma: float) -> np.ndarray:
+    """Closed form of the contact collision term on the (k+1)-fold product.
 
     The traced slot contracts to the orbital density, leaving
-    -i sigma (|phi(x_j)|^2 - |phi(x'_j)|^2) times the k-fold product kernel.
-    Valid on grids of any dimension.
+    -i sigma sum_j (|phi(x_j)|^2 - |phi(x'_j)|^2) times the k-fold product
+    kernel.  Valid on grids of any dimension.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
-    if not 0 <= j < k:
-        raise DomainError(f"summand index must lie in 0..{k - 1}")
-    v = phi.values.ravel()
-    g = (np.abs(v) ** 2) * v
-    plain = np.outer(v, v.conj())
-    dressed = np.outer(g, v.conj()) - np.outer(v, g.conj())
-    kernel = np.array([[-1j * sigma]])
-    for slot in range(k):
-        kernel = np.kron(kernel, dressed if slot == j else plain)
-    return kernel
+    terms = _collide_terms([(1.0, [(phi.values, phi.values)] * (k + 1))], sigma)
+    return _assemble_terms(terms, phi.grid.size)
 
 
 # --- hierarchy residuals --------------------------------------------------
@@ -174,8 +177,6 @@ def bbgky_residual(
     the spatially discretized identity, so the residual decays at second
     order in dt.
     """
-    from .manybody import pair_displacement_distance
-
     if dt <= 0:
         raise DomainError("dt must be positive")
     before = _frame(gamma_frames, t - dt)
@@ -189,30 +190,16 @@ def bbgky_residual(
     ensure_same_grid(grid, gamma_next.grid)
     lhs = 1j * (after.kernel - before.kernel) / (2.0 * dt)
     rhs = kinetic_commutator(center.kernel, grid, k)
-    m = grid.points_per_axis
     pair_matrix = np.asarray(pair(pair_displacement_distance(grid)), dtype=float)
-    if k >= 2:
-        work = center.kernel.reshape((m,) * (2 * k))
-        for i in range(k):
-            for jj in range(i + 1, k):
-                shape_r = [1] * (2 * k)
-                shape_r[i], shape_r[jj] = m, m
-                shape_c = [1] * (2 * k)
-                shape_c[k + i], shape_c[k + jj] = m, m
-                cube = pair_matrix.reshape(m, m)
-                rhs += (
-                    cube.reshape(shape_r) * work - work * cube.reshape(shape_c)
-                ).reshape(rhs.shape)
+    work = center.kernel.reshape(grid.shape * (2 * k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            row_pair = _pair_axes_view(pair_matrix, grid, 2 * k, i, j)
+            col_pair = _pair_axes_view(pair_matrix, grid, 2 * k, k + i, k + j)
+            rhs += (row_pair * work - work * col_pair).reshape(rhs.shape)
     # collision with the pair potential through the (k+1)-marginal
-    work_next = gamma_next.kernel.reshape((m,) * (2 * k + 2))
-    rows, cols, z = _LETTERS[:k], _LETTERS[k : 2 * k], "z"
-    diag = np.einsum(rows + z + cols + z + "->" + rows + cols + z, work_next)
-    collision = np.zeros_like(rhs).reshape((m,) * (2 * k))
-    for j in range(k):
-        t1 = np.einsum(rows[j] + "z," + rows + cols + "z->" + rows + cols, pair_matrix, diag)
-        t2 = np.einsum(cols[j] + "z," + rows + cols + "z->" + rows + cols, pair_matrix, diag)
-        collision += t1 - t2
-    rhs += (n_particles - k) * grid.cell_volume * collision.reshape(rhs.shape)
+    weight = grid.cell_volume * pair_matrix
+    rhs += (n_particles - k) * _collide_dense(gamma_next.kernel, grid, k, weight)
     defect = kernel_norm(lhs - rhs, grid, k)
     scale = kernel_norm(rhs, grid, k)
     if scale < 1e-12:
@@ -245,24 +232,15 @@ def infinite_hierarchy_residual(
     ensure_same_grid(before.grid, center.grid)
     ensure_same_grid(after.grid, center.grid)
     grid = center.grid
-    size_k = grid.size**k
-    if size_k * size_k > MAX_KERNEL_ENTRIES:
-        raise ConfigurationError(f"{k}-particle kernel exceeds the memory budget")
-    kernel_t = factorized_kernel(center, k)
-    lhs = 1j * (factorized_kernel(after, k) - factorized_kernel(before, k)) / (2.0 * dt)
-    rhs = kinetic_commutator(kernel_t, grid, k)
-    density = (np.abs(center.values) ** 2).ravel()
-    work = rhs.reshape((grid.size,) * (2 * k))
-    kernel_view = kernel_t.reshape((grid.size,) * (2 * k))
-    for j in range(k):
-        shape_r = [1] * (2 * k)
-        shape_r[j] = grid.size
-        shape_c = [1] * (2 * k)
-        shape_c[k + j] = grid.size
-        bracket = density.reshape(shape_r) - density.reshape(shape_c)
-        work = work + sigma * bracket * kernel_view
-    rhs = work.reshape(rhs.shape)
-    defect = kernel_norm(lhs - rhs, grid, k)
+    rhs = kinetic_commutator(factorized_kernel(center, k), grid, k)
+    rhs += 1j * collision_apply_factorized(center, k, sigma)
+    rate = 1j / (2.0 * dt)
+    lhs = _assemble_terms(
+        [(rate, [(after.values, after.values)] * k), (-rate, [(before.values, before.values)] * k)],
+        grid.size,
+    )
+    lhs -= rhs
+    defect = kernel_norm(lhs, grid, k)
     scale = kernel_norm(rhs, grid, k)
     if scale < 1e-12:
         return defect
@@ -311,12 +289,6 @@ class HierarchyFamily:
             return self.entries[k]
         if self.orbital is None:
             raise ConfigurationError(f"family holds no level-{k} marginal")
-        size_k = self.grid.size**k
-        if size_k * size_k > MAX_KERNEL_ENTRIES:
-            raise ConfigurationError(
-                f"level-{k} kernel exceeds the memory budget; "
-                "series terms use the factorized path instead"
-            )
         dm = DensityMatrix(self.grid, k, factorized_kernel(self.orbital, k))
         self.entries[k] = dm
         return dm
@@ -340,8 +312,8 @@ def _midpoints(upper: float, n: int) -> np.ndarray:
 
 
 def _collide_terms(terms: list, sigma: float) -> list:
-    """Apply the collision operator to rank-one product terms, dropping the
-    last slot into slot j for every j (two signed terms each)."""
+    """Term back end of the contact collision on rank-one product terms:
+    drops the last slot into slot j for every j (two signed terms each)."""
     out = []
     for coeff, slots in terms:
         *kept, (a_last, b_last) = slots
@@ -379,14 +351,20 @@ def _evolve_terms(terms: list, grid: GridSpec, tau: float) -> list:
 
 
 def _assemble_terms(terms: list, size: int) -> np.ndarray:
+    """Level-k kernel sum_t c_t (a_t1 x .. x a_tk)(b_t1 x .. x b_tk)^H of
+    rank-one product terms (c_t, [(a_t1, b_t1), ..]), as one matrix product
+    of row-wise Kronecker (face-splitting) factors."""
     k = len(terms[0][1])
-    total = np.zeros((size**k, size**k), dtype=complex)
-    for coeff, slots in terms:
-        kernel = np.array([[coeff]])
-        for a, b in slots:
-            kernel = np.kron(kernel, np.outer(a.ravel(), b.ravel().conj()))
-        total += kernel
-    return total
+    if size ** (2 * k) > MAX_KERNEL_ENTRIES:
+        raise ConfigurationError(f"level-{k} kernel exceeds the memory budget")
+    left = right = np.ones((len(terms), 1))
+    for slot in range(k):
+        a = np.stack([slots[slot][0].ravel() for _, slots in terms])
+        b = np.stack([slots[slot][1].ravel() for _, slots in terms])
+        left = (left[:, :, None] * a[:, None, :]).reshape(len(terms), -1)
+        right = (right[:, :, None] * b[:, None, :]).reshape(len(terms), -1)
+    coeffs = np.array([coeff for coeff, _ in terms])
+    return (left.T * coeffs) @ right.conj()
 
 
 def dyson_term(
@@ -451,10 +429,7 @@ def dyson_term(
     total = np.zeros((size**k, size**k), dtype=complex)
     weight = t / quad_points
     for s in _midpoints(t, quad_points):
-        propagated = free_propagate(entry_next, s)
-        summed = np.zeros_like(total)
-        for j in range(k):
-            summed += collision_apply(propagated, family.sigma, j)
+        summed = collision_apply(free_propagate(entry_next, s), family.sigma)
         total += weight * free_propagate_kernel(summed, grid, k, t - s)
     return DysonTerm(k, 1, total, quad)
 

@@ -117,6 +117,59 @@ def test_config_hash_changes_only_with_fields(tmp_path):
     assert changed.config_hash() != base.config_hash()
 
 
+def _table_config(tmp_path, csv_path):
+    return _scatter_config(
+        tmp_path, prefix="table", extra={"potential": {"kind": "table", "csv_path": str(csv_path)}}
+    )
+
+
+def test_config_hash_covers_table_csv_contents(tmp_path):
+    table = tmp_path / "table.csv"
+    table.write_text("radius,value\n0.0,1.0\n1.0,0.0\n")
+    config = _table_config(tmp_path, table)
+    before = load_config(config).config_hash()
+    assert load_config(config).config_hash() == before
+    table.write_text("radius,value\n0.0,2.0\n1.0,0.0\n")
+    after = load_config(config)
+    assert after.config_hash() != before
+    assert after.potential.build()(0.0) == pytest.approx(2.0)
+
+
+def test_missing_table_csv_exits_2(tmp_path, capsys):
+    config = _table_config(tmp_path, tmp_path / "absent.csv")
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert "absent.csv" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_hierarchy_run_evolves_each_gp_frame_once(tmp_path, monkeypatch):
+    import gplab.gp
+
+    calls = []
+    evolve_gp = gplab.gp.evolve_gp
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return evolve_gp(*args, **kwargs)
+
+    monkeypatch.setattr(gplab.gp, "evolve_gp", counted)
+    data = {
+        "schema_version": "1",
+        "experiment": "hierarchy",
+        "grid": {"dim": 1, "points_per_axis": 16, "box_length": 8.0},
+        "time": {"t_final": 0.02, "dt": 1e-3},
+        "coupling": {"mode": "explicit", "value": 0.2},
+        "output": {"dir": str(tmp_path / "h"), "prefix": "h"},
+    }
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", "--config", str(path)]) == 0
+    # frames at t - dt, t, t + dt serve both levels; one more for the series reference
+    assert len(calls) == 4
+    _, rows = _read_rows(tmp_path / "h" / "h_results.csv")
+    assert [row[:2] for row in rows] == [["1", "0"], ["2", "0"], ["1", "1"], ["1", "2"], ["1", "3"]]
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     override = tmp_path / "redirected"
     monkeypatch.setenv("GPLAB_OUTPUT_DIR", str(override))

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gplab.errors import ConfigurationError, DomainError
 from gplab.gp import evolve_gp
@@ -92,14 +96,14 @@ def test_collision_factorized_matches_general_path(grid, orbital):
     state = product_state(orbital, 2)
     gamma2 = marginal(state, 2)
     sigma = 0.7
-    general = collision_apply(gamma2, sigma, 0)
-    closed_form = collision_apply_factorized(orbital, 1, sigma, 0)
+    general = collision_apply(gamma2, sigma)
+    closed_form = collision_apply_factorized(orbital, 1, sigma)
     assert np.max(np.abs(general - closed_form)) < 1e-12
 
 
 def test_collision_commutator_structure(grid, orbital):
     sigma = 0.7
-    out = collision_apply_factorized(orbital, 1, sigma, 0)
+    out = collision_apply_factorized(orbital, 1, sigma)
     assert abs(np.trace(out)) * grid.cell_volume < 1e-10
     # output = -i sigma T with T anti-hermitian, so the output is hermitian
     commutator_part = out / (-1j * sigma)
@@ -108,18 +112,68 @@ def test_collision_commutator_structure(grid, orbital):
 
 def test_collision_vanishes_for_flat_density_and_zero_coupling(grid, orbital):
     flat = WaveFunction(grid, np.ones(grid.shape, dtype=complex)).normalized()
-    assert np.max(np.abs(collision_apply_factorized(flat, 1, 0.9, 0))) < 1e-14
-    assert np.max(np.abs(collision_apply_factorized(orbital, 1, 0.0, 0))) < 1e-14
+    assert np.max(np.abs(collision_apply_factorized(flat, 1, 0.9))) < 1e-14
+    assert np.max(np.abs(collision_apply_factorized(orbital, 1, 0.0))) < 1e-14
 
 
 def test_collision_general_path_guards(grid, orbital):
-    gamma2 = marginal(product_state(orbital, 2), 2)
-    with pytest.raises(DomainError):
-        collision_apply(gamma2, 1.0, 1)  # only summand 0 exists at k = 1
     grid3 = GridSpec(3, 8, 6.0)
     stub = DensityMatrix(grid3, 2, np.zeros((4, 4), dtype=complex))
     with pytest.raises(ConfigurationError):
-        collision_apply(stub, 1.0, 0)  # dimension guard fires first
+        collision_apply(stub, 1.0)  # dimension guard fires first
+
+
+def _random_orbital(grid, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    return WaveFunction(grid, values).normalized()
+
+
+collision_cases = settings(max_examples=20, deadline=None)
+levels = st.sampled_from([1, 2])
+boxes = st.floats(4.0, 12.0)
+couplings = st.floats(-3.0, 3.0).filter(lambda sigma: abs(sigma) > 1e-3)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@collision_cases
+@given(k=levels, box=boxes, sigma=couplings, seed=seeds)
+def test_collision_back_ends_agree_on_product_states(k, box, sigma, seed):
+    grid = GridSpec(1, 8, box)
+    phi = _random_orbital(grid, seed)
+    dense = collision_apply(marginal(product_state(phi, k + 1), k + 1), sigma)
+    terms = collision_apply_factorized(phi, k, sigma)
+    assert np.max(np.abs(dense - terms)) < 1e-12
+
+
+@collision_cases
+@given(k=levels, box=boxes, sigma=couplings, seed=seeds)
+def test_collision_is_traceless_and_anti_hermitian(k, box, sigma, seed):
+    grid = GridSpec(1, 8, box)
+    size = grid.size ** (k + 1)
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    gamma_next = DensityMatrix(grid, k + 1, 0.5 * (raw + raw.conj().T))
+    part = collision_apply(gamma_next, sigma) / (-1j * sigma)
+    assert abs(np.trace(part)) * grid.cell_volume**k < 1e-12
+    assert np.max(np.abs(part + part.conj().T)) < 1e-12
+
+
+def test_level_three_kernels_rejected_before_allocation():
+    # a level-3 kernel on 64 points has 2^36 entries
+    grid = GridSpec(1, 64, 8.0)
+    phi = gaussian_packet(grid, width=1.0)
+    frames = {tt: phi for tt in (-1e-3, 0.0, 1e-3)}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError):
+            factorized_kernel(phi, 3)
+        with pytest.raises(ConfigurationError):
+            infinite_hierarchy_residual(frames, 3, 1.0, 0.0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # --- exact-marginal equation -----------------------------------------------
@@ -166,6 +220,26 @@ def test_marginal_equation_residual_second_order():
             if abs(tt - t) < 1e-12:
                 gamma2 = marginal(evolved, 2)
         residuals.append(bbgky_residual(frames, gamma2, pair, 2, t, dt))
+    assert 3.2 < residuals[0] / residuals[1] < 4.8
+
+
+def test_two_particle_marginal_equation_residual_second_order():
+    # k = 2 of n = 3 reaches the intra-group pair commutator
+    grid = GridSpec(1, 8, 6.0)
+    phi = gaussian_packet(grid, width=1.0, momentum=[0.5])
+    pair = GaussianPotential(2.0, 0.7, cutoff=2.5)
+    state0 = product_state(phi, 3)
+    t = 0.1
+    residuals = []
+    for dt in (4e-3, 2e-3):
+        frames = {}
+        gamma3 = None
+        for tt in (t - dt, t, t + dt):
+            evolved = evolve_manybody_cached(state0, pair, tt, dt)
+            frames[tt] = marginal(evolved, 2)
+            if abs(tt - t) < 1e-12:
+                gamma3 = marginal(evolved, 3)
+        residuals.append(bbgky_residual(frames, gamma3, pair, 3, t, dt))
     assert 3.2 < residuals[0] / residuals[1] < 4.8
 
 
@@ -249,7 +323,7 @@ def test_zero_coupling_kills_higher_orders(grid, orbital):
 def test_first_order_term_leading_behavior(grid, orbital):
     sigma = 0.2
     family = HierarchyFamily.from_orbital(orbital, 2, sigma)
-    collision = collision_apply_factorized(orbital, 1, sigma, 0)
+    collision = collision_apply_factorized(orbital, 1, sigma)
     errors = []
     for t in (0.02, 0.01):
         term = dyson_term(family, 1, 1, t, 32)
