@@ -69,6 +69,10 @@ class PotentialSpec:
         if kind == "table":
             _require_keys("potential", data, {"kind", "radii", "values", "csv_path"}, {"kind"})
             if "csv_path" in data:
+                if "radii" in data or "values" in data:
+                    raise ConfigurationError(
+                        "potential: table takes csv_path or radii+values, not both"
+                    )
                 from .potential import from_table_csv
 
                 # read once, so the hash covers the table and not only its path
@@ -239,6 +243,15 @@ def parse_config(data: dict) -> ScenarioConfig:
     scaling = data.get("scaling_N", [1])
     if not isinstance(scaling, list) or not scaling:
         raise ConfigurationError("scaling_N must be a non-empty list of counts")
+
+    # build the grid, trap and potential once so bad values exit before any output
+    from .grids import GridSpec
+    from .potential import TrapModel
+
+    GridSpec(grid_dim, grid_points, grid_box)
+    TrapModel(trap_kind, trap_omega)
+    if potential is not None:
+        potential.build()
 
     return ScenarioConfig(
         experiment=experiment,

@@ -29,12 +29,7 @@ import numpy as np
 from . import spectral
 from .errors import ConfigurationError, DomainError, GridMismatchError
 from .grids import GridSpec, WaveFunction, ensure_same_grid, free_evolve
-from .manybody import (
-    MAX_KERNEL_ENTRIES,
-    DensityMatrix,
-    _pair_axes_view,
-    pair_displacement_distance,
-)
+from .manybody import DensityMatrix, check_entry_budget, pair_field
 from .potential import PotentialModel
 
 _LETTERS = string.ascii_lowercase
@@ -190,15 +185,14 @@ def bbgky_residual(
     ensure_same_grid(grid, gamma_next.grid)
     lhs = 1j * (after.kernel - before.kernel) / (2.0 * dt)
     rhs = kinetic_commutator(center.kernel, grid, k)
-    pair_matrix = np.asarray(pair(pair_displacement_distance(grid)), dtype=float)
     work = center.kernel.reshape(grid.shape * (2 * k))
     for i in range(k):
         for j in range(i + 1, k):
-            row_pair = _pair_axes_view(pair_matrix, grid, 2 * k, i, j)
-            col_pair = _pair_axes_view(pair_matrix, grid, 2 * k, k + i, k + j)
+            row_pair = pair_field(grid, pair, 2 * k, i, j)
+            col_pair = pair_field(grid, pair, 2 * k, k + i, k + j)
             rhs += (row_pair * work - work * col_pair).reshape(rhs.shape)
     # collision with the pair potential through the (k+1)-marginal
-    weight = grid.cell_volume * pair_matrix
+    weight = grid.cell_volume * pair_field(grid, pair, 2, 0, 1)
     rhs += (n_particles - k) * _collide_dense(gamma_next.kernel, grid, k, weight)
     defect = kernel_norm(lhs - rhs, grid, k)
     scale = kernel_norm(rhs, grid, k)
@@ -355,8 +349,7 @@ def _assemble_terms(terms: list, size: int) -> np.ndarray:
     rank-one product terms (c_t, [(a_t1, b_t1), ..]), as one matrix product
     of row-wise Kronecker (face-splitting) factors."""
     k = len(terms[0][1])
-    if size ** (2 * k) > MAX_KERNEL_ENTRIES:
-        raise ConfigurationError(f"level-{k} kernel exceeds the memory budget")
+    check_entry_budget(size ** (2 * k), f"level-{k} kernel")
     left = right = np.ones((len(terms), 1))
     for slot in range(k):
         a = np.stack([slots[slot][0].ravel() for _, slots in terms])

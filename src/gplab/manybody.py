@@ -25,19 +25,15 @@ from .errors import ConfigurationError, DomainError, SolverError
 from .grids import GridSpec, WaveFunction, ensure_same_grid, kinetic_energy
 from .potential import PotentialModel, TrapModel
 
-MAX_STATE_AMPLITUDES = 2**28
-MAX_KERNEL_ENTRIES = 2**28
+MAX_ENTRIES = 2**28
 
 PairProfile = Callable[[np.ndarray], np.ndarray]
 
 
-def _check_state_budget(grid: GridSpec, n_particles: int) -> None:
-    amplitudes = grid.size**n_particles
-    if amplitudes > MAX_STATE_AMPLITUDES:
-        raise ConfigurationError(
-            f"state of {n_particles} particles on {grid.points_per_axis}^{grid.dim} "
-            f"points needs {amplitudes} amplitudes; budget is 2^28 = {MAX_STATE_AMPLITUDES}"
-        )
+def check_entry_budget(entries: int, what: str) -> None:
+    """Reject a state or kernel of more than 2^28 entries before it is built."""
+    if entries > MAX_ENTRIES:
+        raise ConfigurationError(f"{what} needs {entries} entries; budget is 2^28 = {MAX_ENTRIES}")
 
 
 @dataclass
@@ -79,28 +75,25 @@ def exchange_particles(values: np.ndarray, i: int, j: int, dim: int) -> np.ndarr
     return np.transpose(values, axes)
 
 
-def pair_displacement_distance(grid: GridSpec) -> np.ndarray:
-    """Matrix of periodically wrapped distances |x_a - x_b| between all pairs
-    of per-particle grid points, shape (M^d, M^d)."""
-    coords = np.stack([c.ravel() for c in grid.coordinate_mesh()], axis=-1)
-    delta = coords[:, None, :] - coords[None, :, :]
-    length = grid.box_length
-    delta = (delta + 0.5 * length) % length - 0.5 * length
-    return np.sqrt(np.sum(delta**2, axis=-1))
+def pair_field(grid: GridSpec, f: PairProfile, n_slots: int, i: int, j: int) -> np.ndarray:
+    """f(|x_i - x_j|) for slots i != j, shaped to broadcast over an n_slots layout.
 
-
-def _pair_axes_view(matrix: np.ndarray, grid: GridSpec, n: int, i: int, j: int) -> np.ndarray:
-    """Reshape an (M^d, M^d) pair matrix so it broadcasts over the full
-    n-particle tensor with its two slots on particles i and j.  Only valid
-    for symmetric matrices (all pair quantities here depend on |x_i - x_j|)."""
-    if i > j:
-        i, j = j, i
+    The wrapped distance depends only on the index difference (a - b) mod M
+    along each axis, so f is evaluated once on the M^d displacements (the
+    centred radius mesh rolled by M/2 per axis, |-L/2 + h (k + M/2 mod M)|
+    = h min(k, M - k)) and gathered with one index array per axis.
+    """
     d, m = grid.dim, grid.points_per_axis
-    shape = [1] * (n * d)
+    distance = np.roll(np.sqrt(grid.radius_squared_mesh()), m // 2, axis=tuple(range(d)))
+    table = np.asarray(f(distance), dtype=float)
+    index = np.arange(m)
+    difference = (index[:, None] - index[None, :]) % m
+    gather = []
     for a in range(d):
-        shape[i * d + a] = m
-        shape[j * d + a] = m
-    return matrix.reshape(shape)
+        shape = [1] * (n_slots * d)
+        shape[i * d + a] = shape[j * d + a] = m
+        gather.append(difference.reshape(shape))
+    return table[tuple(gather)]
 
 
 def total_potential(
@@ -117,18 +110,9 @@ def total_potential(
         for i in range(n_particles):  # slot i: its d axes, then 1s for the later slots
             total += v1.reshape(grid.shape + (1,) * (d * (n_particles - 1 - i)))
     if pair is not None:
-        matrix = pair(pair_displacement_distance(grid))
         for i, j in itertools.combinations(range(n_particles), 2):
-            total += _pair_axes_view(matrix, grid, n_particles, i, j)
+            total += pair_field(grid, pair, n_particles, i, j)
     return total
-
-
-def pair_profile_factor(
-    grid: GridSpec, n_particles: int, profile: PairProfile, i: int, j: int
-) -> np.ndarray:
-    """profile(|x_i - x_j|) broadcast over the n-particle tensor."""
-    matrix = np.asarray(profile(pair_displacement_distance(grid)), dtype=float)
-    return _pair_axes_view(matrix, grid, n_particles, i, j)
 
 
 # --- initial states -----------------------------------------------------
@@ -136,7 +120,7 @@ def pair_profile_factor(
 
 def product_state(phi: WaveFunction, n_particles: int) -> ManyBodyState:
     """phi tensored n times (uncorrelated initial data)."""
-    _check_state_budget(phi.grid, n_particles)
+    check_entry_budget(phi.grid.size**n_particles, f"{n_particles}-particle state")
     values = np.array(1.0, dtype=complex)
     for _ in range(n_particles):
         values = np.tensordot(values, phi.values, axes=0)
@@ -148,10 +132,9 @@ def jastrow_product_state(
     phi: WaveFunction, n_particles: int, pair_profile: PairProfile
 ) -> ManyBodyState:
     """Product orbital dressed with the short-range pair factor on every pair."""
-    _check_state_budget(phi.grid, n_particles)
     raw = product_state(phi, n_particles).values
     for i, j in itertools.combinations(range(n_particles), 2):
-        raw = raw * pair_profile_factor(phi.grid, n_particles, pair_profile, i, j)
+        raw = raw * pair_field(phi.grid, pair_profile, n_particles, i, j)
     state = ManyBodyState(phi.grid, n_particles, raw)
     return state.normalized()
 
@@ -173,7 +156,7 @@ def build_initial(
 
 def random_symmetric_state(grid: GridSpec, n_particles: int, seed: int) -> ManyBodyState:
     """Bosonic trial state: symmetrized complex Gaussian noise."""
-    _check_state_budget(grid, n_particles)
+    check_entry_budget(grid.size**n_particles, f"{n_particles}-particle state")
     rng = np.random.default_rng(seed)
     shape = grid.shape * n_particles
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -280,11 +263,7 @@ def marginal(psi: ManyBodyState, k: int) -> DensityMatrix:
     if not 1 <= k <= n:
         raise DomainError(f"k must lie in 1..{n}, got {k}")
     rows = psi.grid.size**k
-    if rows * rows > MAX_KERNEL_ENTRIES:
-        raise ConfigurationError(
-            f"{k}-particle kernel needs {rows * rows} entries; "
-            f"budget is 2^28 = {MAX_KERNEL_ENTRIES}"
-        )
+    check_entry_budget(rows * rows, f"{k}-particle kernel")
     mat = psi.values.reshape(rows, -1)
     kernel = (mat @ mat.conj().T) * psi.grid.cell_volume ** (n - k)
     return DensityMatrix(psi.grid, k, kernel)
@@ -353,7 +332,7 @@ def correlation_quotient(
         raise DomainError("need two distinct particle indices on an n >= 2 state")
     values = psi.values
     if pair_profile is not None:
-        factor = pair_profile_factor(grid, n, pair_profile, i, j)
+        factor = pair_field(grid, pair_profile, n, i, j)
         if np.any(factor <= 0.0) or not np.all(np.isfinite(factor)):
             raise DomainError("pair profile must be positive on the whole grid")
         values = values / factor

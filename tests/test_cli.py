@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gplab import cli
-from gplab.config import load_config, parse_config
+from gplab.config import PotentialSpec, load_config, parse_config
 from gplab.errors import ConfigurationError, SolverError
 from gplab.grids import GridSpec, gaussian_packet
 from gplab.snapshots import MAGIC, read_state_binary, write_state_binary, write_state_csv
@@ -139,6 +139,18 @@ def test_missing_table_csv_exits_2(tmp_path, capsys):
     config = _table_config(tmp_path, tmp_path / "absent.csv")
     assert cli.main(["run", "--config", str(config)]) == 2
     assert "absent.csv" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_table_with_csv_and_inline_arrays_rejected(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    table.write_text("radius,value\n0.0,1.0\n1.0,0.0\n")
+    spec = {"kind": "table", "csv_path": str(table), "radii": [0.0, 2.0], "values": [5.0, 0.0]}
+    with pytest.raises(ConfigurationError, match="not both"):
+        PotentialSpec.parse(spec)
+    config = _scatter_config(tmp_path, prefix="both", extra={"potential": spec})
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert "not both" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -337,6 +349,9 @@ def _manybody_config(tmp_path, **fields):
         ({"time": {"t_final": 0.1, "dt": -1e-3}}, "dt"),
         ({"time": {"t_final": -0.1, "dt": 1e-3}}, "t_final"),
         ({"particles": 1}, "particles"),
+        ({"grid": {"dim": 1, "points_per_axis": 60, "box_length": 8.0}}, "points_per_axis"),
+        ({"trap": {"kind": "harmonic", "omega": -1.0}}, "trap frequency"),
+        ({"potential": {"kind": "gaussian", "v0": -1.0, "width": 0.5}}, "gaussian height"),
     ],
 )
 def test_bad_time_and_particle_fields_exit_2(tmp_path, capsys, fields, message):

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gplab.errors import ConfigurationError, DomainError, GridMismatchError
 from gplab.gp import evolve_gp
@@ -11,18 +15,31 @@ from gplab.manybody import (
     correlation_quotient,
     energy_moment,
     evolve_manybody,
+    exchange_particles,
     factorization_distance,
     hardy_check,
     jastrow_product_state,
     marginal,
-    pair_displacement_distance,
+    pair_field,
     partial_trace,
     product_state,
     random_symmetric_state,
     scale_potential_analog1d,
+    total_potential,
 )
 from gplab.potential import BarrierPotential, GaussianPotential, TrapModel, born_coupling_1d
 from gplab.scattering import jastrow, solve_zero_energy
+
+
+def _distance_reference(grid):
+    """Wrapped distances |x_a - x_b| between all grid points, shape (M^d, M^d),
+    by direct summation over the axes."""
+    length = grid.box_length
+    squared = 0.0
+    for c in grid.coordinate_mesh():
+        delta = c.ravel()[:, None] - c.ravel()[None, :]
+        squared = squared + ((delta + 0.5 * length) % length - 0.5 * length) ** 2
+    return np.sqrt(squared)
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +71,7 @@ def test_jastrow_prenormalization_below_one(grid, orbital):
     state = jastrow_product_state(orbital, 2, jastrow(solution, 4))
     assert state.prenormalization < 1.0
     # direct summation oracle for the raw norm
-    dist = pair_displacement_distance(grid)
+    dist = _distance_reference(grid)
     factor = jastrow(solution, 4)(dist).reshape(grid.size, grid.size)
     raw = np.tensordot(orbital.values, orbital.values, axes=0) * factor
     raw_norm = np.sqrt(np.sum(np.abs(raw) ** 2) * grid.cell_volume**2)
@@ -74,6 +91,10 @@ def test_memory_budget_names_the_limit():
     phi = gaussian_packet(big, width=1.0)
     with pytest.raises(ConfigurationError, match="2\\^28"):
         product_state(phi, 3)
+    # a two-particle kernel on 256 points has 2^32 entries
+    pair_state = product_state(gaussian_packet(GridSpec(1, 256, 8.0), width=1.0), 2)
+    with pytest.raises(ConfigurationError, match="2\\^28"):
+        marginal(pair_state, 2)
 
 
 def test_random_symmetric_states(grid):
@@ -179,7 +200,7 @@ def test_pair_energy_approaches_short_range_limit():
     b0 = born_coupling_1d(base)
     rho = np.abs(phi.values) ** 2
     target = 0.5 * b0 * float(np.sum(rho**2) * grid.spacing)
-    dist = pair_displacement_distance(grid)
+    dist = _distance_reference(grid)
     errors = []
     for n in (2, 4, 8):
         scaled = scale_potential_analog1d(base, n)
@@ -306,3 +327,33 @@ def test_mean_field_trend_in_analog_mode():
         reference = evolve_gp(phi, b0, t_final, dt)
         depletions.append(1.0 - condensate_overlap(marginal(evolved, 1), reference))
     assert depletions[0] > depletions[1] > depletions[2]
+
+
+pair_cases = settings(max_examples=20, deadline=None)
+layouts = st.tuples(st.sampled_from([1, 2, 3]), st.sampled_from([8, 16]), st.sampled_from([2, 3]))
+boxes = st.floats(2.0, 20.0)
+
+
+@pair_cases
+@given(layout=layouts, box=boxes)
+def test_pair_field_matches_direct_distances(layout, box):
+    dim, points, n = layout
+    grid = GridSpec(dim, points, box)
+    reference = _distance_reference(grid)
+    for i, j in itertools.permutations(range(n), 2):
+        field = pair_field(grid, lambda r: r, n, i, j)
+        shape = [1] * (n * dim)
+        for a in range(dim):
+            shape[i * dim + a] = shape[j * dim + a] = points
+        assert field.shape == tuple(shape)
+        assert np.max(np.abs(field.reshape(reference.shape) - reference)) < 1e-12 * box
+
+
+@pair_cases
+@given(layout=layouts.filter(lambda lay: lay[1] ** (lay[0] * lay[2]) <= 2**24), box=boxes)
+def test_total_potential_is_exchange_symmetric(layout, box):
+    dim, points, n = layout
+    grid = GridSpec(dim, points, box)
+    total = total_potential(grid, n, GaussianPotential(1.0, 0.1 * box), TrapModel("harmonic", 1.0))
+    for i in range(n - 1):
+        assert np.max(np.abs(exchange_particles(total, i, i + 1, dim) - total)) < 1e-12
