@@ -38,6 +38,15 @@ def _require_keys(section: str, data: dict, allowed: set[str], required: set[str
         raise ConfigurationError(f"{section}: missing field(s) {sorted(missing)}")
 
 
+def _count(name: str, value: Any, minimum: int | None = None) -> int:
+    """An integer count from the config; floats and booleans are rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     kind: str
@@ -204,8 +213,8 @@ def parse_config(data: dict) -> ScenarioConfig:
             "grid", grid, {"dim", "points_per_axis", "box_length"},
             {"dim", "points_per_axis", "box_length"},
         )
-        grid_dim = int(grid["dim"])
-        grid_points = int(grid["points_per_axis"])
+        grid_dim = _count("grid: dim", grid["dim"])
+        grid_points = _count("grid: points_per_axis", grid["points_per_axis"])
         grid_box = float(grid["box_length"])
 
     t_final, dt = 0.1, 1e-3
@@ -236,13 +245,15 @@ def parse_config(data: dict) -> ScenarioConfig:
     output = dict(data["output"])
     _require_keys("output", output, {"dir", "prefix", "binary_snapshots"}, {"dir", "prefix"})
 
-    particles = int(data.get("particles", 2))
+    particles = _count("particles", data.get("particles", 2))
     if experiment == "manybody" and particles < 2:
         raise ConfigurationError(f"particles: manybody needs at least 2, got {particles}")
 
     scaling = data.get("scaling_N", [1])
     if not isinstance(scaling, list) or not scaling:
         raise ConfigurationError("scaling_N must be a non-empty list of counts")
+    scaling_n = tuple(_count("scaling_N entry", n, minimum=1) for n in scaling)
+    seed = _count("seed", data.get("seed", 0))
 
     # build the grid, trap and potential once so bad values exit before any output
     from .grids import GridSpec
@@ -262,7 +273,7 @@ def parse_config(data: dict) -> ScenarioConfig:
         grid_points=grid_points,
         grid_box=grid_box,
         particles=particles,
-        scaling_n=tuple(int(n) for n in scaling),
+        scaling_n=scaling_n,
         t_final=t_final,
         dt=dt,
         coupling_mode=coupling_mode,
@@ -270,7 +281,7 @@ def parse_config(data: dict) -> ScenarioConfig:
         output_dir=str(output["dir"]),
         output_prefix=str(output["prefix"]),
         binary_snapshots=bool(output.get("binary_snapshots", False)),
-        seed=int(data.get("seed", 0)),
+        seed=seed,
     )
 
 

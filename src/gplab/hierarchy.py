@@ -46,7 +46,7 @@ def factorized_kernel(phi: WaveFunction, k: int) -> np.ndarray:
 
 
 def kernel_norm(kernel: np.ndarray, grid: GridSpec, k: int) -> float:
-    return float(np.sqrt(np.sum(np.abs(kernel) ** 2)) * grid.cell_volume**k)
+    return float(np.linalg.norm(kernel) * grid.cell_volume**k)
 
 
 def kernel_distance(a: np.ndarray, b: np.ndarray, grid: GridSpec, k: int) -> float:
@@ -63,11 +63,9 @@ def free_propagate_kernel(kernel: np.ndarray, grid: GridSpec, k: int, t: float) 
     """Conjugate a k-particle kernel by the free flow exp(i t Laplacian)."""
     work, rows, cols = _per_axis(kernel, grid, k)
     phase_rows = np.exp(-1j * t * spectral.k_squared(grid, 2 * k, range(k)))
+    phase_cols = np.exp(1j * t * spectral.k_squared(grid, 2 * k, range(k, 2 * k)))
     work = spectral.fourier_multiply(work, phase_rows, rows)
-    # the column block carries the adjoint flow: inverse transform first
-    work = spectral.ifftn(work, axes=cols, overwrite_x=True)
-    work *= np.exp(1j * t * spectral.k_squared(grid, 2 * k, range(k, 2 * k)))
-    work = spectral.fftn(work, axes=cols, overwrite_x=True)
+    work = spectral.fourier_multiply(work, phase_cols, cols, overwrite_x=True)
     return work.reshape(kernel.shape)
 
 
@@ -80,10 +78,7 @@ def kinetic_commutator(kernel: np.ndarray, grid: GridSpec, k: int) -> np.ndarray
     """[-Laplacian_total, kernel], computed spectrally on both slots."""
     work, rows, cols = _per_axis(kernel, grid, k)
     left = spectral.fourier_multiply(work, spectral.k_squared(grid, 2 * k, range(k)), rows)
-    right = spectral.ifftn(work, axes=cols)
-    right *= spectral.k_squared(grid, 2 * k, range(k, 2 * k))
-    right = spectral.fftn(right, axes=cols, overwrite_x=True)
-    left -= right
+    left -= spectral.fourier_multiply(work, spectral.k_squared(grid, 2 * k, range(k, 2 * k)), cols)
     return left.reshape(kernel.shape)
 
 
@@ -155,6 +150,17 @@ def _frame(frames: Mapping[float, object], time: float):
     raise ConfigurationError(f"missing trajectory frame at t = {time!r}")
 
 
+def _frame_triple(frames: Mapping[float, object], t: float, dt: float) -> list:
+    """The frames at t - dt, t and t + dt of a central difference."""
+    if dt <= 0:
+        raise DomainError("dt must be positive")
+    return [_frame(frames, time) for time in (t - dt, t, t + dt)]
+
+
+def _relative_defect(defect: float, scale: float) -> float:
+    return defect if scale < 1e-12 else defect / scale
+
+
 def bbgky_residual(
     gamma_frames: Mapping[float, DensityMatrix],
     gamma_next: DensityMatrix,
@@ -172,11 +178,7 @@ def bbgky_residual(
     the spatially discretized identity, so the residual decays at second
     order in dt.
     """
-    if dt <= 0:
-        raise DomainError("dt must be positive")
-    before = _frame(gamma_frames, t - dt)
-    center = _frame(gamma_frames, t)
-    after = _frame(gamma_frames, t + dt)
+    before, center, after = _frame_triple(gamma_frames, t, dt)
     grid, k = center.grid, center.k
     if grid.dim != 1:
         raise ConfigurationError("marginal-equation residual supports d = 1 only")
@@ -194,11 +196,7 @@ def bbgky_residual(
     # collision with the pair potential through the (k+1)-marginal
     weight = grid.cell_volume * pair_field(grid, pair, 2, 0, 1)
     rhs += (n_particles - k) * _collide_dense(gamma_next.kernel, grid, k, weight)
-    defect = kernel_norm(lhs - rhs, grid, k)
-    scale = kernel_norm(rhs, grid, k)
-    if scale < 1e-12:
-        return defect
-    return defect / scale
+    return _relative_defect(kernel_norm(lhs - rhs, grid, k), kernel_norm(rhs, grid, k))
 
 
 def infinite_hierarchy_residual(
@@ -210,35 +208,33 @@ def infinite_hierarchy_residual(
 ) -> float:
     """Normalized defect of the limiting hierarchy on a factorized family.
 
-    Builds the k-fold product kernels from the orbital at t -+ dt, central-
-    differences them in time, and subtracts the kinetic commutator plus the
-    contact collision term of strength sigma.  The defect vanishes at second
-    order in dt exactly when the orbital solves the nonlinear equation with
-    the same sigma.
+    Central-differences the k-fold product kernels of the orbital at t -+ dt
+    and subtracts the kinetic commutator plus the contact collision term of
+    strength sigma, all as rank-one product terms, so at most one level-k
+    kernel is alive at a time.  The defect vanishes at second order in dt
+    exactly when the orbital solves the nonlinear equation with the same
+    sigma.
     """
-    if dt <= 0:
-        raise DomainError("dt must be positive")
     if k < 1:
         raise DomainError("k must be >= 1")
-    before = _frame(orbital_frames, t - dt)
-    center = _frame(orbital_frames, t)
-    after = _frame(orbital_frames, t + dt)
+    before, center, after = _frame_triple(orbital_frames, t, dt)
     ensure_same_grid(before.grid, center.grid)
     ensure_same_grid(after.grid, center.grid)
-    grid = center.grid
-    rhs = kinetic_commutator(factorized_kernel(center, k), grid, k)
-    rhs += 1j * collision_apply_factorized(center, k, sigma)
+    grid, phi = center.grid, center.values
+    lap_phi = spectral.fourier_multiply(phi, spectral.k_squared(grid))  # -Laplacian phi
+    # [-Laplacian_total, product]: -Laplacian on one slot, row minus column side
+    rhs = []
+    for j in range(k):
+        for coeff, side in ((1.0, (lap_phi, phi)), (-1.0, (phi, lap_phi))):
+            slots = [(phi, phi)] * k
+            slots[j] = side
+            rhs.append((coeff, slots))
+    rhs += _collide_terms([(1j, [(phi, phi)] * (k + 1))], sigma)
     rate = 1j / (2.0 * dt)
-    lhs = _assemble_terms(
-        [(rate, [(after.values, after.values)] * k), (-rate, [(before.values, before.values)] * k)],
-        grid.size,
-    )
-    lhs -= rhs
-    defect = kernel_norm(lhs, grid, k)
-    scale = kernel_norm(rhs, grid, k)
-    if scale < 1e-12:
-        return defect
-    return defect / scale
+    lhs = [(rate, [(after.values, after.values)] * k), (-rate, [(before.values, before.values)] * k)]
+    scale = kernel_norm(_assemble_terms(rhs, grid.size), grid, k)
+    defect_terms = lhs + [(-coeff, slots) for coeff, slots in rhs]
+    return _relative_defect(kernel_norm(_assemble_terms(defect_terms, grid.size), grid, k), scale)
 
 
 # --- truncated series -----------------------------------------------------
@@ -286,19 +282,6 @@ class HierarchyFamily:
         dm = DensityMatrix(self.grid, k, factorized_kernel(self.orbital, k))
         self.entries[k] = dm
         return dm
-
-
-@dataclass
-class DysonTerm:
-    """One term of the truncated collision expansion (not trace-normalized)."""
-
-    k: int
-    m: int
-    value: np.ndarray
-    quadrature: dict
-
-    def norm(self, grid: GridSpec) -> float:
-        return kernel_norm(self.value, grid, self.k)
 
 
 def _midpoints(upper: float, n: int) -> np.ndarray:
@@ -366,8 +349,8 @@ def dyson_term(
     m: int,
     t: float,
     quad_points: int = 16,
-) -> DysonTerm:
-    """Order-m term of the collision expansion at level k.
+) -> np.ndarray:
+    """Order-m term of the collision expansion at level k (not trace-normalized).
 
     Order zero is the free flight of the level-k entry; orders one and two
     are midpoint-rule integrals over the time simplex with `quad_points`
@@ -383,13 +366,11 @@ def dyson_term(
     if quad_points < 4:
         raise ConfigurationError("quad_points < 4 is too coarse for the t^2 checks")
     grid = family.grid
-    quad = {"points_per_axis": quad_points, "t": t, "rule": "midpoint"}
     if m == 0:
-        value = free_propagate_kernel(family.entry(k).kernel, grid, k, t)
-        return DysonTerm(k, 0, value, quad)
+        return free_propagate_kernel(family.entry(k).kernel, grid, k, t)
     size = grid.size
     if family.sigma == 0.0:
-        return DysonTerm(k, m, np.zeros((size**k, size**k), dtype=complex), quad)
+        return np.zeros((size**k, size**k), dtype=complex)
     if family.orbital is not None:
         phi = family.orbital
         total = np.zeros((size**k, size**k), dtype=complex)
@@ -412,7 +393,7 @@ def dyson_term(
                     terms = _collide_terms(terms, family.sigma)
                     terms = _evolve_terms(terms, grid, t - s1)
                     total += weight * _assemble_terms(terms, size)
-        return DysonTerm(k, m, total, quad)
+        return total
     if m == 2:
         raise ConfigurationError(
             "order-two terms need a factorized family (general kernels at "
@@ -424,7 +405,7 @@ def dyson_term(
     for s in _midpoints(t, quad_points):
         summed = collision_apply(free_propagate(entry_next, s), family.sigma)
         total += weight * free_propagate_kernel(summed, grid, k, t - s)
-    return DysonTerm(k, 1, total, quad)
+    return total
 
 
 def dyson_partial_sum(
@@ -440,7 +421,7 @@ def dyson_partial_sum(
     total = None
     for m in range(n):
         term = dyson_term(family, k, m, t, quad_points)
-        total = term.value if total is None else total + term.value
+        total = term if total is None else total + term
     return total
 
 

@@ -103,6 +103,7 @@ def total_potential(
     trap: TrapModel | None,
 ) -> np.ndarray:
     """Sampled interaction + trap energy on the full tensor grid."""
+    check_entry_budget(grid.size**n_particles, f"{n_particles}-particle potential")
     d = grid.dim
     total = np.zeros(grid.shape * n_particles)
     if trap is not None and trap.confining:

@@ -352,6 +352,16 @@ def _manybody_config(tmp_path, **fields):
         ({"grid": {"dim": 1, "points_per_axis": 60, "box_length": 8.0}}, "points_per_axis"),
         ({"trap": {"kind": "harmonic", "omega": -1.0}}, "trap frequency"),
         ({"potential": {"kind": "gaussian", "v0": -1.0, "width": 0.5}}, "gaussian height"),
+        ({"grid": {"dim": 1, "points_per_axis": 64.9, "box_length": 8.0}}, "points_per_axis"),
+        ({"grid": {"dim": 1.5, "points_per_axis": 16, "box_length": 8.0}}, "dim"),
+        ({"grid": {"dim": True, "points_per_axis": 16, "box_length": 8.0}}, "dim"),
+        ({"particles": 2.9}, "particles"),
+        ({"particles": True}, "particles"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": False}, "seed"),
+        ({"scaling_N": [0]}, "scaling_N"),
+        ({"scaling_N": [1, 2.5]}, "scaling_N"),
+        ({"scaling_N": [True]}, "scaling_N"),
     ],
 )
 def test_bad_time_and_particle_fields_exit_2(tmp_path, capsys, fields, message):

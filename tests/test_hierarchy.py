@@ -17,7 +17,6 @@ from gplab.grids import (
     plane_wave_k,
 )
 from gplab.hierarchy import (
-    DysonTerm,
     HierarchyFamily,
     bbgky_residual,
     collision_apply,
@@ -289,6 +288,67 @@ def test_mismatched_coupling_leaves_residual_floor(grid, orbital):
     assert mismatched > 10.0 * matched
 
 
+def _dense_limit_residual(frames, k, sigma, t, dt):
+    """Limiting-hierarchy residual on dense product kernels of a d = 1 orbital:
+    i dK/dt against [H, K] with H = sum_j (-Laplacian_j + sigma |phi(x_j)|^2),
+    the kinetic and collision parts of the right side in one matrix."""
+    grid = frames[t].grid
+    m = grid.points_per_axis
+    lap = np.fft.ifft((grid.k_axis() ** 2)[:, None] * np.fft.fft(np.eye(m), axis=0), axis=0)
+
+    def product(phi):
+        vector = np.ones(1, dtype=complex)
+        for _ in range(k):
+            vector = np.kron(vector, phi.values)
+        return np.outer(vector, vector.conj())
+
+    def slot_sum(one):
+        total = np.zeros((m**k, m**k), dtype=complex)
+        for j in range(k):
+            total += np.kron(np.kron(np.eye(m**j), one), np.eye(m ** (k - 1 - j)))
+        return total
+
+    phi = frames[t]
+    h = slot_sum(lap + sigma * np.diag(np.abs(phi.values) ** 2))
+    center = product(phi)
+    rhs = h @ center - center @ h
+    lhs = 1j * (product(frames[t + dt]) - product(frames[t - dt])) / (2.0 * dt)
+    return np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    points=st.sampled_from([8, 16]),
+    k=levels,
+    box=boxes,
+    sigma=couplings,
+    dt=st.floats(1e-3, 1e-1),
+    seed=seeds,
+)
+def test_limit_residual_matches_dense_formula(points, k, box, sigma, dt, seed):
+    grid = GridSpec(1, points, box)
+    t = 0.1
+    frames = {tt: _random_orbital(grid, seed + i) for i, tt in enumerate((t - dt, t, t + dt))}
+    reference = _dense_limit_residual(frames, k, sigma, t, dt)
+    assert infinite_hierarchy_residual(frames, k, sigma, t, dt) == pytest.approx(
+        reference, rel=1e-9
+    )
+
+
+def test_limit_residual_holds_one_level_two_kernel():
+    # a level-2 kernel on 64 points: 4096^2 complex entries, 268 MB
+    grid = GridSpec(1, 64, 8.0)
+    phi = gaussian_packet(grid, width=1.0, momentum=[0.5])
+    frames = {tt: evolve_gp(phi, 1.0, tt, 1e-3) for tt in (0.099, 0.1, 0.101)}
+    tracemalloc.start()
+    try:
+        infinite_hierarchy_residual(frames, 2, 1.0, 0.1, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 16 * 4096**2
+
+
 def test_residual_consistent_across_levels(grid, orbital):
     sigma, t, dt = 1.0, 0.1, 1e-3
     frames = {tt: evolve_gp(orbital, sigma, tt, dt) for tt in (t - dt, t, t + dt)}
@@ -305,10 +365,8 @@ def test_order_zero_term_is_free_flight(grid, orbital):
     family = HierarchyFamily.from_orbital(orbital, 2, 0.8)
     t = 0.05
     term = dyson_term(family, 1, 0, t, 8)
-    assert isinstance(term, DysonTerm)
     expected = free_propagate(family.entry(1), t).kernel
-    assert np.max(np.abs(term.value - expected)) < 1e-12
-    assert term.quadrature["t"] == t
+    assert np.max(np.abs(term - expected)) < 1e-12
 
 
 def test_zero_coupling_kills_higher_orders(grid, orbital):
@@ -327,7 +385,7 @@ def test_first_order_term_leading_behavior(grid, orbital):
     errors = []
     for t in (0.02, 0.01):
         term = dyson_term(family, 1, 1, t, 32)
-        errors.append(kernel_norm(term.value - t * collision, grid, 1))
+        errors.append(kernel_norm(term - t * collision, grid, 1))
     assert 3.2 < errors[0] / errors[1] < 4.8
 
 
@@ -377,8 +435,8 @@ def test_general_family_first_order_matches_factorized(grid, orbital):
     bare = HierarchyFamily.from_marginals(
         {1: marginal(state, 1), 2: marginal(state, 2)}, sigma
     )
-    fast = dyson_term(factorized, 1, 1, t, 8).value
-    general = dyson_term(bare, 1, 1, t, 8).value
+    fast = dyson_term(factorized, 1, 1, t, 8)
+    general = dyson_term(bare, 1, 1, t, 8)
     assert np.max(np.abs(fast - general)) < 1e-10
 
 

@@ -95,6 +95,11 @@ def test_memory_budget_names_the_limit():
     pair_state = product_state(gaussian_packet(GridSpec(1, 256, 8.0), width=1.0), 2)
     with pytest.raises(ConfigurationError, match="2\\^28"):
         marginal(pair_state, 2)
+    # a three-particle potential on a 16^3 grid has 2^36 entries
+    with pytest.raises(ConfigurationError, match="2\\^28"):
+        total_potential(
+            GridSpec(3, 16, 2.0), 3, GaussianPotential(1.0, 0.5), TrapModel("harmonic", 1.0)
+        )
 
 
 def test_random_symmetric_states(grid):

@@ -16,6 +16,7 @@ from gplab.gp import evolve_gp, gp_energy, minimize_gp
 from gplab.grids import GridSpec, free_evolve, gaussian_packet, kinetic_energy
 from gplab.hierarchy import (
     free_propagate_kernel,
+    infinite_hierarchy_residual,
     kinetic_commutator,
     sobolev_trace_norm,
 )
@@ -97,6 +98,16 @@ def test_energy_moment_first_order_is_one_transform(transforms):
     _reset(transforms)
     energy_moment(psi, PAIR, TRAP, 1)
     assert transforms == {"scipy": 1, "numpy": 0}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_limit_residual_is_two_transforms(transforms, k):
+    # one forward/inverse pair for -Laplacian phi; every term is rank one
+    phi = gaussian_packet(GridSpec(1, 16, 6.0), width=1.0)
+    frames = {tt: phi for tt in (-1e-3, 0.0, 1e-3)}
+    _reset(transforms)
+    infinite_hierarchy_residual(frames, k, 1.0, 0.0, 1e-3)
+    assert transforms == {"scipy": 2, "numpy": 0}
 
 
 def test_no_numpy_transforms_anywhere(transforms):
