@@ -119,6 +119,7 @@ def _run_gp_evolve(cfg, out_dir: Path):
 
     from .gp import evolve_gp, gp_energy
     from .snapshots import write_state_binary
+    from .spectral import split_steps
 
     grid = _build_grid(cfg)
     trap = _build_trap(cfg)
@@ -127,7 +128,7 @@ def _run_gp_evolve(cfg, out_dir: Path):
     a0 = sigma / (8.0 * np.pi)
     phi0 = _initial_orbital(cfg, grid, trap, a0)
 
-    steps = max(1, int(round(cfg.t_final / cfg.dt)))
+    steps, _ = split_steps(cfg.t_final, cfg.dt)
     stride = max(1, steps // 1000)
     rows = [[0.0, phi0.norm(), gp_energy(phi0, a0)]]
 
@@ -180,6 +181,7 @@ def _run_manybody(cfg, out_dir: Path):
         scale_potential_analog1d,
     )
     from .potential import scale_potential
+    from .spectral import split_steps
 
     grid = _build_grid(cfg)
     trap = _build_trap(cfg)
@@ -194,7 +196,7 @@ def _run_manybody(cfg, out_dir: Path):
     sigma = _resolve_coupling(cfg, base)
     phi0 = gaussian_packet(grid, width=grid.box_length / 8.0)
     psi = product_state(phi0, n)
-    steps = max(1, int(round(cfg.t_final / cfg.dt)))
+    steps, _ = split_steps(cfg.t_final, cfg.dt)
     stride = max(1, steps // 200)
     rows = []
     reference_t, reference = 0.0, phi0
@@ -209,21 +211,16 @@ def _run_manybody(cfg, out_dir: Path):
         rows.append([t, state.norm(), energy, overlap, 1.0 - overlap])
 
     record(0.0, psi)
-    final = {}
 
     def sample(step, t, state):
         if step % stride == 0 or step == steps:
             record(t, state)
-        if step == steps:
-            final["state"] = state
 
-    evolve_manybody(psi, pair, trap, cfg.t_final, cfg.dt, callback=sample)
-    if cfg.binary_snapshots and "state" in final:
+    psi_t = evolve_manybody(psi, pair, trap, cfg.t_final, cfg.dt, callback=sample)
+    if cfg.binary_snapshots:
         from .snapshots import write_marginal_binary
 
-        write_marginal_binary(
-            out_dir / f"{cfg.output_prefix}_marginal1.bin", marginal(final["state"], 1)
-        )
+        write_marginal_binary(out_dir / f"{cfg.output_prefix}_marginal1.bin", marginal(psi_t, 1))
     return ["t", "norm", "energy", "overlap", "depletion"], rows
 
 

@@ -1,8 +1,9 @@
 """Scenario configuration: strict, versioned JSON.
 
-Unknown keys are rejected at every level so configs stay diff-able and the
-manifest hash (sha256 over the canonically serialized, normalized config)
-changes exactly when an effective field changes.
+Unknown keys are rejected at every level, and so are top-level keys the
+chosen experiment never reads, so configs stay diff-able and the manifest
+hash (sha256 over the canonically serialized, normalized config) changes
+exactly when an effective field changes.
 """
 
 from __future__ import annotations
@@ -17,15 +18,17 @@ from typing import Any
 from .errors import ConfigurationError
 
 SCHEMA_VERSION = "1"
-EXPERIMENTS = (
-    "scatter",
-    "gp_evolve",
-    "gp_groundstate",
-    "manybody",
-    "hierarchy",
-    "power_counting",
-    "report",
-)
+# top-level keys each experiment reads, beyond the ones every experiment takes
+COMMON_KEYS = {"schema_version", "experiment", "output", "seed"}
+EXPERIMENT_KEYS = {
+    "scatter": {"potential", "scaling_N"},
+    "gp_evolve": {"grid", "trap", "potential", "time", "coupling"},
+    "gp_groundstate": {"grid", "trap", "potential", "coupling"},
+    "manybody": {"grid", "trap", "potential", "particles", "time", "coupling"},
+    "hierarchy": {"grid", "potential", "time", "coupling"},
+    "power_counting": set(),
+    "report": set(),
+}
 COUPLING_MODES = ("from_scattering", "born", "explicit")
 
 
@@ -166,19 +169,7 @@ class ScenarioConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-_TOP_KEYS = {
-    "schema_version",
-    "experiment",
-    "potential",
-    "trap",
-    "grid",
-    "particles",
-    "scaling_N",
-    "time",
-    "coupling",
-    "output",
-    "seed",
-}
+_TOP_KEYS = COMMON_KEYS.union(*EXPERIMENT_KEYS.values())
 
 
 def parse_config(data: dict) -> ScenarioConfig:
@@ -190,8 +181,11 @@ def parse_config(data: dict) -> ScenarioConfig:
             f"schema_version must be {SCHEMA_VERSION!r}, got {data['schema_version']!r}"
         )
     experiment = data["experiment"]
-    if experiment not in EXPERIMENTS:
+    if experiment not in EXPERIMENT_KEYS:
         raise ConfigurationError(f"unknown experiment {experiment!r}")
+    unread = set(data) - COMMON_KEYS - EXPERIMENT_KEYS[experiment]
+    if unread:
+        raise ConfigurationError(f"{experiment} does not read field(s) {sorted(unread)}")
 
     potential = None
     if "potential" in data:

@@ -13,21 +13,22 @@ the contracted collision term has the same closed form as in the continuum:
         = gamma^(k+1)(x, x_j; x', x_j) - gamma^(k+1)(x, x'_j; x', x'_j).
 
 Truncated series terms are iterated time-simplex integrals of collision and
-free-flight factors applied to the initial family; for factorized families
-every integrand is a short sum of rank-one products of single-particle
-fields, which is how orders one and two stay affordable.
+free-flight factors applied to the k-fold products of one orbital; every
+integrand is a short sum of rank-one products of single-particle fields,
+which is how orders one and two stay affordable.  The dense back end of the
+collision serves `collision_apply` and the exact-marginal residual.
 """
 
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from . import spectral
-from .errors import ConfigurationError, DomainError, GridMismatchError
+from .errors import ConfigurationError, DomainError
 from .grids import GridSpec, WaveFunction, ensure_same_grid, free_evolve
 from .manybody import DensityMatrix, check_entry_budget, pair_field
 from .potential import PotentialModel
@@ -69,11 +70,6 @@ def free_propagate_kernel(kernel: np.ndarray, grid: GridSpec, k: int, t: float) 
     return work.reshape(kernel.shape)
 
 
-def free_propagate(dm: DensityMatrix, t: float) -> DensityMatrix:
-    """Free-flow conjugation; preserves trace, hermiticity and spectrum."""
-    return DensityMatrix(dm.grid, dm.k, free_propagate_kernel(dm.kernel, dm.grid, dm.k, t))
-
-
 def kinetic_commutator(kernel: np.ndarray, grid: GridSpec, k: int) -> np.ndarray:
     """[-Laplacian_total, kernel], computed spectrally on both slots."""
     work, rows, cols = _per_axis(kernel, grid, k)
@@ -112,9 +108,8 @@ def collision_apply(gamma_next: DensityMatrix, sigma: float) -> np.ndarray:
 
     Returns the k-particle kernel -i sigma sum_j [gamma(x, x_j; x', x_j) -
     gamma(x, x'_j; x', x'_j)]; traceless and anti-hermitian-consistent by
-    construction.  The general path keeps the full kernel in memory and is
-    restricted to one-dimensional grids; use the factorized fast path for
-    product families in higher dimension.
+    construction.  The dense back end keeps the full kernel in memory and is
+    restricted to one-dimensional grids.
     """
     grid = gamma_next.grid
     if grid.dim != 1:
@@ -125,19 +120,6 @@ def collision_apply(gamma_next: DensityMatrix, sigma: float) -> np.ndarray:
     # the delta's (dx)^-d weight cancels the partial trace's (dx)^d measure
     contact = np.eye(grid.points_per_axis)
     return -1j * sigma * _collide_dense(gamma_next.kernel, grid, k, contact)
-
-
-def collision_apply_factorized(phi: WaveFunction, k: int, sigma: float) -> np.ndarray:
-    """Closed form of the contact collision term on the (k+1)-fold product.
-
-    The traced slot contracts to the orbital density, leaving
-    -i sigma sum_j (|phi(x_j)|^2 - |phi(x'_j)|^2) times the k-fold product
-    kernel.  Valid on grids of any dimension.
-    """
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    terms = _collide_terms([(1.0, [(phi.values, phi.values)] * (k + 1))], sigma)
-    return _assemble_terms(terms, phi.grid.size)
 
 
 # --- hierarchy residuals --------------------------------------------------
@@ -240,52 +222,39 @@ def infinite_hierarchy_residual(
 # --- truncated series -----------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class HierarchyFamily:
-    """Indexed family of marginals sharing one coupling constant.
+    """The k-fold products of one orbital, k <= k_max, with one coupling.
 
-    Families built from an orbital keep it; series terms then run on
-    rank-one products of single-particle fields and never materialize
-    kernels above level k, which is what makes second-order terms viable.
+    Series terms run on rank-one products of single-particle fields and never
+    materialize kernels above level k, which is what makes second-order terms
+    viable.
     """
 
-    grid: GridSpec
+    orbital: WaveFunction
     sigma: float
     k_max: int
-    orbital: WaveFunction | None = None
-    entries: dict = field(default_factory=dict)
 
     @classmethod
     def from_orbital(cls, phi: WaveFunction, k_max: int, sigma: float) -> "HierarchyFamily":
         if k_max < 1:
             raise DomainError("k_max must be >= 1")
-        return cls(phi.grid, float(sigma), k_max, orbital=phi)
-
-    @classmethod
-    def from_marginals(cls, entries: Mapping[int, DensityMatrix], sigma: float) -> "HierarchyFamily":
-        if not entries:
-            raise ConfigurationError("need at least one marginal")
-        grids = {dm.grid for dm in entries.values()}
-        if len(grids) != 1:
-            raise GridMismatchError("marginals live on different grids")
-        return cls(
-            grids.pop(), float(sigma), max(entries), entries=dict(entries)
-        )
-
-    def entry(self, k: int) -> DensityMatrix:
-        if not 1 <= k <= self.k_max:
-            raise DomainError(f"k must lie in 1..{self.k_max}")
-        if k in self.entries:
-            return self.entries[k]
-        if self.orbital is None:
-            raise ConfigurationError(f"family holds no level-{k} marginal")
-        dm = DensityMatrix(self.grid, k, factorized_kernel(self.orbital, k))
-        self.entries[k] = dm
-        return dm
+        return cls(phi, float(sigma), k_max)
 
 
 def _midpoints(upper: float, n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) * (upper / n)
+
+
+def _simplex_nodes(stops: list, m: int, n: int, weight: float = 1.0):
+    """Midpoint nodes (weight, [t, s_1, .., s_m]) of the order-m time simplex
+    t > s_1 > .. > s_m > 0 below stops = [t], n per axis: s_j runs over the
+    midpoints of [0, s_(j-1)] and contributes s_(j-1)/n to the weight."""
+    if m == 0:
+        yield weight, stops
+        return
+    for s in _midpoints(stops[-1], n):
+        yield from _simplex_nodes(stops + [s], m - 1, n, weight * (stops[-1] / n))
 
 
 def _collide_terms(terms: list, sigma: float) -> list:
@@ -352,10 +321,12 @@ def dyson_term(
 ) -> np.ndarray:
     """Order-m term of the collision expansion at level k (not trace-normalized).
 
-    Order zero is the free flight of the level-k entry; orders one and two
+    Order zero is the free flight of the level-k product; orders one and two
     are midpoint-rule integrals over the time simplex with `quad_points`
-    nodes per axis.  Orders above two are unsupported (cost grows with the
-    level that must be carried).
+    nodes per axis: at each node the level-(k+m) product of the orbital,
+    freely flown to s_m, alternates collision and free flight up to t.
+    Orders above two are unsupported (cost grows with the level that must be
+    carried).
     """
     if m not in (0, 1, 2):
         raise ConfigurationError("series order must be 0, 1 or 2")
@@ -365,46 +336,20 @@ def dyson_term(
         raise ConfigurationError(f"term needs level {k + m} > k_max = {family.k_max}")
     if quad_points < 4:
         raise ConfigurationError("quad_points < 4 is too coarse for the t^2 checks")
-    grid = family.grid
+    phi = family.orbital
+    grid, size = phi.grid, phi.grid.size
     if m == 0:
-        return free_propagate_kernel(family.entry(k).kernel, grid, k, t)
-    size = grid.size
-    if family.sigma == 0.0:
-        return np.zeros((size**k, size**k), dtype=complex)
-    if family.orbital is not None:
-        phi = family.orbital
-        total = np.zeros((size**k, size**k), dtype=complex)
-        if m == 1:
-            weight = t / quad_points
-            for s in _midpoints(t, quad_points):
-                phi_s = free_evolve(phi, s)
-                terms = [(1.0, [(phi_s.values, phi_s.values)] * (k + 1))]
-                terms = _collide_terms(terms, family.sigma)
-                terms = _evolve_terms(terms, grid, t - s)
-                total += weight * _assemble_terms(terms, size)
-        else:
-            for s1 in _midpoints(t, quad_points):
-                weight = (t / quad_points) * (s1 / quad_points)
-                for s2 in _midpoints(s1, quad_points):
-                    phi_s2 = free_evolve(phi, s2)
-                    terms = [(1.0, [(phi_s2.values, phi_s2.values)] * (k + 2))]
-                    terms = _collide_terms(terms, family.sigma)
-                    terms = _evolve_terms(terms, grid, s1 - s2)
-                    terms = _collide_terms(terms, family.sigma)
-                    terms = _evolve_terms(terms, grid, t - s1)
-                    total += weight * _assemble_terms(terms, size)
-        return total
-    if m == 2:
-        raise ConfigurationError(
-            "order-two terms need a factorized family (general kernels at "
-            "level k+2 exceed the memory budget)"
-        )
-    entry_next = family.entry(k + 1)
+        return free_propagate_kernel(factorized_kernel(phi, k), grid, k, t)
     total = np.zeros((size**k, size**k), dtype=complex)
-    weight = t / quad_points
-    for s in _midpoints(t, quad_points):
-        summed = collision_apply(free_propagate(entry_next, s), family.sigma)
-        total += weight * free_propagate_kernel(summed, grid, k, t - s)
+    if family.sigma == 0.0:
+        return total
+    for weight, stops in _simplex_nodes([t], m, quad_points):
+        phi_s = free_evolve(phi, stops[-1])
+        terms = [(1.0, [(phi_s.values, phi_s.values)] * (k + m))]
+        for j in reversed(range(m)):  # collide at stops[j + 1], fly to stops[j]
+            terms = _collide_terms(terms, family.sigma)
+            terms = _evolve_terms(terms, grid, stops[j] - stops[j + 1])
+        total += weight * _assemble_terms(terms, size)
     return total
 
 

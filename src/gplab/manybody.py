@@ -83,6 +83,7 @@ def pair_field(grid: GridSpec, f: PairProfile, n_slots: int, i: int, j: int) -> 
     centred radius mesh rolled by M/2 per axis, |-L/2 + h (k + M/2 mod M)|
     = h min(k, M - k)) and gathered with one index array per axis.
     """
+    check_entry_budget(grid.size**2, "pair field")  # M^d rows by M^d columns, any n_slots
     d, m = grid.dim, grid.points_per_axis
     distance = np.roll(np.sqrt(grid.radius_squared_mesh()), m // 2, axis=tuple(range(d)))
     table = np.asarray(f(distance), dtype=float)
@@ -138,21 +139,6 @@ def jastrow_product_state(
         raw = raw * pair_field(phi.grid, pair_profile, n_particles, i, j)
     state = ManyBodyState(phi.grid, n_particles, raw)
     return state.normalized()
-
-
-def build_initial(
-    kind: str,
-    phi: WaveFunction,
-    n_particles: int,
-    pair_profile: PairProfile | None = None,
-) -> ManyBodyState:
-    if kind == "product":
-        return product_state(phi, n_particles)
-    if kind == "jastrow_product":
-        if pair_profile is None:
-            raise ConfigurationError("jastrow_product needs a pair profile")
-        return jastrow_product_state(phi, n_particles, pair_profile)
-    raise ConfigurationError(f"unknown initial-state kind {kind!r}")
 
 
 def random_symmetric_state(grid: GridSpec, n_particles: int, seed: int) -> ManyBodyState:

@@ -215,11 +215,6 @@ def from_table_csv(path: str | Path) -> TablePotential:
 # --- operations ---------------------------------------------------------
 
 
-def evaluate(model: PotentialModel, r) -> float:
-    """V(r); exactly zero beyond the cutoff radius, error for r < 0."""
-    return model(r)
-
-
 def scale_potential(model: PotentialModel, n: int) -> PotentialModel:
     """Member of the short-range family: amplitude n^2, length scale 1/n."""
     return model.scaled(n)

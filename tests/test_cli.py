@@ -286,6 +286,23 @@ def test_manybody_run_emits_marginal_dump(tmp_path):
     assert manifest["mode"] == "analog1d"
 
 
+def test_manybody_run_at_time_zero_dumps_initial_marginal(tmp_path):
+    from gplab.manybody import marginal, product_state
+    from gplab.snapshots import read_marginal_binary
+
+    path = _manybody_config(
+        tmp_path,
+        time={"t_final": 0.0, "dt": 0.002},
+        output={"dir": str(tmp_path / "mb"), "prefix": "mb", "binary_snapshots": True},
+    )
+    assert cli.main(["run", "--config", str(path)]) == 0
+    _, rows = _read_rows(tmp_path / "mb" / "mb_results.csv")
+    assert [float(row[0]) for row in rows] == [0.0]
+    dumped = read_marginal_binary(tmp_path / "mb" / "mb_marginal1.bin")
+    initial = marginal(product_state(gaussian_packet(GridSpec(1, 16, 8.0), width=1.0), 2), 1)
+    assert np.max(np.abs(dumped.kernel - initial.kernel)) < 1e-6  # complex64 payload
+
+
 def test_snapshot_csv_layout(tmp_path):
     grid = GridSpec(1, 16, 4.0)
     wf = gaussian_packet(grid, width=0.8)
@@ -371,6 +388,50 @@ def test_bad_time_and_particle_fields_exit_2(tmp_path, capsys, fields, message):
     assert not (tmp_path / "mb").exists()
     with pytest.raises(ConfigurationError, match=message):
         load_config(path)
+
+
+LINE = {"dim": 1, "points_per_axis": 16, "box_length": 8.0}
+EXPLICIT = {"mode": "explicit", "value": 0.2}
+# a valid config of each experiment plus one top-level field it never reads
+UNREAD_CASES = [
+    ("manybody", {"potential": {"kind": "gaussian", "v0": 1.0, "width": 0.5}, "grid": LINE,
+                  "time": {"t_final": 0.02, "dt": 0.002}, "scaling_N": [5, 7]}, "scaling_N"),
+    ("scatter", {"potential": {"kind": "barrier", "v0": 1.0, "radius": 1.0}, "grid": LINE},
+     "grid"),
+    ("gp_groundstate", {"grid": LINE, "trap": {"kind": "harmonic"}, "coupling": EXPLICIT,
+                        "time": {"t_final": 0.1, "dt": 1e-3}}, "time"),
+    ("hierarchy", {"grid": LINE, "time": {"t_final": 0.02, "dt": 1e-3}, "coupling": EXPLICIT,
+                   "trap": {"kind": "harmonic", "omega": 1.0}}, "trap"),
+    ("gp_evolve", {"grid": LINE, "coupling": EXPLICIT, "particles": 3}, "particles"),
+    ("power_counting", {"coupling": EXPLICIT}, "coupling"),
+]
+
+
+@pytest.mark.parametrize("experiment,fields,unread", UNREAD_CASES)
+def test_fields_the_experiment_never_reads_exit_2(tmp_path, capsys, experiment, fields, unread):
+    data = {
+        "schema_version": "1",
+        "experiment": experiment,
+        "seed": 3,
+        "output": {"dir": str(tmp_path / "out"), "prefix": "x"},
+        **fields,
+    }
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert f"{experiment} does not read field(s) ['{unread}']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    del data[unread]
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", "--config", str(path)]) == 0
+
+
+@pytest.mark.parametrize("counts", [[0], [1, 2.5], [True], []])
+def test_bad_scaling_counts_exit_2(tmp_path, capsys, counts):
+    config = _scatter_config(tmp_path, extra={"scaling_N": counts})
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert "scaling_N" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_manybody_reference_matches_run_from_zero(tmp_path, monkeypatch):

@@ -18,13 +18,14 @@ from gplab.grids import (
 )
 from gplab.hierarchy import (
     HierarchyFamily,
+    _assemble_terms,
+    _collide_terms,
     bbgky_residual,
     collision_apply,
-    collision_apply_factorized,
     dyson_partial_sum,
     dyson_term,
     factorized_kernel,
-    free_propagate,
+    free_propagate_kernel,
     infinite_hierarchy_residual,
     kernel_distance,
     kernel_norm,
@@ -54,16 +55,20 @@ def orbital(grid):
 # --- free propagation -----------------------------------------------------
 
 
+def _free_propagate(dm, t):
+    return DensityMatrix(dm.grid, dm.k, free_propagate_kernel(dm.kernel, dm.grid, dm.k, t))
+
+
 def test_free_propagate_at_zero_is_identity(grid, orbital):
     dm = DensityMatrix(grid, 1, factorized_kernel(orbital, 1))
-    out = free_propagate(dm, 0.0)
+    out = _free_propagate(dm, 0.0)
     assert np.max(np.abs(out.kernel - dm.kernel)) < 1e-14
 
 
 def test_free_propagate_conjugates_projector(grid, orbital):
     dm = DensityMatrix(grid, 1, factorized_kernel(orbital, 1))
     t = 0.37
-    out = free_propagate(dm, t)
+    out = _free_propagate(dm, t)
     expected = factorized_kernel(free_evolve(orbital, t), 1)
     assert np.max(np.abs(out.kernel - expected)) < 1e-12
     assert out.trace() == pytest.approx(1.0, abs=1e-12)
@@ -81,7 +86,7 @@ def test_free_propagate_preserves_spectrum_and_regularity(grid):
         ),
     ).normalized()
     dm = marginal(state, 1)
-    out = free_propagate(dm, 0.51)
+    out = _free_propagate(dm, 0.51)
     assert out.trace() == pytest.approx(dm.trace(), abs=1e-10)
     assert out.hermiticity_defect() < 1e-10
     assert np.allclose(out.eigenvalues(), dm.eigenvalues(), atol=1e-10)
@@ -91,18 +96,38 @@ def test_free_propagate_preserves_spectrum_and_regularity(grid):
 # --- collision operator -----------------------------------------------------
 
 
+def _collision_closed_form(phi, k, sigma):
+    """Contact collision term on the (k+1)-fold product of phi, written densely:
+    -i sigma sum_j (|phi(x_j)|^2 - |phi(x'_j)|^2) prod_i phi(x_i) conj(phi(x'_i))."""
+    values = phi.values.ravel()
+    density, size = np.abs(values) ** 2, values.size
+    product = np.ones(1, dtype=complex)
+    for _ in range(k):
+        product = np.kron(product, values)
+    out = np.zeros((product.size, product.size), dtype=complex)
+    for j in range(k):
+        on_slot_j = np.kron(np.kron(np.ones(size**j), density), np.ones(size ** (k - 1 - j)))
+        out += on_slot_j[:, None] - on_slot_j[None, :]
+    return -1j * sigma * out * np.outer(product, product.conj())
+
+
+def _term_collision(phi, k, sigma):
+    product = [(1.0, [(phi.values, phi.values)] * (k + 1))]
+    return _assemble_terms(_collide_terms(product, sigma), phi.grid.size)
+
+
 def test_collision_factorized_matches_general_path(grid, orbital):
     state = product_state(orbital, 2)
     gamma2 = marginal(state, 2)
     sigma = 0.7
     general = collision_apply(gamma2, sigma)
-    closed_form = collision_apply_factorized(orbital, 1, sigma)
+    closed_form = _collision_closed_form(orbital, 1, sigma)
     assert np.max(np.abs(general - closed_form)) < 1e-12
 
 
 def test_collision_commutator_structure(grid, orbital):
     sigma = 0.7
-    out = collision_apply_factorized(orbital, 1, sigma)
+    out = _term_collision(orbital, 1, sigma)
     assert abs(np.trace(out)) * grid.cell_volume < 1e-10
     # output = -i sigma T with T anti-hermitian, so the output is hermitian
     commutator_part = out / (-1j * sigma)
@@ -111,8 +136,8 @@ def test_collision_commutator_structure(grid, orbital):
 
 def test_collision_vanishes_for_flat_density_and_zero_coupling(grid, orbital):
     flat = WaveFunction(grid, np.ones(grid.shape, dtype=complex)).normalized()
-    assert np.max(np.abs(collision_apply_factorized(flat, 1, 0.9))) < 1e-14
-    assert np.max(np.abs(collision_apply_factorized(orbital, 1, 0.0))) < 1e-14
+    assert np.max(np.abs(_term_collision(flat, 1, 0.9))) < 1e-14
+    assert np.max(np.abs(_term_collision(orbital, 1, 0.0))) < 1e-14
 
 
 def test_collision_general_path_guards(grid, orbital):
@@ -140,9 +165,17 @@ seeds = st.integers(0, 2**32 - 1)
 def test_collision_back_ends_agree_on_product_states(k, box, sigma, seed):
     grid = GridSpec(1, 8, box)
     phi = _random_orbital(grid, seed)
+    closed_form = _collision_closed_form(phi, k, sigma)
     dense = collision_apply(marginal(product_state(phi, k + 1), k + 1), sigma)
-    terms = collision_apply_factorized(phi, k, sigma)
-    assert np.max(np.abs(dense - terms)) < 1e-12
+    assert np.max(np.abs(dense - closed_form)) < 1e-12
+    assert np.max(np.abs(_term_collision(phi, k, sigma) - closed_form)) < 1e-12
+
+
+def test_term_collision_matches_closed_form_in_higher_dimensions():
+    for dim in (2, 3):
+        phi = _random_orbital(GridSpec(dim, 8, 6.0), dim)
+        closed_form = _collision_closed_form(phi, 1, 0.7)
+        assert np.max(np.abs(_term_collision(phi, 1, 0.7) - closed_form)) < 1e-12
 
 
 @collision_cases
@@ -365,7 +398,7 @@ def test_order_zero_term_is_free_flight(grid, orbital):
     family = HierarchyFamily.from_orbital(orbital, 2, 0.8)
     t = 0.05
     term = dyson_term(family, 1, 0, t, 8)
-    expected = free_propagate(family.entry(1), t).kernel
+    expected = factorized_kernel(free_evolve(orbital, t), 1)
     assert np.max(np.abs(term - expected)) < 1e-12
 
 
@@ -381,7 +414,7 @@ def test_zero_coupling_kills_higher_orders(grid, orbital):
 def test_first_order_term_leading_behavior(grid, orbital):
     sigma = 0.2
     family = HierarchyFamily.from_orbital(orbital, 2, sigma)
-    collision = collision_apply_factorized(orbital, 1, sigma)
+    collision = _collision_closed_form(orbital, 1, sigma)
     errors = []
     for t in (0.02, 0.01):
         term = dyson_term(family, 1, 1, t, 32)
@@ -420,24 +453,6 @@ def test_series_guards(grid, orbital):
         dyson_term(family, 2, 1, 0.1)  # needs level 3 > k_max
     with pytest.raises(ConfigurationError):
         dyson_term(family, 1, 1, 0.1, quad_points=2)
-    bare = HierarchyFamily.from_marginals(
-        {1: marginal(product_state(orbital, 2), 1), 2: marginal(product_state(orbital, 2), 2)},
-        0.5,
-    )
-    with pytest.raises(ConfigurationError):
-        dyson_term(bare, 1, 2, 0.1)  # order two needs the factorized path
-
-
-def test_general_family_first_order_matches_factorized(grid, orbital):
-    sigma, t = 0.5, 0.04
-    factorized = HierarchyFamily.from_orbital(orbital, 2, sigma)
-    state = product_state(orbital, 2)
-    bare = HierarchyFamily.from_marginals(
-        {1: marginal(state, 1), 2: marginal(state, 2)}, sigma
-    )
-    fast = dyson_term(factorized, 1, 1, t, 8)
-    general = dyson_term(bare, 1, 1, t, 8)
-    assert np.max(np.abs(fast - general)) < 1e-10
 
 
 # --- regularity norm ---------------------------------------------------------

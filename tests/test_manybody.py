@@ -10,7 +10,6 @@ from gplab.gp import evolve_gp
 from gplab.grids import GridSpec, gaussian_packet, plane_wave, plane_wave_k
 from gplab.manybody import (
     ManyBodyState,
-    build_initial,
     condensate_overlap,
     correlation_quotient,
     energy_moment,
@@ -78,14 +77,6 @@ def test_jastrow_prenormalization_below_one(grid, orbital):
     assert state.prenormalization == pytest.approx(raw_norm, rel=1e-12)
 
 
-def test_build_initial_dispatch(grid, orbital):
-    assert build_initial("product", orbital, 2).n_particles == 2
-    with pytest.raises(ConfigurationError):
-        build_initial("jastrow_product", orbital, 2)
-    with pytest.raises(ConfigurationError):
-        build_initial("bogus", orbital, 2)
-
-
 def test_memory_budget_names_the_limit():
     big = GridSpec(1, 1024, 8.0)
     phi = gaussian_packet(big, width=1.0)
@@ -100,6 +91,9 @@ def test_memory_budget_names_the_limit():
         total_potential(
             GridSpec(3, 16, 2.0), 3, GaussianPotential(1.0, 0.5), TrapModel("harmonic", 1.0)
         )
+    # a pair field on a 64^3 grid gathers (64^3)^2 = 2^36 entries, for any slot count
+    with pytest.raises(ConfigurationError, match="2\\^28"):
+        pair_field(GridSpec(3, 64, 8.0), GaussianPotential(1.0, 0.5), 2, 0, 1)
 
 
 def test_random_symmetric_states(grid):

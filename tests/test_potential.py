@@ -10,7 +10,6 @@ from gplab.potential import (
     alpha_strength,
     born_coupling,
     born_coupling_1d,
-    evaluate,
     from_table_csv,
     scale_potential,
 )
@@ -18,24 +17,24 @@ from gplab.potential import (
 
 def test_barrier_piecewise_values():
     model = BarrierPotential(1.0, 1.0)
-    assert evaluate(model, 0.5) == 1.0
-    assert evaluate(model, 2.0) == 0.0
-    assert evaluate(model, 1.0) == 1.0  # support is closed
+    assert model(0.5) == 1.0
+    assert model(2.0) == 0.0
+    assert model(1.0) == 1.0  # support is closed
 
 
 def test_negative_radius_rejected():
     model = BarrierPotential(1.0, 1.0)
     with pytest.raises(DomainError):
-        evaluate(model, -0.1)
+        model(-0.1)
     with pytest.raises(DomainError):
-        evaluate(model, np.array([0.2, -0.3]))
+        model(np.array([0.2, -0.3]))
 
 
 def test_gaussian_compact_support():
     model = GaussianPotential(2.0, 0.5)
     assert model.cutoff_radius == 3.0
-    assert evaluate(model, 3.1) == 0.0
-    assert evaluate(model, 0.0) == 2.0
+    assert model(3.1) == 0.0
+    assert model(0.0) == 2.0
 
 
 def test_table_hits_tabulated_values():
@@ -43,8 +42,8 @@ def test_table_hits_tabulated_values():
     values = (1.0, 0.7, 0.2, 0.0)
     model = TablePotential(radii, values)
     for r, v in zip(radii, values):
-        assert evaluate(model, r) == pytest.approx(v, abs=1e-14)
-    assert evaluate(model, 2.0) == 0.0
+        assert model(r) == pytest.approx(v, abs=1e-14)
+    assert model(2.0) == 0.0
 
 
 def test_table_interpolation_stays_nonnegative():
@@ -72,7 +71,7 @@ def test_table_csv_roundtrip(tmp_path):
     path.write_text("radius,value\n0.0,1.0\n0.5,0.5\n1.0,0.0\n")
     model = from_table_csv(path)
     assert model.cutoff_radius == 1.0
-    assert evaluate(model, 0.5) == pytest.approx(0.5)
+    assert model(0.5) == pytest.approx(0.5)
     bad = tmp_path / "bad.csv"
     bad.write_text("r,v\n0.0,1.0\n")
     with pytest.raises(ConfigurationError):

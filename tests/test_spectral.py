@@ -3,18 +3,21 @@ numpy.fft formulas it replaced.
 
 The budget tests count calls through the `scipy.fft` and `numpy.fft` module
 attributes, so a transform bound by name at import time (for example
-`from scipy.fft import fftn`) escapes the count and fails them.
+`from scipy.fft import fftn`) escapes the count and fails them.  The series
+budget counts `free_evolve` calls through the binding `gplab.hierarchy` uses.
 """
 
 import numpy as np
 import pytest
 import scipy.fft
 
-from gplab import spectral
+from gplab import hierarchy, spectral
 from gplab.errors import ConvergenceError
 from gplab.gp import evolve_gp, gp_energy, minimize_gp
 from gplab.grids import GridSpec, free_evolve, gaussian_packet, kinetic_energy
 from gplab.hierarchy import (
+    HierarchyFamily,
+    dyson_term,
     free_propagate_kernel,
     infinite_hierarchy_residual,
     kinetic_commutator,
@@ -108,6 +111,25 @@ def test_limit_residual_is_two_transforms(transforms, k):
     _reset(transforms)
     infinite_hierarchy_residual(frames, k, 1.0, 0.0, 1e-3)
     assert transforms == {"scipy": 2, "numpy": 0}
+
+
+@pytest.mark.parametrize("quad_points", [4, 6])
+def test_series_free_evolve_calls_per_term(monkeypatch, quad_points):
+    # k = 1: one flight of the orbital per node, then one per slot field after
+    # each collision, 1 + 4 per order-1 node and 1 + 16 + 16 per order-2 node
+    calls = []
+    original = hierarchy.free_evolve
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hierarchy, "free_evolve", counted)
+    family = HierarchyFamily.from_orbital(gaussian_packet(GridSpec(1, 16, 6.0), width=1.0), 3, 0.5)
+    for m, expected in ((0, 0), (1, 5 * quad_points), (2, 33 * quad_points**2)):
+        calls.clear()
+        dyson_term(family, 1, m, 0.05, quad_points)
+        assert len(calls) == expected
 
 
 def test_no_numpy_transforms_anywhere(transforms):
