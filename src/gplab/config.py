@@ -80,7 +80,7 @@ class PotentialSpec:
             )
         if kind == "table":
             _require_keys("potential", data, {"kind", "radii", "values", "csv_path"}, {"kind"})
-            if "csv_path" in data:
+            if data.get("csv_path") is not None:
                 if "radii" in data or "values" in data:
                     raise ConfigurationError(
                         "potential: table takes csv_path or radii+values, not both"
@@ -235,6 +235,11 @@ def parse_config(data: dict) -> ScenarioConfig:
             raise ConfigurationError("coupling: value is only valid in explicit mode")
     if coupling_mode == "from_scattering" and potential is None:
         raise ConfigurationError("coupling mode from_scattering requires a potential spec")
+    if coupling_mode == "explicit" and potential is not None and experiment != "manybody":
+        # outside manybody (a pair interaction) the potential only sets the coupling
+        raise ConfigurationError(
+            f"{experiment} with explicit coupling does not read field(s) ['potential']"
+        )
 
     output = dict(data["output"])
     _require_keys("output", output, {"dir", "prefix", "binary_snapshots"}, {"dir", "prefix"})

@@ -6,13 +6,14 @@ splitting (half kinetic, full nonlinear, half kinetic): each factor is a
 pointwise phase, so the step is exactly unitary and exactly time-reversible,
 and the scheme is second order in the step size.
 
-The ground-state search runs the same splitting with an imaginary step
-(normalized gradient flow): the energy
+The ground-state search minimizes the discrete energy
 
     E[phi] = int |grad phi|^2 + V_ext |phi|^2 + 4 pi a0 |phi|^4
 
-decreases along the flow and the step is halved whenever a step fails to
-decrease it, so the recorded energy sequence is monotone by construction.
+(Parseval kinetic term, sampled trap) on the unit sphere by preconditioned
+nonlinear conjugate gradients along geodesics (Antoine, Levitt & Tang,
+J. Comput. Phys. 343 (2017) 92); a step is accepted only if it does not
+raise the energy, so the recorded energies are monotone by construction.
 """
 
 from __future__ import annotations
@@ -89,69 +90,82 @@ def minimize_gp(
     grid: GridSpec,
     tol: float = 1e-10,
     initial: WaveFunction | None = None,
-    step0: float = 0.05,
-    finish_step: float = 0.02,
     max_iterations: int = 100_000,
     callback: Callable[[int, float], None] | None = None,
 ) -> tuple[WaveFunction, float]:
-    """Ground state of the energy functional by normalized gradient flow.
+    """Ground state of the energy functional by preconditioned nonlinear CG.
 
-    Terminates when the energy decrease per unit flow time drops below tol,
-    with the final verdict taken at a step no larger than `finish_step`: the
-    split flow map carries an O(step^4) energy bias at its own fixed point,
-    so stalling at a large step is not convergence and triggers halving
-    instead.  The flow step is also halved whenever a trial step raises the
-    energy, so the accepted energies decrease monotonically.
+    The residual r = H phi - lam phi, with H = -Laplacian + V_ext + sigma |phi|^2
+    and lam = <phi, H phi>, is preconditioned by W^(1/2) (lam - Laplacian)^(-1)
+    W^(1/2), W = 1 / (lam + V_ext + sigma |phi|^2), into a Polak-Ribiere+
+    direction u tangent to the unit sphere (restarted from -P r when not a
+    descent direction).  The step cos(theta) phi + sin(theta) u takes theta
+    from a one-probe quadratic model, halved until the energy does not rise.
+    The search ends at the first accepted step that lowers the energy by less
+    than tol, or when halving stalls at roundoff.  Spectra of phi and u are
+    carried along, so an iteration costs 4 transforms and the line search none.
     """
     if trap is None or not trap.confining:
         raise ConfigurationError("ground-state search needs a confining trap")
     if a0 < 0:
         raise DomainError("a0 must be >= 0")
-    sigma = 8.0 * np.pi * a0
+    sigma, dv = 8.0 * np.pi * a0, grid.cell_volume
     if initial is None:
         initial = gaussian_packet(grid, width=0.25 * grid.box_length / 2.0)
-    values = initial.normalized().values.astype(complex, copy=True)
-    k2 = spectral.k_squared(grid)
-    v_ext = trap.sample(grid)
-    dtau = float(step0)
-    step_cap = 4.0 * step0
-    decrease_rate = None
-    energy = gp_energy(WaveFunction(grid, values), a0, trap)
+    phi = initial.normalized().values.astype(complex, copy=True)
+    phi_hat = spectral.fftn(phi)
+    k2, v_ext = spectral.k_squared(grid), trap.sample(grid)
+
+    def dot(a, b):
+        return float(np.vdot(a, b).real) * dv
+
+    def tangent(x):  # the part of x orthogonal to phi
+        return x - np.vdot(phi, x) * dv * phi
+
+    def on_geodesic(theta):
+        c, s = np.cos(theta), np.sin(theta)
+        values, hat = c * phi + s * u, c * phi_hat + s * u_hat
+        kinetic = spectral.parseval_energy(hat, k2, dv)
+        return values, hat, _energy(values, kinetic, v_ext, a0, dv)
+
+    energy = _energy(phi, spectral.parseval_energy(phi_hat, k2, dv), v_ext, a0, dv)
     if callback is not None:
         callback(0, energy)
+    decrease, direction, theta = None, None, 0.1
     for iteration in range(1, max_iterations + 1):
-        half_kinetic = np.exp(-k2 * (dtau / 2.0))
-        trial = spectral.fourier_multiply(values, half_kinetic)
-        trial *= np.exp(-dtau * (v_ext + sigma * np.abs(trial) ** 2))
-        # the last spectrum is the trial's: its kinetic energy needs no transform
-        hat = spectral.fftn(trial, overwrite_x=True)
-        hat *= half_kinetic
-        trial = spectral.ifftn(hat)
-        norm_sq = np.sum(np.abs(trial) ** 2) * grid.cell_volume
-        trial /= np.sqrt(norm_sq)
-        kinetic = spectral.parseval_energy(hat, k2, grid.cell_volume) / norm_sq
-        trial_energy = _energy(trial, kinetic, v_ext, a0, grid.cell_volume)
-        if trial_energy > energy:
-            dtau *= 0.5
-            if dtau < 1e-10:
-                break  # stalled at roundoff: already at the minimum
-            continue
-        decrease_rate = (energy - trial_energy) / dtau
-        values, energy = trial, trial_energy
+        mean_field = v_ext + sigma * np.abs(phi) ** 2
+        h_phi = spectral.ifftn(k2 * phi_hat) + mean_field * phi
+        lam = dot(phi, h_phi)
+        residual = h_phi - lam * phi
+        w_half = 1.0 / np.sqrt(lam + mean_field)
+        pre = w_half * spectral.fourier_multiply(w_half * residual, 1.0 / (lam + k2))
+        steepest, r_pre = -tangent(pre), dot(residual, pre)
+        if direction is not None:
+            beta = max(0.0, (r_pre - dot(last_residual, pre)) / last_r_pre)
+            direction = steepest + beta * tangent(direction)
+        if direction is None or dot(residual, direction) >= 0.0:
+            direction = steepest
+        last_residual, last_r_pre = residual, r_pre
+        u = direction / np.sqrt(dot(direction, direction))
+        u_hat = spectral.fftn(u)
+        slope = 2.0 * dot(u, residual)
+        probe = on_geodesic(theta)[2]
+        curvature = (probe - energy - slope * theta) / theta**2
+        theta = -slope / (2.0 * curvature) if curvature > 0.0 else 2.0 * theta
+        values, hat, trial = on_geodesic(theta)
+        while trial > energy:
+            theta *= 0.5
+            if theta < 1e-12:
+                return WaveFunction(grid, phi), energy  # stalled at roundoff: at the minimum
+            values, hat, trial = on_geodesic(theta)
+        scale = 1.0 / np.sqrt(dot(values, values))
+        decrease, energy = energy - trial, trial
+        phi, phi_hat = values * scale, hat * scale
         if callback is not None:
             callback(iteration, energy)
-        if decrease_rate < tol:
-            if dtau <= finish_step:
-                return WaveFunction(grid, values), energy
-            # stalling at a large step means the step's own bias floor was
-            # reached, not the minimum: shrink and forbid regrowth past it
-            step_cap = 0.5 * dtau
-            dtau = step_cap
-            continue
-        dtau = min(dtau * 1.1, step_cap)
-    else:
-        rate = "none, no step accepted" if decrease_rate is None else f"{decrease_rate:.3e}"
-        raise ConvergenceError(
-            f"gradient flow hit the iteration cap ({max_iterations}); last decrease rate {rate}"
-        )
-    return WaveFunction(grid, values), energy
+        if decrease < tol:
+            return WaveFunction(grid, phi), energy
+    rate = "none, no step accepted" if decrease is None else f"{decrease:.3e}"
+    raise ConvergenceError(
+        f"ground-state search hit the iteration cap ({max_iterations}); last energy decrease {rate}"
+    )

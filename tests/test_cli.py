@@ -3,9 +3,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gplab import cli
-from gplab.config import PotentialSpec, load_config, parse_config
+from gplab.config import (
+    COMMON_KEYS,
+    EXPERIMENT_KEYS,
+    PotentialSpec,
+    load_config,
+    parse_config,
+)
 from gplab.errors import ConfigurationError, SolverError
 from gplab.grids import GridSpec, gaussian_packet
 from gplab.snapshots import MAGIC, read_state_binary, write_state_binary, write_state_csv
@@ -424,6 +432,109 @@ def test_fields_the_experiment_never_reads_exit_2(tmp_path, capsys, experiment, 
     del data[unread]
     path.write_text(json.dumps(data))
     assert cli.main(["run", "--config", str(path)]) == 0
+
+
+GAUSSIAN = {"kind": "gaussian", "v0": 5.0, "width": 0.3}
+# experiments whose potential only sets the coupling
+COUPLING_ONLY_CASES = [
+    ("gp_evolve", {"grid": LINE, "time": {"t_final": 0.01, "dt": 1e-3}}),
+    ("gp_groundstate", {"grid": LINE, "trap": {"kind": "harmonic"}}),
+    ("hierarchy", {"grid": LINE, "time": {"t_final": 0.02, "dt": 1e-3}}),
+]
+
+
+@pytest.mark.parametrize("experiment,fields", COUPLING_ONLY_CASES)
+def test_potential_under_explicit_coupling_exits_2(tmp_path, capsys, experiment, fields):
+    data = {
+        "schema_version": "1",
+        "experiment": experiment,
+        "output": {"dir": str(tmp_path / "out"), "prefix": "x"},
+        "potential": GAUSSIAN,
+        "coupling": EXPLICIT,
+        **fields,
+    }
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    message = f"{experiment} with explicit coupling does not read field(s) ['potential']"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    del data["potential"]
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", "--config", str(path)]) == 0
+    # in the other modes the potential sets the coupling
+    path.write_text(json.dumps({**data, "potential": GAUSSIAN, "coupling": {"mode": "born"}}))
+    assert cli.main(["run", "--config", str(path)]) == 0
+
+
+positive = st.floats(0.1, 5.0)
+potentials = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("barrier"), "v0": positive, "radius": positive}),
+    st.fixed_dictionaries(
+        {"kind": st.just("gaussian"), "v0": positive, "width": positive},
+        optional={"cutoff_radius": st.none() | positive},
+    ),
+    st.builds(
+        lambda v0, r: {"kind": "table", "radii": [0.0, r, 2.0 * r], "values": [v0, v0 / 2, 0.0]},
+        positive, positive,
+    ),
+)
+field_values = {
+    "grid": st.fixed_dictionaries({
+        "dim": st.integers(1, 3),
+        "points_per_axis": st.sampled_from([8, 16, 64, 1024]),
+        "box_length": positive,
+    }),
+    "trap": st.fixed_dictionaries(
+        {"kind": st.sampled_from(["harmonic", "none"])}, optional={"omega": positive}
+    ),
+    "time": st.fixed_dictionaries({"t_final": st.floats(0.0, 1.0), "dt": st.floats(1e-4, 1e-2)}),
+    "particles": st.integers(2, 4),
+    "scaling_N": st.lists(st.integers(1, 1000), min_size=1, max_size=4),
+}
+couplings = st.one_of(
+    st.fixed_dictionaries({"mode": st.sampled_from(["born", "from_scattering"])}),
+    st.fixed_dictionaries({"mode": st.just("explicit"), "value": st.floats(0.0, 5.0)}),
+)
+
+
+@st.composite
+def valid_configs(draw):
+    experiment = draw(st.sampled_from(sorted(EXPERIMENT_KEYS)))
+    data = {
+        "schema_version": "1",
+        "experiment": experiment,
+        "output": draw(st.fixed_dictionaries(
+            {"dir": st.text(min_size=1), "prefix": st.text(min_size=1)},
+            optional={"binary_snapshots": st.booleans()},
+        )),
+    }
+    if draw(st.booleans()):
+        data["seed"] = draw(st.integers(0, 2**31))
+    read = EXPERIMENT_KEYS[experiment]
+    for key in sorted(read & set(field_values)):
+        if draw(st.booleans()):
+            data[key] = draw(field_values[key])
+    if "coupling" in read:
+        data["coupling"] = draw(couplings)
+    # the mean-field experiments read the potential only to set the coupling
+    explicit = data.get("coupling", {}).get("mode") == "explicit"
+    if "potential" in read and (experiment in ("scatter", "manybody") or not explicit):
+        data["potential"] = draw(potentials)
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=valid_configs())
+def test_normalize_parse_hash_is_a_fixed_point(data):
+    # normalized() also records the defaults of fields the experiment never
+    # reads (the hash covers them); a config takes back only the fields it reads
+    config = parse_config(data)
+    read = COMMON_KEYS | EXPERIMENT_KEYS[config.experiment]
+    normalized = {k: v for k, v in config.normalized().items() if k in read and v is not None}
+    again = parse_config(json.loads(json.dumps(normalized)))
+    assert again == config
+    assert again.config_hash() == config.config_hash()
 
 
 @pytest.mark.parametrize("counts", [[0], [1, 2.5], [True], []])

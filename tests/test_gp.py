@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gplab.errors import ConfigurationError, DomainError, SolverError
 from gplab.gp import evolve_gp, gp_energy, minimize_gp
@@ -11,7 +13,8 @@ from gplab.grids import (
     plane_wave,
     plane_wave_k,
 )
-from gplab.potential import TrapModel
+from gplab.potential import GaussianPotential, TrapModel
+from gplab.scattering import solve_zero_energy
 
 
 @pytest.fixture(scope="module")
@@ -160,18 +163,53 @@ def test_ground_state_energy_increases_with_coupling(line_grid):
     assert e_coupled > e_free
 
 
+def _flow_step(phi, trap, a0, dtau):
+    """One explicit normalized split step of imaginary time dtau."""
+    grid, sigma = phi.grid, 8.0 * np.pi * a0
+    half = np.exp(-grid.k_squared_mesh() * dtau / 2.0)
+    values = np.fft.ifftn(np.fft.fftn(phi.values) * half)
+    values *= np.exp(-dtau * (trap.sample(grid) + sigma * np.abs(values) ** 2))
+    values = np.fft.ifftn(np.fft.fftn(values) * half)
+    return WaveFunction(grid, values).normalized()
+
+
 def test_ground_state_is_flow_fixed_point(line_grid):
     trap = TrapModel("harmonic", 1.0)
     tol, a0 = 1e-9, 0.1
-    phi, energy = minimize_gp(trap, a0, line_grid, tol=tol, finish_step=1e-3)
-    # one explicit imaginary-time step from the output
-    sigma, dtau = 8.0 * np.pi * a0, 1e-3
-    half = np.exp(-line_grid.k_squared_mesh() * dtau / 2.0)
-    values = np.fft.ifftn(np.fft.fftn(phi.values) * half)
-    values *= np.exp(-dtau * (trap.sample(line_grid) + sigma * np.abs(values) ** 2))
-    values = np.fft.ifftn(np.fft.fftn(values) * half)
-    stepped = WaveFunction(line_grid, values).normalized()
+    phi, energy = minimize_gp(trap, a0, line_grid, tol=tol)
+    stepped = _flow_step(phi, trap, a0, 1e-3)
     assert abs(gp_energy(stepped, a0, trap) - energy) < tol
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    points=st.sampled_from([32, 64]),
+    omega=st.floats(0.5, 2.0),
+    a0=st.floats(0.0, 0.5),
+)
+def test_ground_state_search_properties(points, omega, a0):
+    grid, trap, tol = GridSpec(1, points, 12.0), TrapModel("harmonic", omega), 1e-10
+    energies = []
+    phi, energy = minimize_gp(trap, a0, grid, tol=tol, callback=lambda i, e: energies.append(e))
+    assert all(b <= a for a, b in zip(energies, energies[1:]))
+    assert abs(phi.norm() - 1.0) < 1e-12
+    _, reference = minimize_gp(trap, a0, grid, tol=1e-13)
+    assert abs(energy - reference) < 1e-9
+    # the split gradient flow finds nothing left to take
+    assert gp_energy(_flow_step(phi, trap, a0, 1e-3), a0, trap) > energy - tol
+
+
+@pytest.mark.parametrize("omega", [0.9, 1.0, 1.1])
+def test_ground_state_search_converges_fast_on_3d_grid(omega):
+    # the chain_3d ground state at 32^3: the split gradient flow took
+    # 393-1,431 iterations here and stopped up to 4.3e-8 above the minimum
+    grid, trap = GridSpec(3, 32, 16.0), TrapModel("harmonic", omega)
+    a0 = solve_zero_energy(GaussianPotential(2.0, 0.5)).a0
+    iterations = []
+    _, energy = minimize_gp(trap, a0, grid, tol=1e-10, callback=lambda i, e: iterations.append(i))
+    assert iterations[-1] <= 30
+    _, reference = minimize_gp(trap, a0, grid, tol=1e-13)
+    assert abs(energy - reference) < 1e-9
 
 
 def test_ground_state_requires_confining_trap(line_grid):
@@ -192,6 +230,5 @@ def test_iteration_cap_before_any_accepted_step():
 
     grid = GridSpec(1, 64, 12.0)
     trap = TrapModel("harmonic", 1.0)
-    phi, _ = minimize_gp(trap, 0.0, grid, tol=1e-10)
     with pytest.raises(ConvergenceError, match="no step accepted"):
-        minimize_gp(trap, 0.0, grid, initial=phi, step0=5.0, max_iterations=1, tol=1e-30)
+        minimize_gp(trap, 0.0, grid, max_iterations=0)

@@ -88,11 +88,12 @@ def test_evolve_gp_four_transforms_per_step(transforms):
     assert transforms == {"scipy": 4 * 9, "numpy": 0}
 
 
-def test_minimize_gp_four_transforms_per_flow_iteration(transforms):
+def test_minimize_gp_four_transforms_per_cg_iteration(transforms):
     _reset(transforms)
     with pytest.raises(ConvergenceError):
         minimize_gp(TRAP, 0.1, GridSpec(1, 64, 12.0), tol=0.0, max_iterations=6)
-    # one transform for the starting energy, then 4 per iteration
+    # one transform for the starting spectrum, then 4 per iteration: -Laplacian phi,
+    # the preconditioner's forward/inverse pair and the direction's spectrum
     assert transforms == {"scipy": 1 + 4 * 6, "numpy": 0}
 
 
