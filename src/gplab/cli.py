@@ -50,8 +50,6 @@ def _resolve_coupling(cfg, model):
 
     if cfg.coupling_mode == "explicit":
         return float(cfg.coupling_value)
-    if model is None:
-        raise ConfigurationError(f"coupling mode {cfg.coupling_mode!r} needs a potential")
     if cfg.coupling_mode == "from_scattering":
         import numpy as np
 
@@ -79,8 +77,6 @@ def _run_scatter(cfg, out_dir: Path):
     from . import potential as pot
     from . import scattering
 
-    if cfg.potential is None:
-        raise ConfigurationError("scatter needs a potential spec")
     base = cfg.potential.build()
     header = ["potential_id", "N", "a0", "b0", "alpha", "sigma", "sigma_over_8pi_a0"]
     rows = []
@@ -179,14 +175,13 @@ def _run_manybody(cfg, out_dir: Path):
         marginal,
         product_state,
         scale_potential_analog1d,
+        total_potential,
     )
     from .potential import scale_potential
     from .spectral import split_steps
 
     grid = _build_grid(cfg)
     trap = _build_trap(cfg)
-    if cfg.potential is None:
-        raise ConfigurationError("manybody needs a potential spec")
     base = cfg.potential.build()
     n = cfg.particles
     if grid.dim == 1:
@@ -196,6 +191,7 @@ def _run_manybody(cfg, out_dir: Path):
     sigma = _resolve_coupling(cfg, base)
     phi0 = gaussian_packet(grid, width=grid.box_length / 8.0)
     psi = product_state(phi0, n)
+    potential = total_potential(grid, n, pair, trap)
     steps, _ = split_steps(cfg.t_final, cfg.dt)
     stride = max(1, steps // 200)
     rows = []
@@ -207,7 +203,7 @@ def _run_manybody(cfg, out_dir: Path):
             reference = evolve_gp(reference, sigma, t - reference_t, cfg.dt)
             reference_t = t
         overlap = condensate_overlap(marginal(state, 1), reference)
-        energy = energy_moment(state, pair, trap, 1)
+        energy = energy_moment(state, potential, 1)
         rows.append([t, state.norm(), energy, overlap, 1.0 - overlap])
 
     record(0.0, psi)
@@ -236,8 +232,6 @@ def _run_hierarchy(cfg, out_dir: Path):
     )
 
     grid = _build_grid(cfg)
-    if grid.dim != 1:
-        raise ConfigurationError("hierarchy experiment runs on d = 1 grids")
     model = cfg.potential.build() if cfg.potential is not None else None
     sigma = _resolve_coupling(cfg, model)
     phi0 = gaussian_packet(grid, width=grid.box_length / 8.0)

@@ -210,6 +210,8 @@ def parse_config(data: dict) -> ScenarioConfig:
         grid_dim = _count("grid: dim", grid["dim"])
         grid_points = _count("grid: points_per_axis", grid["points_per_axis"])
         grid_box = float(grid["box_length"])
+    if experiment == "hierarchy" and grid_dim != 1:
+        raise ConfigurationError("hierarchy experiment runs on d = 1 grids")
 
     t_final, dt = 0.1, 1e-3
     if "time" in data:
@@ -233,8 +235,11 @@ def parse_config(data: dict) -> ScenarioConfig:
             coupling_value = float(coupling["value"])
         elif "value" in coupling and coupling["value"] is not None:
             raise ConfigurationError("coupling: value is only valid in explicit mode")
-    if coupling_mode == "from_scattering" and potential is None:
-        raise ConfigurationError("coupling mode from_scattering requires a potential spec")
+    if potential is None and experiment in ("scatter", "manybody"):
+        raise ConfigurationError(f"{experiment} needs a potential spec")
+    sets_coupling = "coupling" in EXPERIMENT_KEYS[experiment] and coupling_mode != "explicit"
+    if potential is None and sets_coupling:
+        raise ConfigurationError(f"coupling mode {coupling_mode!r} needs a potential spec")
     if coupling_mode == "explicit" and potential is not None and experiment != "manybody":
         # outside manybody (a pair interaction) the potential only sets the coupling
         raise ConfigurationError(

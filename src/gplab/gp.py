@@ -125,10 +125,10 @@ def minimize_gp(
     def on_geodesic(theta):
         c, s = np.cos(theta), np.sin(theta)
         values, hat = c * phi + s * u, c * phi_hat + s * u_hat
-        kinetic = spectral.parseval_energy(hat, k2, dv)
+        kinetic = spectral.parseval_energy(hat, dv, k2)
         return values, hat, _energy(values, kinetic, v_ext, a0, dv)
 
-    energy = _energy(phi, spectral.parseval_energy(phi_hat, k2, dv), v_ext, a0, dv)
+    energy = _energy(phi, spectral.parseval_energy(phi_hat, dv, k2), v_ext, a0, dv)
     if callback is not None:
         callback(0, energy)
     decrease, direction, theta = None, None, 0.1

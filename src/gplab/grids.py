@@ -150,7 +150,7 @@ def l2_distance(a: WaveFunction, b: WaveFunction) -> float:
 def kinetic_energy(phi: WaveFunction) -> float:
     """Spectral integral of |grad phi|^2 (kinetic operator is -Laplacian)."""
     hat = spectral.fftn(phi.values)
-    return spectral.parseval_energy(hat, spectral.k_squared(phi.grid), phi.grid.cell_volume)
+    return spectral.parseval_energy(hat, phi.grid.cell_volume, spectral.k_squared(phi.grid))
 
 
 def free_evolve(phi: WaveFunction, t: float) -> WaveFunction:

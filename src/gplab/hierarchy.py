@@ -34,6 +34,7 @@ from .manybody import DensityMatrix, check_entry_budget, pair_field
 from .potential import PotentialModel
 
 _LETTERS = string.ascii_lowercase
+_TRACE_COLUMNS = 256  # kernel columns per block in sobolev_trace_norm
 
 
 # --- kernel plumbing ------------------------------------------------------
@@ -378,15 +379,24 @@ def sobolev_trace_norm(dm: DensityMatrix) -> float:
 
     Equals (1 + int |grad phi|^2)^k on the k-fold product of a normalized
     orbital, and is invariant under the free flow.
+
+    The weight acts on the row slots of _TRACE_COLUMNS kernel columns at a
+    time, and only the diagonal entries of each block are summed, so no copy
+    of the whole kernel is made.
     """
     grid, k = dm.grid, dm.k
-    work, rows, _ = _per_axis(dm.kernel, grid, k)
-    weight = np.ones((1,) * (2 * k * grid.dim))
+    size = dm.kernel.shape[0]
+    row_axes = tuple(range(k * grid.dim))
+    weight = np.ones((1,) * (k * grid.dim + 1))  # the row layout, then the block's columns
     for particle in range(k):
-        weight = weight * (1.0 + spectral.k_squared(grid, 2 * k, (particle,)))
-    work = spectral.fourier_multiply(work, weight, rows)
-    kernel = work.reshape(dm.kernel.shape)
-    return float(np.real(np.trace(kernel)) * grid.cell_volume**k)
+        weight = weight * (1.0 + spectral.k_squared(grid, k, (particle,)))[..., None]
+    total = 0.0
+    for start in range(0, size, _TRACE_COLUMNS):
+        block = dm.kernel[:, start : start + _TRACE_COLUMNS]
+        width = block.shape[1]
+        work = spectral.fourier_multiply(block.reshape(grid.shape * k + (width,)), weight, row_axes)
+        total += np.real(np.trace(work.reshape(size, width), offset=-start))
+    return float(total * grid.cell_volume**k)
 
 
 def power_counting_margin(k: int, m: int) -> tuple[int, int, int]:

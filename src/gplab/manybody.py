@@ -43,7 +43,7 @@ class ManyBodyState:
     grid: GridSpec
     n_particles: int
     values: np.ndarray
-    #: L2 norm of the raw tensor before normalization (1.0 for product builds)
+    #: L2 norm of the raw tensor before normalization (1.0 if never normalized)
     prenormalization: float = 1.0
 
     @property
@@ -51,13 +51,10 @@ class ManyBodyState:
         return self.grid.cell_volume**self.n_particles
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.measure))
+        return float(np.sqrt(spectral.weighted_norm_squared(self.values) * self.measure))
 
     def normalized(self) -> "ManyBodyState":
-        n = self.norm()
-        if n == 0.0 or not np.isfinite(n):
-            raise DomainError("cannot normalize a zero or non-finite state")
-        return ManyBodyState(self.grid, self.n_particles, self.values / n, n)
+        return _normalized_in_place(self.grid, self.n_particles, self.values.copy())
 
     def symmetry_defect(self) -> float:
         """Largest deviation under any adjacent particle transposition."""
@@ -76,7 +73,14 @@ def exchange_particles(values: np.ndarray, i: int, j: int, dim: int) -> np.ndarr
 
 
 def pair_field(grid: GridSpec, f: PairProfile, n_slots: int, i: int, j: int) -> np.ndarray:
-    """f(|x_i - x_j|) for slots i != j, shaped to broadcast over an n_slots layout.
+    """f(|x_i - x_j|) for slots i != j, shaped to broadcast over an n_slots layout."""
+    table, gather = _pair_gather(grid, f, n_slots, i, j)
+    return table[gather]
+
+
+def _pair_gather(grid: GridSpec, f: PairProfile, n_slots: int, i: int, j: int):
+    """f on the M^d periodic displacements, and the per-axis index arrays
+    that gather f(|x_i - x_j|) from it over an n_slots layout.
 
     The wrapped distance depends only on the index difference (a - b) mod M
     along each axis, so f is evaluated once on the M^d displacements (the
@@ -94,7 +98,20 @@ def pair_field(grid: GridSpec, f: PairProfile, n_slots: int, i: int, j: int) -> 
         shape = [1] * (n_slots * d)
         shape[i * d + a] = shape[j * d + a] = m
         gather.append(difference.reshape(shape))
-    return table[tuple(gather)]
+    return table, tuple(gather)
+
+
+def _pair_slabs(grid: GridSpec, f: PairProfile, values: np.ndarray, i: int, j: int):
+    """(rows, f(|x_i - x_j|)[rows]) over leading-axis slabs of `values`, an
+    n-slot layout, each slab of at most spectral.SLAB_ENTRIES amplitudes, so
+    the whole pair field is never held."""
+    table, gather = _pair_gather(grid, f, values.ndim // grid.dim, i, j)
+    step = max(1, spectral.SLAB_ENTRIES * values.shape[0] // values.size)
+    if all(g.shape[0] == 1 for g in gather):
+        step = values.shape[0]  # constant along the leading axis: gather it once
+    for start in range(0, values.shape[0], step):
+        rows = slice(start, start + step)
+        yield rows, table[tuple(g[rows] if g.shape[0] > 1 else g for g in gather)]
 
 
 def total_potential(
@@ -120,14 +137,25 @@ def total_potential(
 # --- initial states -----------------------------------------------------
 
 
+def _normalized_in_place(grid: GridSpec, n_particles: int, values: np.ndarray) -> ManyBodyState:
+    """State over `values`, an array the caller owns, divided by its norm in
+    place (no copy), with that norm as the prenormalization."""
+    state = ManyBodyState(grid, n_particles, values)
+    n = state.norm()
+    if n == 0.0 or not np.isfinite(n):
+        raise DomainError("cannot normalize a zero or non-finite state")
+    values /= n
+    state.prenormalization = n
+    return state
+
+
 def product_state(phi: WaveFunction, n_particles: int) -> ManyBodyState:
     """phi tensored n times (uncorrelated initial data)."""
     check_entry_budget(phi.grid.size**n_particles, f"{n_particles}-particle state")
     values = np.array(1.0, dtype=complex)
     for _ in range(n_particles):
         values = np.tensordot(values, phi.values, axes=0)
-    state = ManyBodyState(phi.grid, n_particles, values)
-    return state.normalized()
+    return _normalized_in_place(phi.grid, n_particles, values)
 
 
 def jastrow_product_state(
@@ -136,9 +164,9 @@ def jastrow_product_state(
     """Product orbital dressed with the short-range pair factor on every pair."""
     raw = product_state(phi, n_particles).values
     for i, j in itertools.combinations(range(n_particles), 2):
-        raw = raw * pair_field(phi.grid, pair_profile, n_particles, i, j)
-    state = ManyBodyState(phi.grid, n_particles, raw)
-    return state.normalized()
+        for rows, factor in _pair_slabs(phi.grid, pair_profile, raw, i, j):
+            raw[rows] *= factor
+    return _normalized_in_place(phi.grid, n_particles, raw)
 
 
 def random_symmetric_state(grid: GridSpec, n_particles: int, seed: int) -> ManyBodyState:
@@ -153,7 +181,7 @@ def random_symmetric_state(grid: GridSpec, n_particles: int, seed: int) -> ManyB
         for p in perm:
             axes.extend(range(p * grid.dim, (p + 1) * grid.dim))
         sym += np.transpose(raw, axes)
-    return ManyBodyState(grid, n_particles, sym).normalized()
+    return _normalized_in_place(grid, n_particles, sym)
 
 
 # --- dynamics -----------------------------------------------------------
@@ -194,22 +222,18 @@ def evolve_manybody(
     return ManyBodyState(grid, n, values)
 
 
-def energy_moment(
-    psi: ManyBodyState,
-    pair: PotentialModel | None,
-    trap: TrapModel | None,
-    order: int = 1,
-) -> float:
-    """<psi, H^order psi> with spectral kinetic part and sampled potentials."""
+def energy_moment(psi: ManyBodyState, potential: np.ndarray, order: int = 1) -> float:
+    """<psi, H^order psi> with spectral kinetic part; `potential` is the
+    sampled table `total_potential(psi.grid, psi.n_particles, pair, trap)`,
+    built once by the caller for every state it measures."""
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
     k2 = spectral.k_squared(psi.grid, psi.n_particles)
-    w = total_potential(psi.grid, psi.n_particles, pair, trap)
     if order == 1:
-        kinetic = spectral.parseval_energy(spectral.fftn(psi.values), k2, psi.measure)
-        return kinetic + float(np.sum(w * np.abs(psi.values) ** 2) * psi.measure)
-    h_psi = spectral.fourier_multiply(psi.values, k2) + w * psi.values
-    return float(np.sum(np.abs(h_psi) ** 2) * psi.measure)
+        kinetic = spectral.parseval_energy(spectral.fftn(psi.values), psi.measure, k2)
+        return kinetic + spectral.weighted_norm_squared(psi.values, potential) * psi.measure
+    h_psi = spectral.fourier_multiply(psi.values, k2) + potential * psi.values
+    return spectral.weighted_norm_squared(h_psi) * psi.measure
 
 
 # --- reduced density matrices -------------------------------------------
@@ -293,7 +317,7 @@ def factorization_distance(psi: ManyBodyState, phi: WaveFunction, k: int) -> flo
         phi_k = np.tensordot(phi_k, phi.values, axes=0)
     mat = psi.values.reshape(rows, -1)
     chi = (phi_k.ravel().conj() @ mat) * psi.grid.cell_volume**k
-    chi_norm_sq = np.sum(np.abs(chi) ** 2) * psi.grid.cell_volume ** (
+    chi_norm_sq = spectral.weighted_norm_squared(chi) * psi.grid.cell_volume ** (
         psi.n_particles - k
     )
     return float(np.sqrt(max(0.0, 1.0 - chi_norm_sq)))
@@ -312,20 +336,23 @@ def correlation_quotient(
 
     Returns int |grad_i grad_j (psi / f(x_i - x_j))|^2, the profile-relative
     smoothness of the pair (i, j); pass None for the undivided integral.
-    Computed spectrally: the weight is |k_i|^2 |k_j|^2 in Fourier space.
+    Computed spectrally in one work array the size of psi: the weight is
+    |k_i|^2 |k_j|^2 in Fourier space, summed as its two factors.
     """
     n, grid = psi.n_particles, psi.grid
     if n < 2 or i == j or not (0 <= i < n and 0 <= j < n):
         raise DomainError("need two distinct particle indices on an n >= 2 state")
-    values = psi.values
-    if pair_profile is not None:
-        factor = pair_field(grid, pair_profile, n, i, j)
-        if np.any(factor <= 0.0) or not np.all(np.isfinite(factor)):
-            raise DomainError("pair profile must be positive on the whole grid")
-        values = values / factor
-    hat = spectral.fftn(values, overwrite_x=values is not psi.values)
-    weight = spectral.k_squared(grid, n, (i,)) * spectral.k_squared(grid, n, (j,))
-    return spectral.parseval_energy(hat, weight, psi.measure)
+    if pair_profile is None:
+        work = psi.values.astype(complex, copy=True)
+    else:
+        work = np.empty(psi.values.shape, dtype=complex)
+        for rows, factor in _pair_slabs(grid, pair_profile, psi.values, i, j):
+            if np.any(factor <= 0.0) or not np.all(np.isfinite(factor)):
+                raise DomainError("pair profile must be positive on the whole grid")
+            np.divide(psi.values[rows], factor, out=work[rows])
+    hat = spectral.fftn(work, overwrite_x=True)
+    k2_i, k2_j = spectral.k_squared(grid, n, (i,)), spectral.k_squared(grid, n, (j,))
+    return spectral.parseval_energy(hat, psi.measure, k2_i, k2_j)
 
 
 def hardy_check(phi: WaveFunction) -> tuple[float, float]:
@@ -343,7 +370,7 @@ def hardy_check(phi: WaveFunction) -> tuple[float, float]:
     nonzero = r2 > 0
     weight[nonzero] = 1.0 / r2[nonzero]
     weight[~nonzero] = 1.0 / grid.spacing**2  # face neighbors all sit at |r| = dx
-    lhs = float(np.sum(weight * np.abs(phi.values) ** 2) * grid.cell_volume)
+    lhs = spectral.weighted_norm_squared(phi.values, weight) * grid.cell_volume
     return lhs, 4.0 * kinetic_energy(phi)
 
 

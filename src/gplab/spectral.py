@@ -1,22 +1,28 @@
 """Spectral core of the split-step solvers: every transform of the package,
-the step rule, wavenumber tables and Parseval sums.
+the step rule, wavenumber tables and weighted sums of squares.
 
 Transforms are scipy.fft's, forward unnormalized and inverse carrying 1/M per
 axis, looked up at call time so `scipy.fft.set_workers` applies to them.
 Tables describe `n_slots` particle slots of `grid.dim` axes each (slot j owns
 axes [j*dim, (j+1)*dim)); only the per-grid 1D table of k_axis^2 is cached,
-so no tensor-sized table outlives the computation that needs it.
+so no tensor-sized table outlives the computation that needs it.  Sums of
+W |x|^2 over arrays larger than SLAB_ENTRIES run over leading-axis slabs, so
+they make no temporary larger than a slab.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Iterable
 
 import numpy as np
 import scipy.fft
 
 from .errors import DomainError
+
+#: largest array `weighted_norm_squared` sums in one expression
+SLAB_ENTRIES = 2**20
 
 
 def fftn(x: np.ndarray, axes=None, overwrite_x: bool = False) -> np.ndarray:
@@ -65,7 +71,38 @@ def k_squared(grid, n_slots: int = 1, slots: Iterable[int] | None = None) -> np.
     return total
 
 
-def parseval_energy(hat: np.ndarray, weight: np.ndarray, measure: float) -> float:
+def weighted_norm_squared(x: np.ndarray, *weight: np.ndarray) -> float:
+    """sum W |x|^2, W the product of the `weight` factors (1 without any).
+
+    Each factor has x's rank and broadcasts against it, so a separable weight
+    is never formed at x's size.  Up to SLAB_ENTRIES entries this is exactly
+    np.sum(W * np.abs(x) ** 2); larger arrays are summed over slabs of the
+    leading axis (recursing into single rows longer than a slab).
+    """
+    if x.size <= SLAB_ENTRIES:
+        density = np.abs(x) ** 2
+        if weight:
+            density = functools.reduce(operator.mul, weight) * density
+        return float(np.sum(density))
+    row = x.size // x.shape[0]
+    step = max(1, SLAB_ENTRIES // row)
+    total = 0.0
+    for start in range(0, x.shape[0], step):
+        index = slice(start, start + step) if row <= SLAB_ENTRIES else start
+        total += weighted_norm_squared(x[index], *(_leading(w, index) for w in weight))
+    return total
+
+
+def _leading(factor: np.ndarray, index) -> np.ndarray:
+    """factor[index] on the leading axis; a broadcast (length-1) axis stays whole."""
+    if factor.shape[0] > 1:
+        return factor[index]
+    return factor if isinstance(index, slice) else factor[0]
+
+
+def parseval_energy(hat: np.ndarray, measure: float, *weight: np.ndarray) -> float:
     """<f, W f> for a real Fourier multiplier W from hat = fftn(f), with the
-    layout's volume element `measure`; W = k_squared(...) gives int |grad f|^2."""
-    return float(np.sum(weight * np.abs(hat) ** 2) * measure / hat.size)
+    layout's volume element `measure`; W is the product of the `weight`
+    factors (see weighted_norm_squared), and W = k_squared(...) gives
+    int |grad f|^2."""
+    return weighted_norm_squared(hat, *weight) * measure / hat.size

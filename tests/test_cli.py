@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +218,25 @@ def test_power_counting_run(tmp_path):
     for row in rows[:5]:
         k, m, volume, decay, margin = (int(x) for x in row)
         assert margin == 5 * k + m
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    data = {
+        "schema_version": "1",
+        "experiment": "power_counting",
+        "output": {"dir": str(tmp_path / "pc"), "prefix": "pc"},
+    }
+    path = tmp_path / "pc.json"
+    path.write_text(json.dumps(data))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "gplab", "run", "--config", str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    _, rows = _read_rows(tmp_path / "pc" / "pc_results.csv")
+    assert len(rows) == 110
 
 
 def test_report_merges_and_deduplicates(tmp_path):
@@ -467,6 +490,36 @@ def test_potential_under_explicit_coupling_exits_2(tmp_path, capsys, experiment,
     assert cli.main(["run", "--config", str(path)]) == 0
 
 
+# configs the run cannot use, rejected while parsing: exit 2 and no output directory
+UNRUNNABLE_CASES = [
+    ("gp_groundstate", {"grid": LINE, "trap": {"kind": "harmonic"}}, "'born' needs a potential"),
+    ("gp_evolve", {"grid": LINE}, "'born' needs a potential"),
+    ("scatter", {"scaling_N": [1, 4]}, "scatter needs a potential"),
+    ("manybody", {"grid": LINE, "coupling": EXPLICIT}, "manybody needs a potential"),
+    ("hierarchy", {"grid": {"dim": 3, "points_per_axis": 8, "box_length": 8.0},
+                   "coupling": EXPLICIT}, "d = 1 grids"),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment,fields,message", UNRUNNABLE_CASES, ids=[case[0] for case in UNRUNNABLE_CASES]
+)
+def test_unrunnable_configs_exit_2_before_any_output(tmp_path, capsys, experiment, fields, message):
+    data = {
+        "schema_version": "1",
+        "experiment": experiment,
+        "output": {"dir": str(tmp_path / "out"), "prefix": "x"},
+        **fields,
+    }
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigurationError, match=message):
+        load_config(path)
+
+
 positive = st.floats(0.1, 5.0)
 potentials = st.one_of(
     st.fixed_dictionaries({"kind": st.just("barrier"), "v0": positive, "radius": positive}),
@@ -515,6 +568,8 @@ def valid_configs(draw):
     for key in sorted(read & set(field_values)):
         if draw(st.booleans()):
             data[key] = draw(field_values[key])
+    if experiment == "hierarchy" and "grid" in data:
+        data["grid"]["dim"] = 1  # the hierarchy experiment runs on d = 1 grids only
     if "coupling" in read:
         data["coupling"] = draw(couplings)
     # the mean-field experiments read the potential only to set the coupling

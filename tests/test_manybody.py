@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,9 +125,10 @@ def test_evolution_conserves_energy(grid, orbital):
     pair = GaussianPotential(1.0, 1.0, cutoff=3.0)
     trap = TrapModel("harmonic", 0.5)
     state = product_state(orbital, 2)
-    e0 = energy_moment(state, pair, trap, 1)
+    potential = total_potential(grid, 2, pair, trap)
+    e0 = energy_moment(state, potential, 1)
     out = evolve_manybody(state, pair, trap, 1.0, 1e-3)
-    assert abs(energy_moment(out, pair, trap, 1) - e0) / abs(e0) < 1e-6
+    assert abs(energy_moment(out, potential, 1) - e0) / abs(e0) < 1e-6
 
 
 def test_marginal_of_product_is_rank_one(grid, orbital):
@@ -181,12 +183,13 @@ def test_condensate_overlap_trivial_cases(grid):
 def test_energy_moment_eigenstate_identity(grid):
     # plane-wave products are eigenstates of the free discrete Hamiltonian
     state = product_state(plane_wave(grid, 2), 2)
-    e1 = energy_moment(state, None, None, 1)
-    e2 = energy_moment(state, None, None, 2)
+    free = total_potential(grid, 2, None, None)
+    e1 = energy_moment(state, free, 1)
+    e2 = energy_moment(state, free, 2)
     assert e1 == pytest.approx(2 * plane_wave_k(grid, 2), rel=1e-12)
     assert e2 == pytest.approx(e1**2, rel=1e-10)
     with pytest.raises(DomainError):
-        energy_moment(state, None, None, 3)
+        energy_moment(state, free, 3)
 
 
 def test_pair_energy_approaches_short_range_limit():
@@ -209,7 +212,8 @@ def test_pair_energy_approaches_short_range_limit():
         if n == 2:
             state = product_state(phi, n)
             from_moment = (
-                energy_moment(state, scaled, None, 1) - energy_moment(state, None, None, 1)
+                energy_moment(state, total_potential(grid, n, scaled, None), 1)
+                - energy_moment(state, total_potential(grid, n, None, None), 1)
             ) / n
             assert from_moment == pytest.approx(per_particle, rel=1e-10)
     assert errors[0] > errors[1] > errors[2]
@@ -254,7 +258,7 @@ def test_second_moment_controls_correlation_quotient(grid, orbital):
         jastrow_product_state(orbital, 2, profile),
         product_state(orbital, 2),
     ):
-        h2 = energy_moment(state, pair, None, 2)
+        h2 = energy_moment(state, total_potential(grid, 2, pair, None), 2)
         quotient = correlation_quotient(state, profile, 0, 1)
         assert h2 > 0 and quotient > 0
         ratios.append(h2 / quotient)
@@ -356,3 +360,89 @@ def test_total_potential_is_exchange_symmetric(layout, box):
     total = total_potential(grid, n, GaussianPotential(1.0, 0.1 * box), TrapModel("harmonic", 1.0))
     for i in range(n - 1):
         assert np.max(np.abs(exchange_particles(total, i, i + 1, dim) - total)) < 1e-12
+
+
+# --- memory of the pair-state diagnostics -------------------------------------
+
+
+def _extra_peak(call, *args):
+    """call(*args) and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_state_diagnostics_make_no_extra_state_sized_temporaries():
+    # the criterion 09 setting: two bosons on 16^3, a 2^24-amplitude (256 MiB)
+    # state and a 128 MiB pair field
+    profile = jastrow(solve_zero_energy(BarrierPotential(8.0, 1.0)), 8)
+    phi = gaussian_packet(GridSpec(3, 16, 6.0), width=1.2)
+    state_bytes, field_bytes = 16 * phi.grid.size**2, 8 * phi.grid.size**2
+    state, built = _extra_peak(jastrow_product_state, phi, 2, profile)
+    assert built < 1.1 * (state_bytes + field_bytes)
+    # pair factors are applied and divided out in slabs: the whole field is never held
+    assert built < state_bytes + field_bytes / 2
+    _, norm = _extra_peak(state.norm)
+    assert norm < state_bytes / 8
+    for pair_profile in (profile, None):
+        _, quotient = _extra_peak(correlation_quotient, state, pair_profile, 0, 1)
+        assert state_bytes + quotient < 1.1 * (2 * state_bytes + field_bytes)
+        assert quotient < state_bytes + field_bytes / 2
+
+
+# --- invariants on small layouts ------------------------------------------------
+
+small_cases = settings(max_examples=20, deadline=None)
+small_layouts = st.tuples(
+    st.integers(2, 4), st.sampled_from([8, 16]), st.integers(1, 3)
+).filter(lambda lay: lay[1] ** (lay[0] * lay[2]) <= 2**16)
+
+
+@small_cases
+@given(layout=small_layouts, box=st.floats(4.0, 12.0), seed=st.integers(0, 2**32 - 1))
+def test_random_symmetric_state_is_symmetric_and_normalized(layout, box, seed):
+    n, points, dim = layout
+    state = random_symmetric_state(GridSpec(dim, points, box), n, seed)
+    assert abs(state.norm() - 1.0) < 1e-12
+    scale = np.max(np.abs(state.values))
+    for i, j in itertools.combinations(range(n), 2):
+        swapped = exchange_particles(state.values, i, j, dim)
+        assert np.max(np.abs(swapped - state.values)) < 1e-12 * scale
+
+
+@small_cases
+@given(
+    layout=small_layouts,
+    k=st.integers(1, 3),
+    box=st.floats(4.0, 12.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_marginals_have_unit_trace_and_are_hermitian(layout, k, box, seed):
+    n, points, dim = layout
+    k = min(k, n)
+    while k > 1 and points ** (2 * dim * k) > 2**16:
+        k -= 1
+    state = random_symmetric_state(GridSpec(dim, points, box), n, seed)
+    dm = marginal(state, k)
+    assert abs(dm.trace() - 1.0) < 1e-12
+    assert dm.hermiticity_defect() < 1e-12
+
+
+@small_cases
+@given(
+    layout=small_layouts,
+    box=st.floats(4.0, 12.0),
+    v0=st.floats(0.0, 5.0),
+    omega=st.floats(0.1, 2.0),
+    steps=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evolution_is_reversible(layout, box, v0, omega, steps, seed):
+    n, points, dim = layout
+    state = random_symmetric_state(GridSpec(dim, points, box), n, seed)
+    pair, trap = GaussianPotential(v0, 0.1 * box), TrapModel("harmonic", omega)
+    t, dt = 0.01 * steps, 0.01
+    back = evolve_manybody(evolve_manybody(state, pair, trap, t, dt), pair, trap, -t, dt)
+    assert ManyBodyState(state.grid, n, back.values - state.values).norm() < 1e-10

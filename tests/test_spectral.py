@@ -7,6 +7,8 @@ attributes, so a transform bound by name at import time (for example
 budget counts `free_evolve` calls through the binding `gplab.hierarchy` uses.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -24,6 +26,7 @@ from gplab.hierarchy import (
     sobolev_trace_norm,
 )
 from gplab.manybody import (
+    DensityMatrix,
     correlation_quotient,
     energy_moment,
     evolve_manybody,
@@ -99,8 +102,9 @@ def test_minimize_gp_four_transforms_per_cg_iteration(transforms):
 
 def test_energy_moment_first_order_is_one_transform(transforms):
     psi = random_symmetric_state(GridSpec(1, 16, 6.0), 3, seed=1)
+    potential = total_potential(psi.grid, 3, PAIR, TRAP)
     _reset(transforms)
-    energy_moment(psi, PAIR, TRAP, 1)
+    energy_moment(psi, potential, 1)
     assert transforms == {"scipy": 1, "numpy": 0}
 
 
@@ -143,7 +147,7 @@ def test_no_numpy_transforms_anywhere(transforms):
     free_evolve(phi, 0.1)
     kinetic_energy(phi)
     gp_energy(phi, 0.1, TRAP)
-    energy_moment(psi, PAIR, TRAP, 2)
+    energy_moment(psi, total_potential(line, 2, PAIR, TRAP), 2)
     correlation_quotient(psi, lambda r: 1.0 + 0.0 * r, 0, 1)
     hardy_check(gaussian_packet(cube, width=1.0))
     free_propagate_kernel(gamma2.kernel, line, 2, 0.1)
@@ -189,7 +193,7 @@ def test_parseval_energy_moment_matches_direct_form():
     w = total_potential(grid, 3, PAIR, TRAP)
     h_psi = np.fft.ifftn(np.fft.fftn(v) * _k2_reference(grid, 3, range(3))) + w * v
     direct = float(np.real(np.sum(np.conj(v) * h_psi)) * psi.measure)
-    assert energy_moment(psi, PAIR, TRAP, 1) == pytest.approx(direct, rel=1e-12)
+    assert energy_moment(psi, w, 1) == pytest.approx(direct, rel=1e-12)
 
 
 def test_free_evolve_matches_numpy_reference():
@@ -238,3 +242,66 @@ def test_sobolev_trace_norm_matches_numpy_reference():
     work = np.fft.ifftn(np.fft.fftn(work, axes=(0, 1)) * weight, axes=(0, 1))
     reference = float(np.real(np.trace(work.reshape(dm.kernel.shape))) * grid.cell_volume**2)
     assert sobolev_trace_norm(dm) == pytest.approx(reference, rel=1e-12)
+
+
+def test_sobolev_trace_norm_column_blocks_sum_to_the_whole_trace(monkeypatch):
+    grid = GridSpec(1, 16, 6.0)
+    dm = marginal(random_symmetric_state(grid, 3, seed=2), 2)
+    whole = sobolev_trace_norm(dm)  # 256 columns: one block
+    monkeypatch.setattr(hierarchy, "_TRACE_COLUMNS", 48)  # six blocks, the last one partial
+    assert sobolev_trace_norm(dm) == pytest.approx(whole, rel=1e-13)
+
+
+def test_sobolev_trace_norm_makes_no_kernel_sized_copy():
+    # the series_and_marginals benchmark setting: a 4096^2 (256 MiB) two-particle kernel
+    grid = GridSpec(1, 64, 8.0)
+    phi = gaussian_packet(grid, width=1.0)
+    dm = DensityMatrix(grid, 2, hierarchy.factorized_kernel(phi, 2))
+    tracemalloc.start()
+    try:
+        value = sobolev_trace_norm(dm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dm.kernel.nbytes / 4
+    assert value == pytest.approx((1.0 + kinetic_energy(phi)) ** 2, rel=1e-8)
+
+
+# --- weighted sums of squares -------------------------------------------------
+
+
+def _random_layout(n, points, seed):
+    rng = np.random.default_rng(seed)
+    shape = (points,) * n
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_sums_up_to_one_slab_keep_the_plain_expression():
+    grid = GridSpec(1, 64, 6.0)  # (n, M, d) = (3, 64, 1): 2^18 entries
+    x = _random_layout(3, 64, seed=4)
+    full = spectral.k_squared(grid, 3)
+    first, rest = spectral.k_squared(grid, 3, (0,)), spectral.k_squared(grid, 3, (1, 2))
+    assert spectral.weighted_norm_squared(x) == float(np.sum(np.abs(x) ** 2))
+    assert spectral.weighted_norm_squared(x, full) == float(np.sum(full * np.abs(x) ** 2))
+    separable = float(np.sum(first * rest * np.abs(x) ** 2))
+    assert spectral.weighted_norm_squared(x, first, rest) == separable
+
+
+@pytest.mark.parametrize("slab", [spectral.SLAB_ENTRIES, 2**15, 2**10])
+def test_slab_sums_match_numpy(monkeypatch, slab):
+    # (n, M, d) = (3, 128, 1): 2^21 entries, two slabs of the real size; a
+    # 2^10 slab is shorter than one leading row (2^14 entries) and recurses
+    monkeypatch.setattr(spectral, "SLAB_ENTRIES", slab)
+    grid = GridSpec(1, 128, 6.0)
+    x = _random_layout(3, 128, seed=6)
+    table = np.random.default_rng(7).random(x.shape)
+    first, rest = spectral.k_squared(grid, 3, (0,)), spectral.k_squared(grid, 3, (1, 2))
+    density = np.abs(x) ** 2
+    for weight, reference in (
+        ((), np.sum(density)),
+        ((table,), np.sum(table * density)),
+        ((first, rest), np.sum(first * rest * density)),
+        ((rest, first), np.sum(first * rest * density)),
+    ):
+        value = spectral.weighted_norm_squared(x, *weight)
+        assert value == pytest.approx(float(reference), rel=1e-13)
