@@ -43,32 +43,21 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 # --- experiments ----------------------------------------------------------
 
 
-def _resolve_coupling(cfg, model):
+def _resolve_coupling(cfg):
     """Coupling constant per config: solved, first-order, or explicit."""
     from . import potential as pot
     from . import scattering
 
     if cfg.coupling_mode == "explicit":
         return float(cfg.coupling_value)
+    model = cfg.potential.build()  # parse_config requires one outside explicit mode
     if cfg.coupling_mode == "from_scattering":
         import numpy as np
 
         return 8.0 * np.pi * scattering.solve_zero_energy(model).a0
-    if cfg.grid_dim == 1:
+    if cfg.grid.dim == 1:
         return pot.born_coupling_1d(model)
     return pot.born_coupling(model)
-
-
-def _build_trap(cfg):
-    from .potential import TrapModel
-
-    return TrapModel(cfg.trap_kind, cfg.trap_omega)
-
-
-def _build_grid(cfg):
-    from .grids import GridSpec
-
-    return GridSpec(cfg.grid_dim, cfg.grid_points, cfg.grid_box)
 
 
 def _run_scatter(cfg, out_dir: Path):
@@ -99,15 +88,15 @@ def _run_scatter(cfg, out_dir: Path):
     return header, rows
 
 
-def _initial_orbital(cfg, grid, trap, a0):
+def _initial_orbital(cfg, a0):
     """Trap ground state when a trap is configured, else a plane wave."""
     from .gp import minimize_gp
     from .grids import plane_wave
 
-    if trap.confining:
-        phi, _ = minimize_gp(trap, a0, grid, tol=1e-10)
+    if cfg.trap.confining:
+        phi, _ = minimize_gp(cfg.trap, a0, cfg.grid, tol=1e-10)
         return phi
-    return plane_wave(grid, 1)
+    return plane_wave(cfg.grid, 1)
 
 
 def _run_gp_evolve(cfg, out_dir: Path):
@@ -117,12 +106,9 @@ def _run_gp_evolve(cfg, out_dir: Path):
     from .snapshots import write_state_binary
     from .spectral import split_steps
 
-    grid = _build_grid(cfg)
-    trap = _build_trap(cfg)
-    model = cfg.potential.build() if cfg.potential is not None else None
-    sigma = _resolve_coupling(cfg, model)
+    sigma = _resolve_coupling(cfg)
     a0 = sigma / (8.0 * np.pi)
-    phi0 = _initial_orbital(cfg, grid, trap, a0)
+    phi0 = _initial_orbital(cfg, a0)
 
     steps, _ = split_steps(cfg.t_final, cfg.dt)
     stride = max(1, steps // 1000)
@@ -145,17 +131,13 @@ def _run_gp_groundstate(cfg, out_dir: Path):
     from .gp import minimize_gp
     from .snapshots import write_state_binary
 
-    grid = _build_grid(cfg)
-    trap = _build_trap(cfg)
-    model = cfg.potential.build() if cfg.potential is not None else None
-    sigma = _resolve_coupling(cfg, model)
-    a0 = sigma / (8.0 * np.pi)
+    a0 = _resolve_coupling(cfg) / (8.0 * np.pi)
     history = []
 
     def track(iteration, energy):
         history.append((iteration, energy))
 
-    phi, energy = minimize_gp(trap, a0, grid, tol=1e-10, callback=track)
+    phi, energy = minimize_gp(cfg.trap, a0, cfg.grid, tol=1e-10, callback=track)
     rows = []
     for (it, e), prev in zip(history, [None] + history[:-1]):
         rate = "" if prev is None else prev[1] - e
@@ -180,15 +162,14 @@ def _run_manybody(cfg, out_dir: Path):
     from .potential import scale_potential
     from .spectral import split_steps
 
-    grid = _build_grid(cfg)
-    trap = _build_trap(cfg)
+    grid, trap = cfg.grid, cfg.trap
     base = cfg.potential.build()
     n = cfg.particles
     if grid.dim == 1:
         pair = scale_potential_analog1d(base, n)
     else:
         pair = scale_potential(base, n)
-    sigma = _resolve_coupling(cfg, base)
+    sigma = _resolve_coupling(cfg)
     phi0 = gaussian_packet(grid, width=grid.box_length / 8.0)
     psi = product_state(phi0, n)
     potential = total_potential(grid, n, pair, trap)
@@ -231,9 +212,7 @@ def _run_hierarchy(cfg, out_dir: Path):
         kernel_distance,
     )
 
-    grid = _build_grid(cfg)
-    model = cfg.potential.build() if cfg.potential is not None else None
-    sigma = _resolve_coupling(cfg, model)
+    grid, sigma = cfg.grid, _resolve_coupling(cfg)
     phi0 = gaussian_packet(grid, width=grid.box_length / 8.0)
     t, dt = cfg.t_final, cfg.dt
     frames = {tt: evolve_gp(phi0, sigma, tt, dt) for tt in (t - dt, t, t + dt)}
@@ -285,9 +264,9 @@ def run(config_path: str | Path, threads: int = 1) -> int:
         report([out_dir], out_dir / f"{cfg.output_prefix}_summary.csv")
         return 0
     runner = _EXPERIMENTS[cfg.experiment]
-    out_dir.mkdir(parents=True, exist_ok=True)
     with scipy.fft.set_workers(threads):
         header, rows = runner(cfg, out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # only a run that finished leaves a directory
     results_path = out_dir / f"{cfg.output_prefix}_results.csv"
     _write_csv(results_path, header, rows)
     manifest = {
@@ -297,7 +276,7 @@ def run(config_path: str | Path, threads: int = 1) -> int:
         "tool_version": _version(),
         "threads": threads,
         "seed": cfg.seed,
-        "mode": "analog1d" if cfg.experiment == "manybody" and cfg.grid_dim == 1 else "gp3d",
+        "mode": "analog1d" if cfg.experiment == "manybody" and cfg.grid.dim == 1 else "gp3d",
         "wall_time_seconds": time.perf_counter() - started,
         "results": results_path.name,
     }

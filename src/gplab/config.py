@@ -11,11 +11,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .errors import ConfigurationError
+
+if TYPE_CHECKING:  # parse_config imports them, after the CLI pins threads
+    from .grids import GridSpec
+    from .potential import TrapModel
 
 SCHEMA_VERSION = "1"
 # top-level keys each experiment reads, beyond the ones every experiment takes
@@ -30,6 +34,7 @@ EXPERIMENT_KEYS = {
     "report": set(),
 }
 COUPLING_MODES = ("from_scattering", "born", "explicit")
+GRID_KEYS = ("dim", "points_per_axis", "box_length")
 
 
 def _require_keys(section: str, data: dict, allowed: set[str], required: set[str]) -> None:
@@ -50,6 +55,13 @@ def _count(name: str, value: Any, minimum: int | None = None) -> int:
     return value
 
 
+def _real(name: str, value: Any) -> float:
+    """A finite number from the config; booleans, strings, lists and null are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     kind: str
@@ -66,7 +78,11 @@ class PotentialSpec:
         kind = data.get("kind")
         if kind == "barrier":
             _require_keys("potential", data, {"kind", "v0", "radius"}, {"kind", "v0", "radius"})
-            return cls(kind, v0=float(data["v0"]), radius=float(data["radius"]))
+            return cls(
+                kind,
+                v0=_real("potential: v0", data["v0"]),
+                radius=_real("potential: radius", data["radius"]),
+            )
         if kind == "gaussian":
             _require_keys(
                 "potential", data, {"kind", "v0", "width", "cutoff_radius"}, {"kind", "v0", "width"}
@@ -74,9 +90,9 @@ class PotentialSpec:
             cutoff = data.get("cutoff_radius")
             return cls(
                 kind,
-                v0=float(data["v0"]),
-                width=float(data["width"]),
-                cutoff_radius=None if cutoff is None else float(cutoff),
+                v0=_real("potential: v0", data["v0"]),
+                width=_real("potential: width", data["width"]),
+                cutoff_radius=None if cutoff is None else _real("potential: cutoff_radius", cutoff),
             )
         if kind == "table":
             _require_keys("potential", data, {"kind", "radii", "values", "csv_path"}, {"kind"})
@@ -93,10 +109,12 @@ class PotentialSpec:
                 return cls(kind, radii=table.radii, values=table.values, csv_path=path)
             if "radii" not in data or "values" not in data:
                 raise ConfigurationError("potential: table needs csv_path or radii+values")
+            if not (isinstance(data["radii"], list) and isinstance(data["values"], list)):
+                raise ConfigurationError("potential: table radii and values must be lists")
             return cls(
                 kind,
-                radii=tuple(float(x) for x in data["radii"]),
-                values=tuple(float(x) for x in data["values"]),
+                radii=tuple(_real("potential: radii entry", x) for x in data["radii"]),
+                values=tuple(_real("potential: values entry", x) for x in data["values"]),
             )
         raise ConfigurationError(f"potential: unknown kind {kind!r}")
 
@@ -123,13 +141,9 @@ class PotentialSpec:
 @dataclass(frozen=True)
 class ScenarioConfig:
     experiment: str
+    grid: GridSpec
+    trap: TrapModel
     potential: PotentialSpec | None = None
-    trap_kind: str = "none"
-    trap_omega: float = 1.0
-    # default grid: 1024 points on a line, box a few times any O(1) state width
-    grid_dim: int = 1
-    grid_points: int = 1024
-    grid_box: float = 16.0
     particles: int = 2
     scaling_n: tuple[int, ...] = (1,)
     t_final: float = 0.1
@@ -146,12 +160,8 @@ class ScenarioConfig:
             "schema_version": SCHEMA_VERSION,
             "experiment": self.experiment,
             "potential": None if self.potential is None else self.potential.normalized(),
-            "trap": {"kind": self.trap_kind, "omega": self.trap_omega},
-            "grid": {
-                "dim": self.grid_dim,
-                "points_per_axis": self.grid_points,
-                "box_length": self.grid_box,
-            },
+            "trap": {"kind": self.trap.kind, "omega": self.trap.omega},
+            "grid": {key: getattr(self.grid, key) for key in GRID_KEYS},
             "particles": self.particles,
             "scaling_N": list(self.scaling_n),
             "time": {"t_final": self.t_final, "dt": self.dt},
@@ -191,36 +201,37 @@ def parse_config(data: dict) -> ScenarioConfig:
     if "potential" in data:
         potential = PotentialSpec.parse(dict(data["potential"]))
 
-    trap_kind, trap_omega = "none", 1.0
-    if "trap" in data:
-        trap = dict(data["trap"])
-        _require_keys("trap", trap, {"kind", "omega"}, {"kind"})
-        trap_kind = trap["kind"]
-        if trap_kind not in ("harmonic", "none"):
-            raise ConfigurationError(f"trap: unknown kind {trap_kind!r}")
-        trap_omega = float(trap.get("omega", 1.0))
+    # imported here, after the CLI pins threads, since they load numpy;
+    # the grid, trap and potential are built so bad values exit before any output
+    from .grids import GridSpec
+    from .potential import TrapModel
 
-    grid_dim, grid_points, grid_box = 1, 1024, 16.0
+    trap = TrapModel()
+    if "trap" in data:
+        block = dict(data["trap"])
+        _require_keys("trap", block, {"kind", "omega"}, {"kind"})
+        trap = TrapModel(block["kind"], _real("trap: omega", block.get("omega", 1.0)))
+
+    grid = GridSpec(1, 1024, 16.0)  # a line, the box a few times any O(1) state width
     if "grid" in data:
-        grid = dict(data["grid"])
-        _require_keys(
-            "grid", grid, {"dim", "points_per_axis", "box_length"},
-            {"dim", "points_per_axis", "box_length"},
+        block = dict(data["grid"])
+        _require_keys("grid", block, set(GRID_KEYS), set(GRID_KEYS))
+        grid = GridSpec(
+            _count("grid: dim", block["dim"]),
+            _count("grid: points_per_axis", block["points_per_axis"]),
+            _real("grid: box_length", block["box_length"]),
         )
-        grid_dim = _count("grid: dim", grid["dim"])
-        grid_points = _count("grid: points_per_axis", grid["points_per_axis"])
-        grid_box = float(grid["box_length"])
-    if experiment == "hierarchy" and grid_dim != 1:
+    if experiment == "hierarchy" and grid.dim != 1:
         raise ConfigurationError("hierarchy experiment runs on d = 1 grids")
 
     t_final, dt = 0.1, 1e-3
     if "time" in data:
         time_block = dict(data["time"])
         _require_keys("time", time_block, {"t_final", "dt"}, {"t_final", "dt"})
-        t_final = float(time_block["t_final"])
-        dt = float(time_block["dt"])
-        if not (0.0 <= t_final < math.inf and 0.0 < dt < math.inf):
-            raise ConfigurationError(f"time: need finite t_final >= 0 and dt > 0, got {time_block}")
+        t_final = _real("time: t_final", time_block["t_final"])
+        dt = _real("time: dt", time_block["dt"])
+        if not (t_final >= 0.0 and dt > 0.0):
+            raise ConfigurationError(f"time: need t_final >= 0 and dt > 0, got {time_block}")
 
     coupling_mode, coupling_value = "born", None
     if "coupling" in data:
@@ -232,7 +243,7 @@ def parse_config(data: dict) -> ScenarioConfig:
         if coupling_mode == "explicit":
             if "value" not in coupling:
                 raise ConfigurationError("coupling: explicit mode needs a value")
-            coupling_value = float(coupling["value"])
+            coupling_value = _real("coupling: value", coupling["value"])
         elif "value" in coupling and coupling["value"] is not None:
             raise ConfigurationError("coupling: value is only valid in explicit mode")
     if potential is None and experiment in ("scatter", "manybody"):
@@ -259,23 +270,14 @@ def parse_config(data: dict) -> ScenarioConfig:
     scaling_n = tuple(_count("scaling_N entry", n, minimum=1) for n in scaling)
     seed = _count("seed", data.get("seed", 0))
 
-    # build the grid, trap and potential once so bad values exit before any output
-    from .grids import GridSpec
-    from .potential import TrapModel
-
-    GridSpec(grid_dim, grid_points, grid_box)
-    TrapModel(trap_kind, trap_omega)
     if potential is not None:
         potential.build()
 
     return ScenarioConfig(
         experiment=experiment,
+        grid=grid,
+        trap=trap,
         potential=potential,
-        trap_kind=trap_kind,
-        trap_omega=trap_omega,
-        grid_dim=grid_dim,
-        grid_points=grid_points,
-        grid_box=grid_box,
         particles=particles,
         scaling_n=scaling_n,
         t_final=t_final,

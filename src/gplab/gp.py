@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import spectral
-from .errors import ConfigurationError, ConvergenceError, DomainError, SolverError
+from .errors import ConfigurationError, ConvergenceError, DomainError
 from .grids import GridSpec, WaveFunction, gaussian_packet, kinetic_energy
 from .potential import TrapModel
 
@@ -56,32 +56,22 @@ def evolve_gp(
     dt is the nominal step; the actual step is t/round(|t|/dt) so the
     endpoint lands exactly on t.  The norm is preserved exactly per step.
     """
-    if not np.all(np.isfinite(phi0.values)):
-        raise SolverError("initial state contains non-finite values")
-    steps, dt_eff = spectral.split_steps(t, dt)
     grid = phi0.grid
-    values = phi0.values.astype(complex, copy=True)
-    if steps == 0:
-        return WaveFunction(grid, values)
-    peak = float(np.max(np.abs(values)) ** 2)
-    if abs(sigma) * peak * abs(dt_eff) > 1.0:
-        warnings.warn(
-            "nonlinear phase per step exceeds 1 rad;"
-            " results stay unitary but lose accuracy",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    half_kinetic = np.exp(-1j * spectral.k_squared(grid) * (dt_eff / 2.0))
-    for step in range(steps):
-        # the callback may keep the previous step's array: never overwrite it
-        values = spectral.fourier_multiply(values, half_kinetic)
-        values *= np.exp(-1j * sigma * dt_eff * np.abs(values) ** 2)
-        values = spectral.fourier_multiply(values, half_kinetic, overwrite_x=True)
-        if callback is not None:
-            callback(step + 1, (step + 1) * dt_eff, WaveFunction(grid, values))
-    if not np.all(np.isfinite(values)):
-        raise SolverError("evolution produced non-finite values")
-    return WaveFunction(grid, values)
+
+    def nonlinear_phase(dt_eff):
+        peak = float(np.max(np.abs(phi0.values)) ** 2)
+        if abs(sigma) * peak * abs(dt_eff) > 1.0:
+            warnings.warn(
+                "nonlinear phase per step exceeds 1 rad;"
+                " results stay unitary but lose accuracy",
+                RuntimeWarning,
+                stacklevel=4,  # the caller of evolve_gp
+            )
+        return lambda values: np.exp(-1j * sigma * dt_eff * np.abs(values) ** 2)
+
+    return spectral.split_step_evolve(
+        phi0.values, grid, 1, t, dt, nonlinear_phase, lambda v: WaveFunction(grid, v), callback
+    )
 
 
 def minimize_gp(

@@ -36,8 +36,10 @@ class GridSpec:
             raise ConfigurationError(
                 f"points_per_axis must be a power of two >= 8, got {m}"
             )
-        if not self.box_length > 0:
-            raise ConfigurationError(f"box_length must be positive, got {self.box_length}")
+        if not 0 < self.box_length < np.inf:
+            raise ConfigurationError(
+                f"box_length must be positive and finite, got {self.box_length}"
+            )
 
     @property
     def spacing(self) -> float:
@@ -155,5 +157,5 @@ def kinetic_energy(phi: WaveFunction) -> float:
 
 def free_evolve(phi: WaveFunction, t: float) -> WaveFunction:
     """Exact evolution of i d/dt phi = -Laplacian phi on the grid."""
-    phase = np.exp(-1j * spectral.k_squared(phi.grid) * t)
+    phase = spectral.free_phase(phi.grid, t)
     return WaveFunction(phi.grid, spectral.fourier_multiply(phi.values, phase))

@@ -34,7 +34,6 @@ from .manybody import DensityMatrix, check_entry_budget, pair_field
 from .potential import PotentialModel
 
 _LETTERS = string.ascii_lowercase
-_TRACE_COLUMNS = 256  # kernel columns per block in sobolev_trace_norm
 
 
 # --- kernel plumbing ------------------------------------------------------
@@ -64,8 +63,8 @@ def _per_axis(kernel: np.ndarray, grid: GridSpec, k: int):
 def free_propagate_kernel(kernel: np.ndarray, grid: GridSpec, k: int, t: float) -> np.ndarray:
     """Conjugate a k-particle kernel by the free flow exp(i t Laplacian)."""
     work, rows, cols = _per_axis(kernel, grid, k)
-    phase_rows = np.exp(-1j * t * spectral.k_squared(grid, 2 * k, range(k)))
-    phase_cols = np.exp(1j * t * spectral.k_squared(grid, 2 * k, range(k, 2 * k)))
+    phase_rows = spectral.free_phase(grid, t, 2 * k, range(k))
+    phase_cols = spectral.free_phase(grid, -t, 2 * k, range(k, 2 * k))  # the conjugate
     work = spectral.fourier_multiply(work, phase_rows, rows)
     work = spectral.fourier_multiply(work, phase_cols, cols, overwrite_x=True)
     return work.reshape(kernel.shape)
@@ -280,21 +279,11 @@ def _collide_terms(terms: list, sigma: float) -> list:
 def _evolve_terms(terms: list, grid: GridSpec, tau: float) -> list:
     if tau == 0.0:
         return terms
-    out = []
-    for coeff, slots in terms:
-        out.append(
-            (
-                coeff,
-                [
-                    (
-                        free_evolve(WaveFunction(grid, a), tau).values,
-                        free_evolve(WaveFunction(grid, b), tau).values,
-                    )
-                    for a, b in slots
-                ],
-            )
-        )
-    return out
+
+    def fly(field):
+        return free_evolve(WaveFunction(grid, field), tau).values
+
+    return [(coeff, [(fly(a), fly(b)) for a, b in slots]) for coeff, slots in terms]
 
 
 def _assemble_terms(terms: list, size: int) -> np.ndarray:
@@ -380,19 +369,20 @@ def sobolev_trace_norm(dm: DensityMatrix) -> float:
     Equals (1 + int |grad phi|^2)^k on the k-fold product of a normalized
     orbital, and is invariant under the free flow.
 
-    The weight acts on the row slots of _TRACE_COLUMNS kernel columns at a
-    time, and only the diagonal entries of each block are summed, so no copy
-    of the whole kernel is made.
+    The weight acts on the row slots of blocks of kernel columns, at most
+    spectral.SLAB_ENTRIES entries each, and only the diagonal entries of each
+    block are summed, so no copy of the whole kernel is made.
     """
     grid, k = dm.grid, dm.k
     size = dm.kernel.shape[0]
+    columns = max(1, spectral.SLAB_ENTRIES // size)
     row_axes = tuple(range(k * grid.dim))
     weight = np.ones((1,) * (k * grid.dim + 1))  # the row layout, then the block's columns
     for particle in range(k):
         weight = weight * (1.0 + spectral.k_squared(grid, k, (particle,)))[..., None]
     total = 0.0
-    for start in range(0, size, _TRACE_COLUMNS):
-        block = dm.kernel[:, start : start + _TRACE_COLUMNS]
+    for start in range(0, size, columns):
+        block = dm.kernel[:, start : start + columns]
         width = block.shape[1]
         work = spectral.fourier_multiply(block.reshape(grid.shape * k + (width,)), weight, row_axes)
         total += np.real(np.trace(work.reshape(size, width), offset=-start))

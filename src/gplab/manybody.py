@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import spectral
-from .errors import ConfigurationError, DomainError, SolverError
+from .errors import ConfigurationError, DomainError
 from .grids import GridSpec, WaveFunction, ensure_same_grid, kinetic_energy
 from .potential import PotentialModel, TrapModel
 
@@ -201,25 +201,15 @@ def evolve_manybody(
     factor is a phase so the norm and the exchange symmetry are preserved
     exactly.  Negative t runs the evolution backwards.
     """
-    if not np.all(np.isfinite(psi0.values)):
-        raise SolverError("initial state contains non-finite values")
-    steps, dt_eff = spectral.split_steps(t, dt)
-    if steps == 0:
-        return ManyBodyState(psi0.grid, psi0.n_particles, psi0.values.copy())
     grid, n = psi0.grid, psi0.n_particles
-    half_kinetic = np.exp(-1j * spectral.k_squared(grid, n) * (dt_eff / 2.0))
-    potential_phase = np.exp(-1j * total_potential(grid, n, pair, trap) * dt_eff)
-    values = psi0.values.astype(complex, copy=True)
-    for step in range(steps):
-        # the callback may keep the previous step's array: never overwrite it
-        values = spectral.fourier_multiply(values, half_kinetic)
-        values *= potential_phase
-        values = spectral.fourier_multiply(values, half_kinetic, overwrite_x=True)
-        if callback is not None:
-            callback(step + 1, (step + 1) * dt_eff, ManyBodyState(grid, n, values))
-    if not np.all(np.isfinite(values)):
-        raise SolverError("evolution produced non-finite values")
-    return ManyBodyState(grid, n, values)
+
+    def potential_phase(dt_eff):
+        table = np.exp(-1j * total_potential(grid, n, pair, trap) * dt_eff)
+        return lambda values: table
+
+    return spectral.split_step_evolve(
+        psi0.values, grid, n, t, dt, potential_phase, lambda v: ManyBodyState(grid, n, v), callback
+    )
 
 
 def energy_moment(psi: ManyBodyState, potential: np.ndarray, order: int = 1) -> float:

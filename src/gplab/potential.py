@@ -73,10 +73,10 @@ class BarrierPotential(PotentialModel):
     radius: float
 
     def __post_init__(self) -> None:
-        if self.v0 < 0:
-            raise ConfigurationError("barrier height must be >= 0")
-        if self.radius <= 0:
-            raise ConfigurationError("barrier radius must be positive")
+        if not 0 <= self.v0 < np.inf:
+            raise ConfigurationError("barrier height must be finite and >= 0")
+        if not 0 < self.radius < np.inf:
+            raise ConfigurationError("barrier radius must be positive and finite")
         object.__setattr__(self, "cutoff_radius", self.radius)
         if self.v0 > 0:
             object.__setattr__(self, "discontinuities", (self.radius,))
@@ -112,13 +112,13 @@ class GaussianPotential(PotentialModel):
     cutoff: float | None = None
 
     def __post_init__(self) -> None:
-        if self.v0 < 0:
-            raise ConfigurationError("gaussian height must be >= 0")
-        if self.width <= 0:
-            raise ConfigurationError("gaussian width must be positive")
+        if not 0 <= self.v0 < np.inf:
+            raise ConfigurationError("gaussian height must be finite and >= 0")
+        if not 0 < self.width < np.inf:
+            raise ConfigurationError("gaussian width must be positive and finite")
         cutoff = 6.0 * self.width if self.cutoff is None else float(self.cutoff)
-        if cutoff <= 0:
-            raise ConfigurationError("cutoff radius must be positive")
+        if not 0 < cutoff < np.inf:
+            raise ConfigurationError("cutoff radius must be positive and finite")
         object.__setattr__(self, "cutoff_radius", cutoff)
 
     kind = "gaussian"
@@ -161,6 +161,8 @@ class TablePotential(PotentialModel):
         v = np.asarray(self.values, dtype=float)
         if r.ndim != 1 or r.size < 2 or v.shape != r.shape:
             raise ConfigurationError("table needs matching radius/value arrays, >= 2 rows")
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
+            raise ConfigurationError("table radii and values must be finite")
         if r[0] < 0 or np.any(np.diff(r) <= 0):
             raise ConfigurationError("table radii must be >= 0 and strictly increasing")
         if np.any(v < 0):
@@ -287,6 +289,8 @@ class TrapModel:
     def __post_init__(self) -> None:
         if self.kind not in ("harmonic", "none"):
             raise ConfigurationError(f"unknown trap kind {self.kind!r}")
+        if not np.isfinite(self.omega):
+            raise ConfigurationError("trap frequency must be finite")
         if self.kind == "harmonic" and self.omega <= 0:
             raise ConfigurationError("trap frequency must be positive")
 

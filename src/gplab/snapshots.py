@@ -21,23 +21,36 @@ MAGIC = b"GPLAB001"
 _HEADER = struct.Struct("<II d")
 
 
-def write_state_binary(path: str | Path, phi: WaveFunction) -> Path:
+def _write_binary(path: str | Path, grid: GridSpec, payload: np.ndarray) -> Path:
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as handle:
         handle.write(MAGIC)
-        handle.write(_HEADER.pack(phi.grid.dim, phi.grid.points_per_axis, phi.grid.box_length))
-        handle.write(np.ascontiguousarray(phi.values, dtype="<c8").tobytes())
+        handle.write(_HEADER.pack(grid.dim, grid.points_per_axis, grid.box_length))
+        handle.write(np.ascontiguousarray(payload, dtype="<c8").tobytes())
     return path
 
 
-def read_state_binary(path: str | Path) -> WaveFunction:
+def _read_binary(path: str | Path, what: str) -> tuple[GridSpec, np.ndarray]:
+    """The header's grid and the flat complex64 payload of a snapshot file."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[: len(MAGIC)] != MAGIC:
-        raise ConfigurationError(f"{path}: bad magic, not a state snapshot")
-    dim, m, box = _HEADER.unpack_from(raw, len(MAGIC))
-    grid = GridSpec(dim, m, box)
-    data = np.frombuffer(raw, dtype="<c8", offset=len(MAGIC) + _HEADER.size)
+        raise ConfigurationError(f"{path}: bad magic, not a {what} snapshot")
+    try:
+        dim, m, box = _HEADER.unpack_from(raw, len(MAGIC))
+        data = np.frombuffer(raw, dtype="<c8", offset=len(MAGIC) + _HEADER.size)
+    except (struct.error, ValueError) as exc:
+        raise ConfigurationError(f"{path}: truncated header or partial payload entry") from exc
+    return GridSpec(dim, m, box), data
+
+
+def write_state_binary(path: str | Path, phi: WaveFunction) -> Path:
+    return _write_binary(path, phi.grid, phi.values)
+
+
+def read_state_binary(path: str | Path) -> WaveFunction:
+    grid, data = _read_binary(path, "state")
     if data.size != grid.size:
         raise ConfigurationError(f"{path}: payload size does not match the header")
     return WaveFunction(grid, data.reshape(grid.shape).astype(complex))
@@ -50,24 +63,13 @@ def write_marginal_binary(path: str | Path, dm) -> Path:
     (M^(d k))^2 kernel in row-major order, so the level k is implied by the
     payload size.
     """
-    path = Path(path)
-    with path.open("wb") as handle:
-        handle.write(MAGIC)
-        handle.write(_HEADER.pack(dm.grid.dim, dm.grid.points_per_axis, dm.grid.box_length))
-        handle.write(np.ascontiguousarray(dm.kernel, dtype="<c8").tobytes())
-    return path
+    return _write_binary(path, dm.grid, dm.kernel)
 
 
 def read_marginal_binary(path: str | Path):
     from .manybody import DensityMatrix
 
-    path = Path(path)
-    raw = path.read_bytes()
-    if raw[: len(MAGIC)] != MAGIC:
-        raise ConfigurationError(f"{path}: bad magic, not a marginal snapshot")
-    dim, m, box = _HEADER.unpack_from(raw, len(MAGIC))
-    grid = GridSpec(dim, m, box)
-    data = np.frombuffer(raw, dtype="<c8", offset=len(MAGIC) + _HEADER.size)
+    grid, data = _read_binary(path, "marginal")
     k = 1
     while (grid.size**k) ** 2 < data.size:
         k += 1

@@ -1,5 +1,6 @@
 """Spectral core of the split-step solvers: every transform of the package,
-the step rule, wavenumber tables and weighted sums of squares.
+the one split-step loop, wavenumber and free-flight phase tables and weighted
+sums of squares.
 
 Transforms are scipy.fft's, forward unnormalized and inverse carrying 1/M per
 axis, looked up at call time so `scipy.fft.set_workers` applies to them.
@@ -19,7 +20,7 @@ from typing import Iterable
 import numpy as np
 import scipy.fft
 
-from .errors import DomainError
+from .errors import DomainError, SolverError
 
 #: largest array `weighted_norm_squared` sums in one expression
 SLAB_ENTRIES = 2**20
@@ -53,6 +54,35 @@ def split_steps(t: float, dt: float) -> tuple[int, float]:
     return steps, t / steps
 
 
+def split_step_evolve(values, grid, n_slots, t, dt, potential_phase, state, callback=None):
+    """Evolve `values` (an n_slots layout) to time t by split_steps(t, dt) symmetric
+    steps at 4 transforms each: half kinetic, potential phase, half kinetic.
+
+    If any step is taken, potential_phase(dt_eff) is called once and returns
+    the map from the half-kinetic-stepped values to that step's pointwise
+    factor exp(-i dt_eff V).  `state` wraps an array in the caller's type for
+    callback(step, time, state) and the result; no array handed out is written again.
+    """
+    if not np.all(np.isfinite(values)):
+        raise SolverError("initial state contains non-finite values")
+    steps, dt_eff = split_steps(t, dt)
+    if steps == 0:
+        return state(values.astype(complex, copy=True))
+    half_kinetic = free_phase(grid, dt_eff / 2.0, n_slots)
+    phase = potential_phase(dt_eff)  # before the working copy: its temporaries are freed first
+    values = values.astype(complex, copy=True)
+    for step in range(steps):
+        # the callback may keep the previous step's array: never overwrite it
+        values = fourier_multiply(values, half_kinetic)
+        values *= phase(values)
+        values = fourier_multiply(values, half_kinetic, overwrite_x=True)
+        if callback is not None:
+            callback(step + 1, (step + 1) * dt_eff, state(values))
+    if not np.all(np.isfinite(values)):
+        raise SolverError("evolution produced non-finite values")
+    return state(values)
+
+
 @functools.lru_cache(maxsize=16)
 def _axis_k_squared(grid) -> np.ndarray:
     table = grid.k_axis() ** 2
@@ -69,6 +99,12 @@ def k_squared(grid, n_slots: int = 1, slots: Iterable[int] | None = None) -> np.
         for axis in range(slot * d, (slot + 1) * d):
             total = total + table.reshape((-1,) + (1,) * (rank - 1 - axis))
     return total
+
+
+def free_phase(grid, t: float, n_slots: int = 1, slots: Iterable[int] | None = None) -> np.ndarray:
+    """exp(-i t k^2) over the chosen slots (all by default): the free flow of
+    i du/dt = -Laplacian u over time t, shaped like k_squared(grid, n_slots, slots)."""
+    return np.exp(-1j * t * k_squared(grid, n_slots, slots))
 
 
 def weighted_norm_squared(x: np.ndarray, *weight: np.ndarray) -> float:

@@ -104,6 +104,7 @@ def test_numerical_failure_maps_to_exit_3(tmp_path, monkeypatch):
     monkeypatch.setitem(cli._EXPERIMENTS, "scatter", explode)
     config = _scatter_config(tmp_path)
     assert cli.main(["run", "--config", str(config)]) == 3
+    assert not (tmp_path / "out").exists()
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -277,6 +278,18 @@ def test_snapshot_binary_roundtrip(tmp_path):
     garbage.write_bytes(b"NOTMAGIC" + b"\0" * 16)
     with pytest.raises(ConfigurationError):
         read_state_binary(garbage)
+    _assert_damaged_files_rejected(tmp_path, path, read_state_binary)
+
+
+def _assert_damaged_files_rejected(tmp_path, path, reader):
+    """A truncated header and a payload that is not a whole number of complex64
+    entries both raise ConfigurationError."""
+    raw = path.read_bytes()
+    for name, damaged in (("header", raw[: len(MAGIC) + 4]), ("payload", raw + b"\0" * 3)):
+        bad = tmp_path / f"damaged_{name}.bin"
+        bad.write_bytes(damaged)
+        with pytest.raises(ConfigurationError):
+            reader(bad)
 
 
 def test_marginal_binary_roundtrip(tmp_path):
@@ -290,6 +303,7 @@ def test_marginal_binary_roundtrip(tmp_path):
     assert back.grid == grid and back.k == 1
     assert np.max(np.abs(back.kernel - dm.kernel)) < 1e-6
     assert back.trace() == pytest.approx(1.0, abs=1e-6)
+    _assert_damaged_files_rejected(tmp_path, path, read_marginal_binary)
 
 
 def test_manybody_run_emits_marginal_dump(tmp_path):
@@ -491,19 +505,57 @@ def test_potential_under_explicit_coupling_exits_2(tmp_path, capsys, experiment,
 
 
 # configs the run cannot use, rejected while parsing: exit 2 and no output directory
+NAN, INF = float("nan"), float("inf")  # JSON NaN and Infinity; a literal 1e400 parses to inf
+SCATTER = {"scaling_N": [1]}
+
+
+def _gaussian(**fields):
+    return {"potential": {"kind": "gaussian", "v0": 1.0, "width": 0.5, **fields}, **SCATTER}
+
+
 UNRUNNABLE_CASES = [
-    ("gp_groundstate", {"grid": LINE, "trap": {"kind": "harmonic"}}, "'born' needs a potential"),
-    ("gp_evolve", {"grid": LINE}, "'born' needs a potential"),
-    ("scatter", {"scaling_N": [1, 4]}, "scatter needs a potential"),
-    ("manybody", {"grid": LINE, "coupling": EXPLICIT}, "manybody needs a potential"),
-    ("hierarchy", {"grid": {"dim": 3, "points_per_axis": 8, "box_length": 8.0},
-                   "coupling": EXPLICIT}, "d = 1 grids"),
+    pytest.param("gp_groundstate", {"grid": LINE, "trap": {"kind": "harmonic"}},
+                 "'born' needs a potential", id="gp_groundstate"),
+    pytest.param("gp_evolve", {"grid": LINE}, "'born' needs a potential", id="gp_evolve"),
+    pytest.param("scatter", {"scaling_N": [1, 4]}, "scatter needs a potential", id="scatter"),
+    pytest.param("manybody", {"grid": LINE, "coupling": EXPLICIT}, "manybody needs a potential",
+                 id="manybody"),
+    pytest.param("hierarchy", {"grid": {"dim": 3, "points_per_axis": 8, "box_length": 8.0},
+                               "coupling": EXPLICIT}, "d = 1 grids", id="hierarchy"),
+    # a config number is a finite JSON number: no bool, string, list, null, NaN or inf
+    pytest.param("scatter", _gaussian(v0="2.0"), "potential: v0", id="v0-string"),
+    pytest.param("scatter", _gaussian(v0=True), "potential: v0", id="v0-bool"),
+    pytest.param("scatter", _gaussian(v0="abc"), "potential: v0", id="v0-text"),
+    pytest.param("scatter", _gaussian(v0=[1]), "potential: v0", id="v0-list"),
+    pytest.param("scatter", _gaussian(v0=None), "potential: v0", id="v0-null"),
+    pytest.param("scatter", _gaussian(v0=NAN), "potential: v0", id="v0-nan"),
+    pytest.param("scatter", _gaussian(v0=INF), "potential: v0", id="v0-inf"),
+    pytest.param("scatter", _gaussian(width=NAN), "potential: width", id="width-nan"),
+    pytest.param("scatter", _gaussian(cutoff_radius="3"), "potential: cutoff_radius",
+                 id="cutoff-string"),
+    pytest.param("scatter", {"potential": {"kind": "barrier", "v0": 1.0, "radius": INF},
+                             **SCATTER}, "potential: radius", id="radius-inf"),
+    pytest.param("scatter", {"potential": {"kind": "table", "radii": [0.0, NAN, 2.0],
+                                           "values": [1.0, 0.5, 0.0]}, **SCATTER},
+                 "potential: radii entry", id="table-nan"),
+    pytest.param("scatter", {"potential": {"kind": "table", "radii": [0.0, 1.0],
+                                           "values": "10"}, **SCATTER},
+                 "must be lists", id="table-string"),
+    pytest.param("gp_groundstate", {"grid": LINE, "trap": {"kind": "harmonic", "omega": NAN},
+                                    "coupling": EXPLICIT}, "trap: omega", id="omega-nan"),
+    pytest.param("gp_evolve", {"grid": {**LINE, "box_length": INF}, "coupling": EXPLICIT},
+                 "grid: box_length", id="box-inf"),
+    pytest.param("gp_evolve", {"grid": LINE, "coupling": {"mode": "explicit", "value": None}},
+                 "coupling: value", id="coupling-null"),
+    pytest.param("gp_evolve", {"grid": LINE, "coupling": EXPLICIT,
+                               "time": {"t_final": "0.1", "dt": 1e-3}}, "time: t_final",
+                 id="t_final-string"),
+    pytest.param("gp_evolve", {"grid": LINE, "coupling": EXPLICIT,
+                               "time": {"t_final": 0.1, "dt": False}}, "time: dt", id="dt-bool"),
 ]
 
 
-@pytest.mark.parametrize(
-    "experiment,fields,message", UNRUNNABLE_CASES, ids=[case[0] for case in UNRUNNABLE_CASES]
-)
+@pytest.mark.parametrize("experiment,fields,message", UNRUNNABLE_CASES)
 def test_unrunnable_configs_exit_2_before_any_output(tmp_path, capsys, experiment, fields, message):
     data = {
         "schema_version": "1",
@@ -518,6 +570,33 @@ def test_unrunnable_configs_exit_2_before_any_output(tmp_path, capsys, experimen
     assert not (tmp_path / "out").exists()
     with pytest.raises(ConfigurationError, match=message):
         load_config(path)
+
+
+# configs that parse but need more than the 2^28-entry budget: exit 2, no output directory
+OVER_BUDGET_CASES = [
+    pytest.param("manybody", {"potential": {"kind": "gaussian", "v0": 1.0, "width": 0.5},
+                              "grid": {"dim": 1, "points_per_axis": 1024, "box_length": 8.0},
+                              "particles": 3, "coupling": EXPLICIT},
+                 "3-particle state", id="manybody"),
+    pytest.param("hierarchy", {"grid": {"dim": 1, "points_per_axis": 256, "box_length": 8.0},
+                               "time": {"t_final": 0.002, "dt": 1e-3}, "coupling": EXPLICIT},
+                 "level-2 kernel", id="hierarchy"),
+]
+
+
+@pytest.mark.parametrize("experiment,fields,message", OVER_BUDGET_CASES)
+def test_over_budget_runs_exit_2_without_output(tmp_path, capsys, experiment, fields, message):
+    data = {
+        "schema_version": "1",
+        "experiment": experiment,
+        "output": {"dir": str(tmp_path / "out"), "prefix": "x"},
+        **fields,
+    }
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 positive = st.floats(0.1, 5.0)

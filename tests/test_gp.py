@@ -31,6 +31,9 @@ def test_grid_spec_invariants():
         GridSpec(4, 16, 8.0)  # unsupported dimension
     with pytest.raises(ConfigurationError):
         GridSpec(1, 16, 0.0)
+    for box in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="box_length"):
+            GridSpec(1, 16, box)
 
 
 def test_builders_normalize(line_grid):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gplab.errors import ConfigurationError, DomainError, GridMismatchError
+from gplab.errors import ConfigurationError, DomainError, GridMismatchError, SolverError
 from gplab.gp import evolve_gp
 from gplab.grids import GridSpec, gaussian_packet, plane_wave, plane_wave_k
 from gplab.manybody import (
@@ -119,6 +119,15 @@ def test_evolution_preserves_symmetry_and_norm(grid, orbital):
     out = evolve_manybody(state, pair, TrapModel("none"), 1.0, 1e-3)
     assert abs(out.norm() - 1.0) < 1e-10
     assert out.symmetry_defect() < 1e-10
+
+
+def test_nan_input_rejected(grid, orbital):
+    state = product_state(orbital, 2)
+    state.values[3, 5] = np.nan
+    with pytest.raises(SolverError, match="non-finite"):
+        evolve_manybody(state, None, None, 0.1, 1e-2)
+    with pytest.raises(SolverError, match="non-finite"):
+        evolve_manybody(state, None, None, 0.0, 1e-2)
 
 
 def test_evolution_conserves_energy(grid, orbital):

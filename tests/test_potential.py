@@ -35,6 +35,16 @@ def test_gaussian_compact_support():
     assert model.cutoff_radius == 3.0
     assert model(3.1) == 0.0
     assert model(0.0) == 2.0
+    nan, inf = float("nan"), float("inf")
+    for make in (
+        lambda: GaussianPotential(nan, 0.5),
+        lambda: GaussianPotential(2.0, inf),
+        lambda: GaussianPotential(2.0, 0.5, nan),
+        lambda: BarrierPotential(inf, 1.0),
+        lambda: BarrierPotential(1.0, nan),
+    ):
+        with pytest.raises(ConfigurationError, match="finite"):
+            make()
 
 
 def test_table_hits_tabulated_values():
@@ -76,6 +86,10 @@ def test_table_csv_roundtrip(tmp_path):
     bad.write_text("r,v\n0.0,1.0\n")
     with pytest.raises(ConfigurationError):
         from_table_csv(bad)
+    for row in ("nan,0.5", "0.5,nan", "0.5,inf"):
+        bad.write_text(f"radius,value\n0.0,1.0\n{row}\n1.0,0.0\n")
+        with pytest.raises(ConfigurationError, match="finite"):
+            from_table_csv(bad)
 
 
 def test_scale_identity_and_barrier_case():
@@ -161,3 +175,6 @@ def test_trap_models():
         TrapModel("box")
     with pytest.raises(ConfigurationError):
         TrapModel("harmonic", -1.0)
+    for kind in ("harmonic", "none"):
+        with pytest.raises(ConfigurationError, match="finite"):
+            TrapModel(kind, float("nan"))

@@ -86,9 +86,17 @@ def test_evolve_manybody_four_transforms_per_step(transforms):
 
 def test_evolve_gp_four_transforms_per_step(transforms):
     phi = gaussian_packet(GridSpec(2, 16, 8.0), width=1.0)
+    seen = []
     _reset(transforms)
-    evolve_gp(phi, 2.0, 9 * 0.005, 0.005)
+    evolve_gp(phi, 2.0, 9 * 0.005, 0.005, callback=lambda s, t, wf: seen.append(wf))
     assert transforms == {"scipy": 4 * 9, "numpy": 0}
+    # in-place transforms never touch an orbital already handed to the callback
+    replay = [phi]
+    for _ in range(9):
+        replay.append(evolve_gp(replay[-1], 2.0, 0.005, 0.005))
+    assert len(seen) == 9
+    for wf, expected in zip(seen, replay[1:]):
+        assert np.max(np.abs(wf.values - expected.values)) < 1e-13
 
 
 def test_minimize_gp_four_transforms_per_cg_iteration(transforms):
@@ -248,7 +256,8 @@ def test_sobolev_trace_norm_column_blocks_sum_to_the_whole_trace(monkeypatch):
     grid = GridSpec(1, 16, 6.0)
     dm = marginal(random_symmetric_state(grid, 3, seed=2), 2)
     whole = sobolev_trace_norm(dm)  # 256 columns: one block
-    monkeypatch.setattr(hierarchy, "_TRACE_COLUMNS", 48)  # six blocks, the last one partial
+    # blocks of 48 columns of 256 rows: six blocks, the last one partial
+    monkeypatch.setattr(spectral, "SLAB_ENTRIES", 48 * 256)
     assert sobolev_trace_norm(dm) == pytest.approx(whole, rel=1e-13)
 
 
