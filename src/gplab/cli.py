@@ -50,7 +50,7 @@ def _resolve_coupling(cfg):
 
     if cfg.coupling_mode == "explicit":
         return float(cfg.coupling_value)
-    model = cfg.potential.build()  # parse_config requires one outside explicit mode
+    model = cfg.potential  # parse_config requires one outside explicit mode
     if cfg.coupling_mode == "from_scattering":
         import numpy as np
 
@@ -66,7 +66,7 @@ def _run_scatter(cfg, out_dir: Path):
     from . import potential as pot
     from . import scattering
 
-    base = cfg.potential.build()
+    base = cfg.potential
     header = ["potential_id", "N", "a0", "b0", "alpha", "sigma", "sigma_over_8pi_a0"]
     rows = []
     for n in cfg.scaling_n:
@@ -156,19 +156,12 @@ def _run_manybody(cfg, out_dir: Path):
         evolve_manybody,
         marginal,
         product_state,
-        scale_potential_analog1d,
         total_potential,
     )
-    from .potential import scale_potential
     from .spectral import split_steps
 
-    grid, trap = cfg.grid, cfg.trap
-    base = cfg.potential.build()
-    n = cfg.particles
-    if grid.dim == 1:
-        pair = scale_potential_analog1d(base, n)
-    else:
-        pair = scale_potential(base, n)
+    grid, trap, base, n = cfg.grid, cfg.trap, cfg.potential, cfg.particles
+    pair = base.scaled_analog1d(n) if grid.dim == 1 else base.scaled(n)
     sigma = _resolve_coupling(cfg)
     phi0 = gaussian_packet(grid, width=grid.box_length / 8.0)
     psi = product_state(phi0, n)

@@ -19,7 +19,7 @@ from .errors import ConfigurationError
 
 if TYPE_CHECKING:  # parse_config imports them, after the CLI pins threads
     from .grids import GridSpec
-    from .potential import TrapModel
+    from .potential import PotentialModel, TrapModel
 
 SCHEMA_VERSION = "1"
 # top-level keys each experiment reads, beyond the ones every experiment takes
@@ -62,80 +62,69 @@ def _real(name: str, value: Any) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
-    kind: str
-    v0: float = 0.0
-    radius: float = 0.0
-    width: float = 0.0
-    cutoff_radius: float | None = None
-    radii: tuple[float, ...] = ()
-    values: tuple[float, ...] = ()
-    csv_path: str | None = None
+def _section(data: dict, name: str, allowed: set[str] | None = None, required=frozenset()) -> dict:
+    """A config section: a JSON object, its keys checked when `allowed` is given."""
+    block = data[name]
+    if not isinstance(block, dict):
+        raise ConfigurationError(f"{name} must be a JSON object, got {block!r}")
+    if allowed is not None:
+        _require_keys(name, block, allowed, required)
+    return block
 
-    @classmethod
-    def parse(cls, data: dict) -> "PotentialSpec":
-        kind = data.get("kind")
-        if kind == "barrier":
-            _require_keys("potential", data, {"kind", "v0", "radius"}, {"kind", "v0", "radius"})
-            return cls(
-                kind,
-                v0=_real("potential: v0", data["v0"]),
-                radius=_real("potential: radius", data["radius"]),
-            )
-        if kind == "gaussian":
-            _require_keys(
-                "potential", data, {"kind", "v0", "width", "cutoff_radius"}, {"kind", "v0", "width"}
-            )
-            cutoff = data.get("cutoff_radius")
-            return cls(
-                kind,
-                v0=_real("potential: v0", data["v0"]),
-                width=_real("potential: width", data["width"]),
-                cutoff_radius=None if cutoff is None else _real("potential: cutoff_radius", cutoff),
-            )
-        if kind == "table":
-            _require_keys("potential", data, {"kind", "radii", "values", "csv_path"}, {"kind"})
-            if data.get("csv_path") is not None:
-                if "radii" in data or "values" in data:
-                    raise ConfigurationError(
-                        "potential: table takes csv_path or radii+values, not both"
-                    )
-                from .potential import from_table_csv
 
-                # read once, so the hash covers the table and not only its path
-                path = str(data["csv_path"])
-                table = from_table_csv(path)
-                return cls(kind, radii=table.radii, values=table.values, csv_path=path)
-            if "radii" not in data or "values" not in data:
-                raise ConfigurationError("potential: table needs csv_path or radii+values")
-            if not (isinstance(data["radii"], list) and isinstance(data["values"], list)):
-                raise ConfigurationError("potential: table radii and values must be lists")
-            return cls(
-                kind,
-                radii=tuple(_real("potential: radii entry", x) for x in data["radii"]),
-                values=tuple(_real("potential: values entry", x) for x in data["values"]),
-            )
-        raise ConfigurationError(f"potential: unknown kind {kind!r}")
+def _text(name: str, value: Any) -> str:
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{name} must be a string, got {value!r}")
+    return value
 
-    def normalized(self) -> dict:
-        out: dict[str, Any] = {"kind": self.kind}
-        if self.kind == "barrier":
-            out.update(v0=self.v0, radius=self.radius)
-        elif self.kind == "gaussian":
-            out.update(v0=self.v0, width=self.width, cutoff_radius=self.cutoff_radius)
-        else:
-            out.update(radii=list(self.radii), values=list(self.values), csv_path=self.csv_path)
-        return out
 
-    def build(self):
-        from . import potential as pot
+def _parse_potential(data: dict) -> tuple[PotentialModel, str | None]:
+    """The potential model and, for a table read from a file, the file's path."""
+    from . import potential as pot
 
-        if self.kind == "barrier":
-            return pot.BarrierPotential(self.v0, self.radius)
-        if self.kind == "gaussian":
-            return pot.GaussianPotential(self.v0, self.width, self.cutoff_radius)
-        return pot.TablePotential(self.radii, self.values)
+    kind = data.get("kind")
+    if kind == "barrier":
+        _require_keys("potential", data, {"kind", "v0", "radius"}, {"kind", "v0", "radius"})
+        v0, radius = _real("potential: v0", data["v0"]), _real("potential: radius", data["radius"])
+        return pot.BarrierPotential(v0, radius), None
+    if kind == "gaussian":
+        _require_keys(
+            "potential", data, {"kind", "v0", "width", "cutoff_radius"}, {"kind", "v0", "width"}
+        )
+        cutoff = data.get("cutoff_radius")
+        return pot.GaussianPotential(
+            _real("potential: v0", data["v0"]),
+            _real("potential: width", data["width"]),
+            None if cutoff is None else _real("potential: cutoff_radius", cutoff),
+        ), None
+    if kind == "table":
+        _require_keys("potential", data, {"kind", "radii", "values", "csv_path"}, {"kind"})
+        if data.get("csv_path") is not None:
+            if "radii" in data or "values" in data:
+                raise ConfigurationError(
+                    "potential: table takes csv_path or radii+values, not both"
+                )
+            # read once, so the hash covers the table and not only its path
+            path = _text("potential: csv_path", data["csv_path"])
+            return pot.from_table_csv(path), path
+        if "radii" not in data or "values" not in data:
+            raise ConfigurationError("potential: table needs csv_path or radii+values")
+        if not (isinstance(data["radii"], list) and isinstance(data["values"], list)):
+            raise ConfigurationError("potential: table radii and values must be lists")
+        return pot.TablePotential(
+            tuple(_real("potential: radii entry", x) for x in data["radii"]),
+            tuple(_real("potential: values entry", x) for x in data["values"]),
+        ), None
+    raise ConfigurationError(f"potential: unknown kind {kind!r}")
+
+
+def _potential_fields(model: PotentialModel, csv_path: str | None) -> dict:
+    """The config fields that rebuild `model`, as `_parse_potential` reads them."""
+    if model.kind == "barrier":
+        return dict(kind="barrier", v0=model.v0, radius=model.radius)
+    if model.kind == "gaussian":
+        return dict(kind="gaussian", v0=model.v0, width=model.width, cutoff_radius=model.cutoff)
+    return dict(kind="table", radii=list(model.radii), values=list(model.values), csv_path=csv_path)
 
 
 @dataclass(frozen=True)
@@ -143,7 +132,8 @@ class ScenarioConfig:
     experiment: str
     grid: GridSpec
     trap: TrapModel
-    potential: PotentialSpec | None = None
+    potential: PotentialModel | None = None
+    potential_csv_path: str | None = None  # where a table potential was read from
     particles: int = 2
     scaling_n: tuple[int, ...] = (1,)
     t_final: float = 0.1
@@ -159,7 +149,9 @@ class ScenarioConfig:
         return {
             "schema_version": SCHEMA_VERSION,
             "experiment": self.experiment,
-            "potential": None if self.potential is None else self.potential.normalized(),
+            "potential": None
+            if self.potential is None
+            else _potential_fields(self.potential, self.potential_csv_path),
             "trap": {"kind": self.trap.kind, "omega": self.trap.omega},
             "grid": {key: getattr(self.grid, key) for key in GRID_KEYS},
             "particles": self.particles,
@@ -190,32 +182,30 @@ def parse_config(data: dict) -> ScenarioConfig:
         raise ConfigurationError(
             f"schema_version must be {SCHEMA_VERSION!r}, got {data['schema_version']!r}"
         )
-    experiment = data["experiment"]
+    experiment = _text("experiment", data["experiment"])
     if experiment not in EXPERIMENT_KEYS:
         raise ConfigurationError(f"unknown experiment {experiment!r}")
     unread = set(data) - COMMON_KEYS - EXPERIMENT_KEYS[experiment]
     if unread:
         raise ConfigurationError(f"{experiment} does not read field(s) {sorted(unread)}")
 
-    potential = None
-    if "potential" in data:
-        potential = PotentialSpec.parse(dict(data["potential"]))
-
     # imported here, after the CLI pins threads, since they load numpy;
     # the grid, trap and potential are built so bad values exit before any output
     from .grids import GridSpec
     from .potential import TrapModel
 
+    potential, csv_path = None, None
+    if "potential" in data:
+        potential, csv_path = _parse_potential(_section(data, "potential"))
+
     trap = TrapModel()
     if "trap" in data:
-        block = dict(data["trap"])
-        _require_keys("trap", block, {"kind", "omega"}, {"kind"})
+        block = _section(data, "trap", {"kind", "omega"}, {"kind"})
         trap = TrapModel(block["kind"], _real("trap: omega", block.get("omega", 1.0)))
 
     grid = GridSpec(1, 1024, 16.0)  # a line, the box a few times any O(1) state width
     if "grid" in data:
-        block = dict(data["grid"])
-        _require_keys("grid", block, set(GRID_KEYS), set(GRID_KEYS))
+        block = _section(data, "grid", set(GRID_KEYS), set(GRID_KEYS))
         grid = GridSpec(
             _count("grid: dim", block["dim"]),
             _count("grid: points_per_axis", block["points_per_axis"]),
@@ -226,8 +216,7 @@ def parse_config(data: dict) -> ScenarioConfig:
 
     t_final, dt = 0.1, 1e-3
     if "time" in data:
-        time_block = dict(data["time"])
-        _require_keys("time", time_block, {"t_final", "dt"}, {"t_final", "dt"})
+        time_block = _section(data, "time", {"t_final", "dt"}, {"t_final", "dt"})
         t_final = _real("time: t_final", time_block["t_final"])
         dt = _real("time: dt", time_block["dt"])
         if not (t_final >= 0.0 and dt > 0.0):
@@ -235,8 +224,7 @@ def parse_config(data: dict) -> ScenarioConfig:
 
     coupling_mode, coupling_value = "born", None
     if "coupling" in data:
-        coupling = dict(data["coupling"])
-        _require_keys("coupling", coupling, {"mode", "value"}, {"mode"})
+        coupling = _section(data, "coupling", {"mode", "value"}, {"mode"})
         coupling_mode = coupling["mode"]
         if coupling_mode not in COUPLING_MODES:
             raise ConfigurationError(f"coupling: unknown mode {coupling_mode!r}")
@@ -257,8 +245,12 @@ def parse_config(data: dict) -> ScenarioConfig:
             f"{experiment} with explicit coupling does not read field(s) ['potential']"
         )
 
-    output = dict(data["output"])
-    _require_keys("output", output, {"dir", "prefix", "binary_snapshots"}, {"dir", "prefix"})
+    output = _section(data, "output", {"dir", "prefix", "binary_snapshots"}, {"dir", "prefix"})
+    binary_snapshots = output.get("binary_snapshots", False)
+    if not isinstance(binary_snapshots, bool):
+        raise ConfigurationError(
+            f"output: binary_snapshots must be true or false, got {binary_snapshots!r}"
+        )
 
     particles = _count("particles", data.get("particles", 2))
     if experiment == "manybody" and particles < 2:
@@ -270,23 +262,21 @@ def parse_config(data: dict) -> ScenarioConfig:
     scaling_n = tuple(_count("scaling_N entry", n, minimum=1) for n in scaling)
     seed = _count("seed", data.get("seed", 0))
 
-    if potential is not None:
-        potential.build()
-
     return ScenarioConfig(
         experiment=experiment,
         grid=grid,
         trap=trap,
         potential=potential,
+        potential_csv_path=csv_path,
         particles=particles,
         scaling_n=scaling_n,
         t_final=t_final,
         dt=dt,
         coupling_mode=coupling_mode,
         coupling_value=coupling_value,
-        output_dir=str(output["dir"]),
-        output_prefix=str(output["prefix"]),
-        binary_snapshots=bool(output.get("binary_snapshots", False)),
+        output_dir=_text("output: dir", output["dir"]),
+        output_prefix=_text("output: prefix", output["prefix"]),
+        binary_snapshots=binary_snapshots,
         seed=seed,
     )
 

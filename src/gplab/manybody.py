@@ -362,12 +362,3 @@ def hardy_check(phi: WaveFunction) -> tuple[float, float]:
     weight[~nonzero] = 1.0 / grid.spacing**2  # face neighbors all sit at |r| = dx
     lhs = spectral.weighted_norm_squared(phi.values, weight) * grid.cell_volume
     return lhs, 4.0 * kinetic_energy(phi)
-
-
-def scale_potential_analog1d(model: PotentialModel, n: int) -> PotentialModel:
-    """One-dimensional analog family: V_n(x) = V(n x), unchanged amplitude.
-
-    Then int V_n = b0/n and n V_n concentrates to weight b0, matching the
-    bookkeeping of the three-dimensional family at this dimension.
-    """
-    return model.scaled_analog1d(n)

@@ -39,25 +39,46 @@ class PotentialModel:
         raise NotImplementedError
 
     def __call__(self, r):
-        r_arr = np.asarray(r, dtype=float)
-        if np.any(r_arr < 0):
-            raise DomainError("radius must be non-negative")
-        values = np.where(r_arr <= self.cutoff_radius, self._profile(r_arr), 0.0)
-        if np.isscalar(r) or r_arr.ndim == 0:
-            return float(values)
-        return values
+        return _radial(r, self.cutoff_radius, self._profile, lambda x: 0.0)
 
     def scaled(self, n: int) -> "PotentialModel":
         """Family member with amplitude n^2 and length scale 1/n."""
         raise NotImplementedError
 
     def scaled_analog1d(self, n: int) -> "PotentialModel":
-        """Length scale 1/n at unchanged amplitude (one-dimensional family)."""
+        """Length scale 1/n at unchanged amplitude (one-dimensional family).
+
+        Then int V_n = b0/n, and n V_n concentrates to weight b0 as the
+        three-dimensional family does.
+        """
         raise NotImplementedError
 
     @property
     def label(self) -> str:
         raise NotImplementedError
+
+
+def _radial(r, cutoff: float, inside, outside):
+    """Checked radial evaluation: inside(r) on r <= cutoff, outside(r) beyond.
+
+    Rejects negative radii; a scalar radius gives a float, an array an array.
+    Both branches are evaluated at every radius, so neither may warn anywhere.
+    """
+    r_arr = np.asarray(r, dtype=float)
+    if np.any(r_arr < 0):
+        raise DomainError("radius must be non-negative")
+    values = np.where(r_arr <= cutoff, inside(r_arr), outside(r_arr))
+    if np.isscalar(r) or r_arr.ndim == 0:
+        return float(values)
+    return values
+
+
+def _radial_integral(integrand, upper: float) -> float:
+    """int_0^upper integrand(r) dr, at the tolerances every radial integral shares."""
+    result, _ = integrate.quad(
+        integrand, 0.0, upper, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=200
+    )
+    return result
 
 
 def _check_count(n: int) -> None:
@@ -174,7 +195,10 @@ class TablePotential(PotentialModel):
         object.__setattr__(self, "radii", tuple(float(x) for x in r))
         object.__setattr__(self, "values", tuple(float(x) for x in v))
         object.__setattr__(self, "cutoff_radius", float(r[-1]))
-        object.__setattr__(self, "_interp", PchipInterpolator(r, v, extrapolate=False))
+        # a subnormal slope overflows PCHIP's harmonic mean to inf: derivative 0, as it should
+        with np.errstate(over="ignore"):
+            interp = PchipInterpolator(r, v, extrapolate=False)
+        object.__setattr__(self, "_interp", interp)
 
     kind = "table"
 
@@ -222,34 +246,18 @@ def scale_potential(model: PotentialModel, n: int) -> PotentialModel:
     return model.scaled(n)
 
 
-def _radial_quad(model: PotentialModel, weight_power: int) -> float:
-    if model.cutoff_radius <= 0:
-        return 0.0
-    result, _ = integrate.quad(
-        lambda r: model(r) * r**weight_power,
-        0.0,
-        model.cutoff_radius,
-        epsabs=_QUAD_EPSABS,
-        epsrel=_QUAD_EPSREL,
-        limit=200,
-    )
-    return result
-
-
 def born_coupling(model: PotentialModel) -> float:
     """First-order coupling: the full 3D integral of V, as 4 pi int V r^2 dr."""
-    return 4.0 * np.pi * _radial_quad(model, 2)
+    return 4.0 * np.pi * _radial_integral(lambda r: model(r) * r**2, model.cutoff_radius)
 
 
 def born_coupling_1d(model: PotentialModel) -> float:
     """One-dimensional integral of V(|x|): 2 int_0^cutoff V dr."""
-    return 2.0 * _radial_quad(model, 0)
+    return 2.0 * _radial_integral(model, model.cutoff_radius)
 
 
 def _sup_r2_v(model: PotentialModel) -> float:
     cutoff = model.cutoff_radius
-    if cutoff <= 0:
-        return 0.0
     mesh = np.linspace(0.0, cutoff, 4097)
     samples = mesh**2 * model(mesh)
     best = int(np.argmax(samples))
@@ -273,7 +281,8 @@ def alpha_strength(model: PotentialModel) -> float:
 
     Both terms are invariant under the r -> n r, V -> n^2 V family map.
     """
-    return 4.0 * np.pi * _radial_quad(model, 1) + _sup_r2_v(model)
+    first_moment = _radial_integral(lambda r: model(r) * r, model.cutoff_radius)
+    return 4.0 * np.pi * first_moment + _sup_r2_v(model)
 
 
 # --- external trap ------------------------------------------------------
@@ -298,18 +307,8 @@ class TrapModel:
     def confining(self) -> bool:
         return self.kind != "none"
 
-    def __call__(self, r):
-        r_arr = np.asarray(r, dtype=float)
-        values = self.evaluate_radius_squared(r_arr**2)
-        if np.isscalar(r) or r_arr.ndim == 0:
-            return float(values)
-        return values
-
-    def evaluate_radius_squared(self, r_squared) -> np.ndarray:
-        r2 = np.asarray(r_squared, dtype=float)
+    def sample(self, grid) -> np.ndarray:
+        r2 = grid.radius_squared_mesh()
         if self.kind == "none":
             return np.zeros_like(r2)
         return self.omega**2 * r2
-
-    def sample(self, grid) -> np.ndarray:
-        return self.evaluate_radius_squared(grid.radius_squared_mesh())

@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 from scipy.interpolate import CubicSpline
 
-from .errors import ConfigurationError, DomainError, SolverError
-from .potential import PotentialModel
+from .errors import ConfigurationError, SolverError
+from .potential import PotentialModel, _check_count, _radial, _radial_integral, alpha_strength
 
 DEFAULT_MESH_POINTS = 4096
 DEFAULT_R_MAX_FACTOR = 4.0
@@ -54,23 +53,8 @@ class ScatteringSolution:
 
     def f(self, r):
         """Pair profile f(r); exact 1 - a0/r outside the potential support."""
-        r_arr = np.asarray(r, dtype=float)
-        if np.any(r_arr < 0):
-            raise DomainError("radius must be non-negative")
         cutoff = self.potential.cutoff_radius
-        inside = r_arr <= cutoff
-        out = np.empty_like(r_arr)
-        if np.any(inside):
-            out[inside] = self._inside(r_arr[inside])
-        outside = ~inside
-        if np.any(outside):
-            out[outside] = 1.0 - self.a0 / r_arr[outside]
-        if np.isscalar(r) or r_arr.ndim == 0:
-            return float(out)
-        return out
-
-    def jastrow(self, n: int) -> Callable:
-        return jastrow(self, n)
+        return _radial(r, cutoff, self._inside, lambda x: 1.0 - self.a0 / np.maximum(x, cutoff))
 
 
 def _build_mesh(cutoff: float, r_max: float, n_points: int) -> np.ndarray:
@@ -156,19 +140,18 @@ def solve_zero_energy(
     scale = max(abs(solution.a0), 1e-3 * cutoff)
     for _ in range(4):
         finer = _solve_on_mesh(model, r_max, 2 * len(solution.radii) - 2)
-        if abs(finer.a0 - solution.a0) <= tol * scale:
+        change = abs(finer.a0 - solution.a0)
+        if change <= tol * scale:
             return finer
         solution = finer
     raise SolverError(
-        f"scattering length did not stabilize to tol={tol:g}; "
-        f"last change {abs(finer.a0 - solution.a0):.3e}"
+        f"scattering length did not stabilize to tol={tol:g}; last change {change:.3e}"
     )
 
 
 def jastrow(solution: ScatteringSolution, n: int) -> Callable:
     """Short-range pair factor of the scaled family: r -> f(n r)."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"scaling count must be an integer >= 1, got {n!r}")
+    _check_count(n)
 
     def f_n(r):
         return solution.f(np.asarray(r, dtype=float) * n)
@@ -189,32 +172,15 @@ def coupling_sigma(
     scale invariance of the coupling.
     """
     model = solution.potential
-    if model.cutoff_radius <= 0:
-        return 0.0
-
-    def integrand(r):
-        return model(r) * solution.f(r) * r * r
-
-    sigma, _ = integrate.quad(
-        integrand, 0.0, model.cutoff_radius, epsabs=1e-14, epsrel=1e-12, limit=200
+    sigma = 4.0 * np.pi * _radial_integral(
+        lambda r: model(r) * solution.f(r) * r * r, model.cutoff_radius
     )
-    sigma *= 4.0 * np.pi
     if check_scale is not None:
         scaled = model.scaled(check_scale)
         f_n = jastrow(solution, check_scale)
-
-        def integrand_scaled(r):
-            return check_scale * scaled(r) * f_n(r) * r * r
-
-        sigma_scaled, _ = integrate.quad(
-            integrand_scaled,
-            0.0,
-            scaled.cutoff_radius,
-            epsabs=1e-14,
-            epsrel=1e-12,
-            limit=200,
+        sigma_scaled = 4.0 * np.pi * _radial_integral(
+            lambda r: check_scale * scaled(r) * f_n(r) * r * r, scaled.cutoff_radius
         )
-        sigma_scaled *= 4.0 * np.pi
         scale = max(abs(sigma), 1e-30)
         if abs(sigma_scaled - sigma) > check_tol * scale:
             raise SolverError(
@@ -222,6 +188,25 @@ def coupling_sigma(
                 f"{sigma_scaled!r} vs {sigma!r}"
             )
     return float(sigma)
+
+
+def _mesh_derivatives(r: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """y'' and y' at the interior nodes of a non-uniform mesh, three-point stencil."""
+    h_minus = np.diff(r)[:-1]
+    h_plus = np.diff(r)[1:]
+    y_mid, y_lo, y_hi = y[1:-1], y[:-2], y[2:]
+    denom = h_minus * h_plus * (h_minus + h_plus)
+    second = 2.0 * (h_minus * y_hi - (h_minus + h_plus) * y_mid + h_plus * y_lo) / denom
+    first = (h_minus**2 * y_hi - h_plus**2 * y_lo + (h_plus**2 - h_minus**2) * y_mid) / denom
+    return second, first
+
+
+def _on_jumps(r: np.ndarray, model: PotentialModel) -> np.ndarray:
+    """Nodes sitting on a profile jump, where one-sided limits differ."""
+    mask = np.zeros(r.shape, dtype=bool)
+    for rd in model.discontinuities:
+        mask |= np.isclose(r, rd, rtol=0, atol=1e-12 * max(rd, 1.0))
+    return mask
 
 
 def max_residual(solution: ScatteringSolution) -> float:
@@ -233,16 +218,10 @@ def max_residual(solution: ScatteringSolution) -> float:
     two-sided stencil is meaningless there).
     """
     r, u = solution.radii, solution.u_values
-    h_minus = np.diff(r)[:-1]
-    h_plus = np.diff(r)[1:]
-    u_mid, u_lo, u_hi = u[1:-1], u[:-2], u[2:]
-    second = 2.0 * (
-        h_minus * u_hi - (h_minus + h_plus) * u_mid + h_plus * u_lo
-    ) / (h_minus * h_plus * (h_minus + h_plus))
-    rhs = 0.5 * np.asarray(solution.potential(r[1:-1]), dtype=float) * u_mid
+    second, _ = _mesh_derivatives(r, u)
+    rhs = 0.5 * np.asarray(solution.potential(r[1:-1]), dtype=float) * u[1:-1]
     defect = np.abs(second - rhs)
-    for rd in solution.potential.discontinuities:
-        defect[np.isclose(r[1:-1], rd, rtol=0, atol=1e-12 * max(rd, 1.0))] = 0.0
+    defect[_on_jumps(r[1:-1], solution.potential)] = 0.0
     scale = max(np.max(np.abs(rhs)), np.max(np.abs(u)) / max(r[-1], 1.0) ** 2)
     if scale == 0.0:
         return float(np.max(defect))
@@ -257,8 +236,6 @@ def nabla2_log_f_bound(solution: ScatteringSolution) -> float:
     Nodes on profile jumps are excluded (one-sided limits differ there).
     Zero potential gives exactly 0.
     """
-    from .potential import alpha_strength
-
     model = solution.potential
     r = solution.radii
     n_inside = int(np.count_nonzero(r < model.cutoff_radius))
@@ -272,14 +249,7 @@ def nabla2_log_f_bound(solution: ScatteringSolution) -> float:
     alpha = alpha_strength(model)
     if alpha == 0.0:
         return 0.0
-    h_minus = np.diff(r)[:-1]
-    h_plus = np.diff(r)[1:]
-    g_mid, g_lo, g_hi = g[1:-1], g[:-2], g[2:]
-    denom = h_minus * h_plus * (h_minus + h_plus)
-    second = 2.0 * (h_minus * g_hi - (h_minus + h_plus) * g_mid + h_plus * g_lo) / denom
-    first = (h_minus**2 * g_hi - h_plus**2 * g_lo + (h_plus**2 - h_minus**2) * g_mid) / denom
-    laplacian = second + 2.0 * first / r[1:-1]
-    weighted = np.abs(r[1:-1] ** 2 * laplacian)
-    for rd in model.discontinuities:
-        weighted[np.isclose(r[1:-1], rd, rtol=0, atol=1e-12 * max(rd, 1.0))] = 0.0
+    second, first = _mesh_derivatives(r, g)
+    weighted = np.abs(r[1:-1] ** 2 * (second + 2.0 * first / r[1:-1]))
+    weighted[_on_jumps(r[1:-1], model)] = 0.0
     return float(np.max(weighted) / alpha)

@@ -14,7 +14,6 @@ from gplab import cli
 from gplab.config import (
     COMMON_KEYS,
     EXPERIMENT_KEYS,
-    PotentialSpec,
     load_config,
     parse_config,
 )
@@ -145,7 +144,7 @@ def test_config_hash_covers_table_csv_contents(tmp_path):
     table.write_text("radius,value\n0.0,2.0\n1.0,0.0\n")
     after = load_config(config)
     assert after.config_hash() != before
-    assert after.potential.build()(0.0) == pytest.approx(2.0)
+    assert after.potential(0.0) == pytest.approx(2.0)
 
 
 def test_missing_table_csv_exits_2(tmp_path, capsys):
@@ -160,7 +159,10 @@ def test_table_with_csv_and_inline_arrays_rejected(tmp_path, capsys):
     table.write_text("radius,value\n0.0,1.0\n1.0,0.0\n")
     spec = {"kind": "table", "csv_path": str(table), "radii": [0.0, 2.0], "values": [5.0, 0.0]}
     with pytest.raises(ConfigurationError, match="not both"):
-        PotentialSpec.parse(spec)
+        parse_config(
+            {"schema_version": "1", "experiment": "scatter", "potential": spec,
+             "output": {"dir": str(tmp_path / "out"), "prefix": "both"}}
+        )
     config = _scatter_config(tmp_path, prefix="both", extra={"potential": spec})
     assert cli.main(["run", "--config", str(config)]) == 2
     assert "not both" in capsys.readouterr().err
@@ -552,17 +554,36 @@ UNRUNNABLE_CASES = [
                  id="t_final-string"),
     pytest.param("gp_evolve", {"grid": LINE, "coupling": EXPLICIT,
                                "time": {"t_final": 0.1, "dt": False}}, "time: dt", id="dt-bool"),
+    # every section is a JSON object, and the experiment and output fields have their types
+    pytest.param("gp_evolve", {"grid": 5, "coupling": EXPLICIT}, "grid must be a JSON object",
+                 id="grid-number"),
+    pytest.param("scatter", {"potential": "barrier", **SCATTER}, "potential must be a JSON object",
+                 id="potential-string"),
+    pytest.param("gp_groundstate", {"grid": LINE, "trap": "harmonic", "coupling": EXPLICIT},
+                 "trap must be a JSON object", id="trap-string"),
+    pytest.param("gp_evolve", {"grid": LINE, "coupling": EXPLICIT, "time": [0.1, 1e-3]},
+                 "time must be a JSON object", id="time-list"),
+    pytest.param("gp_evolve", {"grid": LINE, "coupling": "explicit"},
+                 "coupling must be a JSON object", id="coupling-string"),
+    pytest.param("scatter", {**_gaussian(), "output": "out"}, "output must be a JSON object",
+                 id="output-string"),
+    pytest.param("scatter", {**_gaussian(), "experiment": ["scatter"]},
+                 "experiment must be a string", id="experiment-list"),
+    pytest.param("scatter", {**_gaussian(), "output": {"binary_snapshots": "false"}},
+                 "output: binary_snapshots must be true or false", id="snapshots-string"),
+    pytest.param("scatter", {**_gaussian(), "output": {"dir": None}},
+                 "output: dir must be a string", id="dir-null"),
+    pytest.param("scatter", {**_gaussian(), "output": {"prefix": ["a"]}},
+                 "output: prefix must be a string", id="prefix-list"),
 ]
 
 
 @pytest.mark.parametrize("experiment,fields,message", UNRUNNABLE_CASES)
 def test_unrunnable_configs_exit_2_before_any_output(tmp_path, capsys, experiment, fields, message):
-    data = {
-        "schema_version": "1",
-        "experiment": experiment,
-        "output": {"dir": str(tmp_path / "out"), "prefix": "x"},
-        **fields,
-    }
+    output = {"dir": str(tmp_path / "out"), "prefix": "x"}
+    if isinstance(fields.get("output"), dict):  # a case may replace single output fields
+        fields = {**fields, "output": {**output, **fields["output"]}}
+    data = {"schema_version": "1", "experiment": experiment, "output": output, **fields}
     path = tmp_path / "x.json"
     path.write_text(json.dumps(data))
     assert cli.main(["run", "--config", str(path)]) == 2

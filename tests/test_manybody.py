@@ -24,7 +24,6 @@ from gplab.manybody import (
     partial_trace,
     product_state,
     random_symmetric_state,
-    scale_potential_analog1d,
     total_potential,
 )
 from gplab.potential import BarrierPotential, GaussianPotential, TrapModel, born_coupling_1d
@@ -214,7 +213,7 @@ def test_pair_energy_approaches_short_range_limit():
     dist = _distance_reference(grid)
     errors = []
     for n in (2, 4, 8):
-        scaled = scale_potential_analog1d(base, n)
+        scaled = base.scaled_analog1d(n)
         pair_integral = float(rho @ scaled(dist) @ rho) * grid.spacing**2
         per_particle = 0.5 * (n - 1) * pair_integral
         errors.append(abs(per_particle - target))
@@ -334,7 +333,7 @@ def test_mean_field_trend_in_analog_mode():
     t_final, dt = 0.3, 5e-3
     depletions = []
     for n in (2, 3, 4):
-        pair = scale_potential_analog1d(base, n)
+        pair = base.scaled_analog1d(n)
         evolved = evolve_manybody(product_state(phi, n), pair, None, t_final, dt)
         reference = evolve_gp(phi, b0, t_final, dt)
         depletions.append(1.0 - condensate_overlap(marginal(evolved, 1), reference))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gplab.errors import ConfigurationError, DomainError
+from gplab.grids import GridSpec
 from gplab.potential import (
     BarrierPotential,
     GaussianPotential,
@@ -74,6 +75,14 @@ def test_table_interpolation_stays_nonnegative():
 def test_table_invariants_rejected(radii, values):
     with pytest.raises(ConfigurationError):
         TablePotential(radii, values)
+
+
+def test_table_with_subnormal_sample_builds_without_warnings():
+    # the suite turns RuntimeWarnings into errors
+    model = TablePotential((0.0, 1.0, 2.0), (1.0, 5e-324, 0.0))
+    probe = np.linspace(0.0, 2.0, 101)
+    assert np.all((model(probe) >= 0.0) & (model(probe) <= 1.0))
+    assert model(1.0) == 5e-324
 
 
 def test_table_csv_roundtrip(tmp_path):
@@ -164,13 +173,13 @@ def test_alpha_scale_invariant(test_potentials):
 def test_trap_models():
     trap = TrapModel("harmonic", 2.0)
     assert trap.confining
-    r2 = np.array([0.0, 1.0, 100.0])
-    sampled = trap.evaluate_radius_squared(r2)
+    grid = GridSpec(1, 8, 8.0)  # x = -4, -3, ..., 3
+    sampled = trap.sample(grid)[[4, 3, 0]]  # r^2 = 0, 1, 16
     assert np.all(sampled >= 0.0)
     assert sampled[-1] > sampled[1] > sampled[0]
     free = TrapModel("none")
     assert not free.confining
-    assert np.all(free.evaluate_radius_squared(r2) == 0.0)
+    assert np.all(free.sample(grid) == 0.0)
     with pytest.raises(ConfigurationError):
         TrapModel("box")
     with pytest.raises(ConfigurationError):

@@ -1,11 +1,17 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from gplab.errors import ConfigurationError, DomainError, SolverError
 from gplab.potential import (
     BarrierPotential,
     GaussianPotential,
+    TablePotential,
+    alpha_strength,
     born_coupling,
     scale_potential,
 )
@@ -135,6 +141,37 @@ def test_overflow_reported_as_solver_error():
         solve_zero_energy(BarrierPotential(1e9, 1.0))
 
 
+def test_unstable_scattering_length_reports_its_last_change():
+    with pytest.raises(SolverError, match="last change") as info:
+        solve_zero_energy(GaussianPotential(1.0, 1.0), tol=1e-300, mesh_points=256)
+    change = float(re.search(r"last change (\S+)", str(info.value)).group(1))
+    assert change > 0.0
+
+
+strength = st.floats(0.1, 5.0)
+length = st.floats(0.2, 2.0)
+radial_models = st.one_of(
+    st.builds(BarrierPotential, strength, length),
+    st.builds(GaussianPotential, strength, length),
+    st.builds(
+        lambda v0, r, shape: TablePotential((0.0, r, 2.0 * r), (v0, shape * v0, 0.0)),
+        strength, length, st.floats(0.0, 1.0),
+    ),
+)
+
+
+@settings(max_examples=10, deadline=None)
+@given(model=radial_models, n=st.integers(2, 50))
+def test_family_invariants(model, n):
+    """n a0(V_n) = a0(V), alpha(V_n) = alpha(V), and sigma = 8 pi a0 at every scale."""
+    solution = solve_zero_energy(model)
+    scaled = scale_potential(model, n)
+    assert n * solve_zero_energy(scaled).a0 == pytest.approx(solution.a0, rel=1e-8)
+    assert alpha_strength(scaled) == pytest.approx(alpha_strength(model), rel=1e-8)
+    sigma = coupling_sigma(solution, check_scale=n)
+    assert sigma == pytest.approx(8.0 * np.pi * solution.a0, rel=1e-6)
+
+
 def test_log_curvature_bound_zero_potential():
     assert nabla2_log_f_bound(solve_zero_energy(BarrierPotential(0.0, 1.0))) == 0.0
 
@@ -162,8 +199,6 @@ def test_log_curvature_fd_matches_analytic_identity():
     window = (r > 0.05) & (r < 0.95 * model.cutoff_radius)
     analytic = 0.5 * np.asarray(model(r[window])) - (up[window] / u[window] - 1.0 / r[window]) ** 2
     sup_analytic = np.abs(r[window] ** 2 * analytic).max()
-    from gplab.potential import alpha_strength
-
     fd = nabla2_log_f_bound(solution) * alpha_strength(model)
     assert fd == pytest.approx(sup_analytic, rel=1e-5)
 
