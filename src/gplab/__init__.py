@@ -5,7 +5,7 @@ so the CLI can pin thread counts before numpy comes in):
 
 - ``gplab.potential``  radial interactions, traps, strength diagnostics
 - ``gplab.scattering`` zero-energy pair problem and scattering length
-- ``gplab.grids``      periodic grids and single-particle states
+- ``gplab.grids``      periodic grids and fields of one or n particle slots
 - ``gplab.spectral``   scipy.fft transforms, wavenumber tables, Parseval sums
 - ``gplab.gp``         nonlinear orbital evolution and ground states
 - ``gplab.manybody``   exact few-boson dynamics and reduced density matrices

@@ -78,8 +78,9 @@ def _text(name: str, value: Any) -> str:
     return value
 
 
-def _parse_potential(data: dict) -> tuple[PotentialModel, str | None]:
-    """The potential model and, for a table read from a file, the file's path."""
+def _parse_potential(data: dict, base: Path) -> tuple[PotentialModel, str | None]:
+    """The potential model and, for a table read from a file, the file's path
+    as written (a relative path is read from `base`)."""
     from . import potential as pot
 
     kind = data.get("kind")
@@ -106,7 +107,7 @@ def _parse_potential(data: dict) -> tuple[PotentialModel, str | None]:
                 )
             # read once, so the hash covers the table and not only its path
             path = _text("potential: csv_path", data["csv_path"])
-            return pot.from_table_csv(path), path
+            return pot.from_table_csv(base / path), path
         if "radii" not in data or "values" not in data:
             raise ConfigurationError("potential: table needs csv_path or radii+values")
         if not (isinstance(data["radii"], list) and isinstance(data["values"], list)):
@@ -174,7 +175,8 @@ class ScenarioConfig:
 _TOP_KEYS = COMMON_KEYS.union(*EXPERIMENT_KEYS.values())
 
 
-def parse_config(data: dict) -> ScenarioConfig:
+def parse_config(data: dict, base: str | Path = ".") -> ScenarioConfig:
+    """The checked config; a relative table `csv_path` is read from `base`."""
     if not isinstance(data, dict):
         raise ConfigurationError("config root must be a JSON object")
     _require_keys("config", data, _TOP_KEYS, {"schema_version", "experiment", "output"})
@@ -196,7 +198,7 @@ def parse_config(data: dict) -> ScenarioConfig:
 
     potential, csv_path = None, None
     if "potential" in data:
-        potential, csv_path = _parse_potential(_section(data, "potential"))
+        potential, csv_path = _parse_potential(_section(data, "potential"), Path(base))
 
     trap = TrapModel()
     if "trap" in data:
@@ -287,4 +289,4 @@ def load_config(path: str | Path) -> ScenarioConfig:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: malformed JSON ({exc})") from exc
-    return parse_config(data)
+    return parse_config(data, path.parent)

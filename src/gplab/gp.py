@@ -56,8 +56,6 @@ def evolve_gp(
     dt is the nominal step; the actual step is t/round(|t|/dt) so the
     endpoint lands exactly on t.  The norm is preserved exactly per step.
     """
-    grid = phi0.grid
-
     def nonlinear_phase(dt_eff):
         peak = float(np.max(np.abs(phi0.values)) ** 2)
         if abs(sigma) * peak * abs(dt_eff) > 1.0:
@@ -69,9 +67,7 @@ def evolve_gp(
             )
         return lambda values: np.exp(-1j * sigma * dt_eff * np.abs(values) ** 2)
 
-    return spectral.split_step_evolve(
-        phi0.values, grid, 1, t, dt, nonlinear_phase, lambda v: WaveFunction(grid, v), callback
-    )
+    return spectral.split_step_evolve(phi0, t, dt, nonlinear_phase, callback)
 
 
 def minimize_gp(

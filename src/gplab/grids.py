@@ -1,4 +1,4 @@
-"""Periodic grids and single-particle complex fields.
+"""Periodic grids and the complex fields of one or n particle slots on them.
 
 Units follow the rest of the package: hbar = 1, particle mass 1/2, so the
 kinetic operator is minus the Laplacian and a Fourier mode exp(ikx) carries
@@ -84,19 +84,56 @@ def ensure_same_grid(a: GridSpec, b: GridSpec) -> None:
 
 @dataclass
 class WaveFunction:
-    """Complex field on a periodic grid, L2-normalized: sum |psi|^2 dx^d = 1."""
+    """Complex field of n particle slots on a periodic grid, slot j on the
+    axes [j*dim, (j+1)*dim) of `values`; n = 1 is a single orbital.  The
+    measure is cell_volume^n and a normalized field has sum |psi|^2 dx = 1."""
 
     grid: GridSpec
     values: np.ndarray
+    #: L2 norm of the raw values before normalization (1.0 if never normalized)
+    prenormalization: float = 1.0
+
+    @property
+    def n_particles(self) -> int:
+        return self.values.ndim // self.grid.dim
+
+    @property
+    def measure(self) -> float:
+        return self.grid.cell_volume**self.n_particles
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume))
+        return float(np.sqrt(spectral.weighted_norm_squared(self.values) * self.measure))
 
     def normalized(self) -> "WaveFunction":
-        n = self.norm()
-        if n == 0.0 or not np.isfinite(n):
-            raise DomainError("cannot normalize a zero or non-finite field")
-        return WaveFunction(self.grid, self.values / n)
+        return _normalized_in_place(self.grid, self.values.copy())
+
+    def symmetry_defect(self) -> float:
+        """Largest deviation under any adjacent particle transposition."""
+        worst = 0.0
+        for i in range(self.n_particles - 1):
+            swapped = exchange_particles(self.values, i, i + 1, self.grid.dim)
+            worst = max(worst, float(np.max(np.abs(self.values - swapped))))
+        return worst
+
+
+def _normalized_in_place(grid: GridSpec, values: np.ndarray) -> WaveFunction:
+    """Field over `values`, an array the caller owns, divided by its norm in
+    place (no copy), with that norm as the prenormalization."""
+    psi = WaveFunction(grid, values)
+    n = psi.norm()
+    if n == 0.0 or not np.isfinite(n):
+        raise DomainError("cannot normalize a zero or non-finite field")
+    values /= n
+    psi.prenormalization = n
+    return psi
+
+
+def exchange_particles(values: np.ndarray, i: int, j: int, dim: int) -> np.ndarray:
+    """View of `values` with particle slots i and j swapped."""
+    axes = list(range(values.ndim))
+    for a in range(dim):
+        axes[i * dim + a], axes[j * dim + a] = axes[j * dim + a], axes[i * dim + a]
+    return np.transpose(values, axes)
 
 
 def plane_wave(grid: GridSpec, modes: int | Sequence[int] = 1) -> WaveFunction:
@@ -111,13 +148,6 @@ def plane_wave(grid: GridSpec, modes: int | Sequence[int] = 1) -> WaveFunction:
         phase = phase + (2.0 * np.pi * n / grid.box_length) * c
     values = np.exp(1j * phase) / grid.box_length ** (grid.dim / 2.0)
     return WaveFunction(grid, values)
-
-
-def plane_wave_k(grid: GridSpec, modes: int | Sequence[int]) -> float:
-    """Squared wavenumber of the plane_wave built from the same mode indices."""
-    if isinstance(modes, int):
-        modes = (modes,) + (0,) * (grid.dim - 1)
-    return float(sum((2.0 * np.pi * n / grid.box_length) ** 2 for n in modes))
 
 
 def gaussian_packet(
@@ -138,21 +168,14 @@ def gaussian_packet(
     mesh = grid.coordinate_mesh()
     r2 = sum((c - c0) ** 2 for c, c0 in zip(mesh, center))
     phase = sum(p * c for p, c in zip(momentum, mesh))
-    values = np.exp(-r2 / (2.0 * width**2) + 1j * phase)
-    return WaveFunction(grid, values).normalized()
+    return _normalized_in_place(grid, np.exp(-r2 / (2.0 * width**2) + 1j * phase))
 
 
-def l2_distance(a: WaveFunction, b: WaveFunction) -> float:
-    ensure_same_grid(a.grid, b.grid)
-    return float(
-        np.sqrt(np.sum(np.abs(a.values - b.values) ** 2) * a.grid.cell_volume)
-    )
-
-
-def kinetic_energy(phi: WaveFunction) -> float:
-    """Spectral integral of |grad phi|^2 (kinetic operator is -Laplacian)."""
-    hat = spectral.fftn(phi.values)
-    return spectral.parseval_energy(hat, phi.grid.cell_volume, spectral.k_squared(phi.grid))
+def kinetic_energy(psi: WaveFunction) -> float:
+    """Spectral integral of |grad psi|^2 over every slot (the kinetic operator
+    is minus the Laplacian of all n slots)."""
+    k2 = spectral.k_squared(psi.grid, psi.n_particles)
+    return spectral.parseval_energy(spectral.fftn(psi.values), psi.measure, k2)
 
 
 def free_evolve(phi: WaveFunction, t: float) -> WaveFunction:

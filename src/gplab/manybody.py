@@ -1,10 +1,11 @@
 """Exact few-boson dynamics on tensor-product grids.
 
-A state of n particles in d dimensions is a complex tensor of rank n*d on
-the per-particle grid; particle j owns the axis block [j*d, (j+1)*d).  The
-tensor grows as M^(d*n), so a hard budget of 2^28 amplitudes caps the
-reachable regimes; the thermodynamic statements behind these diagnostics are
-probed as monotone trends over small finite families, never as limits.
+A state of n particles in d dimensions is a `grids.WaveFunction` whose
+values are a complex tensor of rank n*d on the per-particle grid; particle j
+owns the axis block [j*d, (j+1)*d).  The tensor grows as M^(d*n), so a hard
+budget of 2^28 amplitudes caps the reachable regimes; the thermodynamic
+statements behind these diagnostics are probed as monotone trends over small
+finite families, never as limits.
 
 The one-dimensional analog family used for cheap mean-field trend checks
 scales V_n(x) = V(n x) at unchanged amplitude, so that n * V_n tends to a
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import spectral
 from .errors import ConfigurationError, DomainError
-from .grids import GridSpec, WaveFunction, ensure_same_grid, kinetic_energy
+from .grids import GridSpec, WaveFunction, _normalized_in_place, ensure_same_grid, kinetic_energy
 from .potential import PotentialModel, TrapModel
 
 MAX_ENTRIES = 2**28
@@ -34,42 +35,6 @@ def check_entry_budget(entries: int, what: str) -> None:
     """Reject a state or kernel of more than 2^28 entries before it is built."""
     if entries > MAX_ENTRIES:
         raise ConfigurationError(f"{what} needs {entries} entries; budget is 2^28 = {MAX_ENTRIES}")
-
-
-@dataclass
-class ManyBodyState:
-    """Symmetric n-particle field, normalized with the grid measure."""
-
-    grid: GridSpec
-    n_particles: int
-    values: np.ndarray
-    #: L2 norm of the raw tensor before normalization (1.0 if never normalized)
-    prenormalization: float = 1.0
-
-    @property
-    def measure(self) -> float:
-        return self.grid.cell_volume**self.n_particles
-
-    def norm(self) -> float:
-        return float(np.sqrt(spectral.weighted_norm_squared(self.values) * self.measure))
-
-    def normalized(self) -> "ManyBodyState":
-        return _normalized_in_place(self.grid, self.n_particles, self.values.copy())
-
-    def symmetry_defect(self) -> float:
-        """Largest deviation under any adjacent particle transposition."""
-        worst = 0.0
-        for i in range(self.n_particles - 1):
-            swapped = exchange_particles(self.values, i, i + 1, self.grid.dim)
-            worst = max(worst, float(np.max(np.abs(self.values - swapped))))
-        return worst
-
-
-def exchange_particles(values: np.ndarray, i: int, j: int, dim: int) -> np.ndarray:
-    axes = list(range(values.ndim))
-    for a in range(dim):
-        axes[i * dim + a], axes[j * dim + a] = axes[j * dim + a], axes[i * dim + a]
-    return np.transpose(values, axes)
 
 
 def pair_field(grid: GridSpec, f: PairProfile, n_slots: int, i: int, j: int) -> np.ndarray:
@@ -137,39 +102,27 @@ def total_potential(
 # --- initial states -----------------------------------------------------
 
 
-def _normalized_in_place(grid: GridSpec, n_particles: int, values: np.ndarray) -> ManyBodyState:
-    """State over `values`, an array the caller owns, divided by its norm in
-    place (no copy), with that norm as the prenormalization."""
-    state = ManyBodyState(grid, n_particles, values)
-    n = state.norm()
-    if n == 0.0 or not np.isfinite(n):
-        raise DomainError("cannot normalize a zero or non-finite state")
-    values /= n
-    state.prenormalization = n
-    return state
-
-
-def product_state(phi: WaveFunction, n_particles: int) -> ManyBodyState:
+def product_state(phi: WaveFunction, n_particles: int) -> WaveFunction:
     """phi tensored n times (uncorrelated initial data)."""
     check_entry_budget(phi.grid.size**n_particles, f"{n_particles}-particle state")
     values = np.array(1.0, dtype=complex)
     for _ in range(n_particles):
         values = np.tensordot(values, phi.values, axes=0)
-    return _normalized_in_place(phi.grid, n_particles, values)
+    return _normalized_in_place(phi.grid, values)
 
 
 def jastrow_product_state(
     phi: WaveFunction, n_particles: int, pair_profile: PairProfile
-) -> ManyBodyState:
+) -> WaveFunction:
     """Product orbital dressed with the short-range pair factor on every pair."""
     raw = product_state(phi, n_particles).values
     for i, j in itertools.combinations(range(n_particles), 2):
         for rows, factor in _pair_slabs(phi.grid, pair_profile, raw, i, j):
             raw[rows] *= factor
-    return _normalized_in_place(phi.grid, n_particles, raw)
+    return _normalized_in_place(phi.grid, raw)
 
 
-def random_symmetric_state(grid: GridSpec, n_particles: int, seed: int) -> ManyBodyState:
+def random_symmetric_state(grid: GridSpec, n_particles: int, seed: int) -> WaveFunction:
     """Bosonic trial state: symmetrized complex Gaussian noise."""
     check_entry_budget(grid.size**n_particles, f"{n_particles}-particle state")
     rng = np.random.default_rng(seed)
@@ -181,47 +134,44 @@ def random_symmetric_state(grid: GridSpec, n_particles: int, seed: int) -> ManyB
         for p in perm:
             axes.extend(range(p * grid.dim, (p + 1) * grid.dim))
         sym += np.transpose(raw, axes)
-    return _normalized_in_place(grid, n_particles, sym)
+    return _normalized_in_place(grid, sym)
 
 
 # --- dynamics -----------------------------------------------------------
 
 
 def evolve_manybody(
-    psi0: ManyBodyState,
+    psi0: WaveFunction,
     pair: PotentialModel | None,
     trap: TrapModel | None,
     t: float,
     dt: float,
-    callback: Callable[[int, float, ManyBodyState], None] | None = None,
-) -> ManyBodyState:
+    callback: Callable[[int, float, WaveFunction], None] | None = None,
+) -> WaveFunction:
     """Unitary split-step evolution under kinetic + trap + pair interaction.
 
     Symmetric splitting: half kinetic, full potential, half kinetic; every
     factor is a phase so the norm and the exchange symmetry are preserved
     exactly.  Negative t runs the evolution backwards.
     """
-    grid, n = psi0.grid, psi0.n_particles
 
     def potential_phase(dt_eff):
-        table = np.exp(-1j * total_potential(grid, n, pair, trap) * dt_eff)
+        table = np.exp(-1j * total_potential(psi0.grid, psi0.n_particles, pair, trap) * dt_eff)
         return lambda values: table
 
-    return spectral.split_step_evolve(
-        psi0.values, grid, n, t, dt, potential_phase, lambda v: ManyBodyState(grid, n, v), callback
-    )
+    return spectral.split_step_evolve(psi0, t, dt, potential_phase, callback)
 
 
-def energy_moment(psi: ManyBodyState, potential: np.ndarray, order: int = 1) -> float:
+def energy_moment(psi: WaveFunction, potential: np.ndarray, order: int = 1) -> float:
     """<psi, H^order psi> with spectral kinetic part; `potential` is the
     sampled table `total_potential(psi.grid, psi.n_particles, pair, trap)`,
     built once by the caller for every state it measures."""
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
-    k2 = spectral.k_squared(psi.grid, psi.n_particles)
     if order == 1:
-        kinetic = spectral.parseval_energy(spectral.fftn(psi.values), psi.measure, k2)
+        kinetic = kinetic_energy(psi)
         return kinetic + spectral.weighted_norm_squared(psi.values, potential) * psi.measure
+    k2 = spectral.k_squared(psi.grid, psi.n_particles)
     h_psi = spectral.fourier_multiply(psi.values, k2) + potential * psi.values
     return spectral.weighted_norm_squared(h_psi) * psi.measure
 
@@ -258,7 +208,7 @@ class DensityMatrix:
         return vals[::-1]
 
 
-def marginal(psi: ManyBodyState, k: int) -> DensityMatrix:
+def marginal(psi: WaveFunction, k: int) -> DensityMatrix:
     """Partial trace of |psi><psi| over particles k+1..n, trace one."""
     n = psi.n_particles
     if not 1 <= k <= n:
@@ -277,7 +227,7 @@ def partial_trace(dm: DensityMatrix) -> DensityMatrix:
     m = dm.grid.size
     rows = dm.grid.size ** (dm.k - 1)
     four = dm.kernel.reshape(rows, m, rows, m)
-    kernel = np.einsum("acbc->ab", four) * dm.grid.cell_volume**dm.grid.dim
+    kernel = np.einsum("acbc->ab", four) * dm.grid.cell_volume
     return DensityMatrix(dm.grid, dm.k - 1, kernel)
 
 
@@ -291,7 +241,7 @@ def condensate_overlap(dm: DensityMatrix, phi: WaveFunction) -> float:
     return float(value)
 
 
-def factorization_distance(psi: ManyBodyState, phi: WaveFunction, k: int) -> float:
+def factorization_distance(psi: WaveFunction, phi: WaveFunction, k: int) -> float:
     """Distance from psi to the closest state with its first k slots in phi.
 
     Equals sqrt(1 - |P psi|^2) where P projects onto phi^(tensor k) in the
@@ -317,7 +267,7 @@ def factorization_distance(psi: ManyBodyState, phi: WaveFunction, k: int) -> flo
 
 
 def correlation_quotient(
-    psi: ManyBodyState,
+    psi: WaveFunction,
     pair_profile: PairProfile | None,
     i: int,
     j: int,

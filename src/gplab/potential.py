@@ -224,16 +224,19 @@ class TablePotential(PotentialModel):
 
 
 def from_table_csv(path: str | Path) -> TablePotential:
-    """Load a two-column `radius,value` CSV (header row required)."""
+    """Load a two-column `radius,value` CSV (header row required).  Trailing
+    blank lines are ignored; any other row must hold exactly two numbers."""
     path = Path(path)
     with path.open(newline="") as handle:
         rows = list(csv.reader(handle))
+    while rows and not ",".join(rows[-1]).strip():
+        rows.pop()
     if not rows or [c.strip().lower() for c in rows[0]] != ["radius", "value"]:
         raise ConfigurationError(f"{path}: expected header 'radius,value'")
-    try:
-        radii = tuple(float(row[0]) for row in rows[1:])
-        values = tuple(float(row[1]) for row in rows[1:])
-    except (IndexError, ValueError) as exc:
+    try:  # unpacking a row of other than two columns raises ValueError too
+        radii = tuple(float(r) for r, _ in rows[1:])
+        values = tuple(float(v) for _, v in rows[1:])
+    except ValueError as exc:
         raise ConfigurationError(f"{path}: malformed table row") from exc
     return TablePotential(radii, values)
 

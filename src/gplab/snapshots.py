@@ -1,14 +1,12 @@
-"""State snapshot files: raw binary and CSV.
+"""State snapshot files in raw binary.
 
-Binary layout: 8-byte magic ``GPLAB001``, u32 dim, u32 points_per_axis,
+Layout: 8-byte magic ``GPLAB001``, u32 dim, u32 points_per_axis,
 f64 box_length (all little-endian), then the complex64 field in row-major
-order.  CSV layout: header ``index,x[,y,z],re,im``, one row per grid point
-in row-major order.
+order.
 """
 
 from __future__ import annotations
 
-import csv
 import struct
 from pathlib import Path
 
@@ -77,20 +75,3 @@ def read_marginal_binary(path: str | Path):
     if rows * rows != data.size:
         raise ConfigurationError(f"{path}: payload is not a square kernel on this grid")
     return DensityMatrix(grid, k, data.reshape(rows, rows).astype(complex))
-
-
-def write_state_csv(path: str | Path, phi: WaveFunction) -> Path:
-    path = Path(path)
-    grid = phi.grid
-    mesh = [c.ravel() for c in grid.coordinate_mesh()]
-    flat = phi.values.ravel()
-    header = ["index"] + ["x", "y", "z"][: grid.dim] + ["re", "im"]
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for idx in range(flat.size):
-            row = [idx]
-            row += [f"{c[idx]:.17g}" for c in mesh]
-            row += [f"{flat[idx].real:.17g}", f"{flat[idx].imag:.17g}"]
-            writer.writerow(row)
-    return path

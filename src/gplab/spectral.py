@@ -54,33 +54,35 @@ def split_steps(t: float, dt: float) -> tuple[int, float]:
     return steps, t / steps
 
 
-def split_step_evolve(values, grid, n_slots, t, dt, potential_phase, state, callback=None):
-    """Evolve `values` (an n_slots layout) to time t by split_steps(t, dt) symmetric
-    steps at 4 transforms each: half kinetic, potential phase, half kinetic.
+def split_step_evolve(psi, t, dt, potential_phase, callback=None):
+    """Evolve the field `psi` (a grids.WaveFunction of any slot count) to time t
+    by split_steps(t, dt) symmetric steps at 4 transforms each: half kinetic,
+    potential phase, half kinetic.
 
     If any step is taken, potential_phase(dt_eff) is called once and returns
     the map from the half-kinetic-stepped values to that step's pointwise
-    factor exp(-i dt_eff V).  `state` wraps an array in the caller's type for
-    callback(step, time, state) and the result; no array handed out is written again.
+    factor exp(-i dt_eff V).  callback(step, time, field) and the result get
+    fields of psi's type; no array handed out is written again.
     """
-    if not np.all(np.isfinite(values)):
+    grid, wrap = psi.grid, type(psi)
+    if not np.all(np.isfinite(psi.values)):
         raise SolverError("initial state contains non-finite values")
     steps, dt_eff = split_steps(t, dt)
     if steps == 0:
-        return state(values.astype(complex, copy=True))
-    half_kinetic = free_phase(grid, dt_eff / 2.0, n_slots)
+        return wrap(grid, psi.values.astype(complex, copy=True))
+    half_kinetic = free_phase(grid, dt_eff / 2.0, psi.n_particles)
     phase = potential_phase(dt_eff)  # before the working copy: its temporaries are freed first
-    values = values.astype(complex, copy=True)
+    values = psi.values.astype(complex, copy=True)
     for step in range(steps):
         # the callback may keep the previous step's array: never overwrite it
         values = fourier_multiply(values, half_kinetic)
         values *= phase(values)
         values = fourier_multiply(values, half_kinetic, overwrite_x=True)
         if callback is not None:
-            callback(step + 1, (step + 1) * dt_eff, state(values))
+            callback(step + 1, (step + 1) * dt_eff, wrap(grid, values))
     if not np.all(np.isfinite(values)):
         raise SolverError("evolution produced non-finite values")
-    return state(values)
+    return wrap(grid, values)
 
 
 @functools.lru_cache(maxsize=16)

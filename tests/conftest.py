@@ -1,6 +1,9 @@
+from typing import Sequence
+
 import numpy as np
 import pytest
 
+from gplab.grids import GridSpec, WaveFunction, ensure_same_grid
 from gplab.potential import BarrierPotential, GaussianPotential, TablePotential
 
 
@@ -32,3 +35,17 @@ def barrier_a0(v0: float, radius: float) -> float:
     """
     kappa = np.sqrt(v0 / 2.0)
     return radius - np.tanh(kappa * radius) / kappa
+
+
+def plane_wave_k(grid: GridSpec, modes: int | Sequence[int]) -> float:
+    """Squared wavenumber of the plane_wave built from the same mode indices."""
+    if isinstance(modes, int):
+        modes = (modes,) + (0,) * (grid.dim - 1)
+    return float(sum((2.0 * np.pi * n / grid.box_length) ** 2 for n in modes))
+
+
+def l2_distance(a: WaveFunction, b: WaveFunction) -> float:
+    ensure_same_grid(a.grid, b.grid)
+    return float(
+        np.sqrt(np.sum(np.abs(a.values - b.values) ** 2) * a.grid.cell_volume)
+    )

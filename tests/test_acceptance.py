@@ -12,7 +12,7 @@ import pytest
 
 from gplab import cli
 from gplab.gp import evolve_gp, gp_energy, minimize_gp
-from gplab.grids import GridSpec, gaussian_packet, l2_distance, plane_wave
+from gplab.grids import GridSpec, WaveFunction, gaussian_packet, plane_wave
 from gplab.hierarchy import (
     HierarchyFamily,
     bbgky_residual,
@@ -23,7 +23,6 @@ from gplab.hierarchy import (
     power_counting_margin,
 )
 from gplab.manybody import (
-    ManyBodyState,
     condensate_overlap,
     correlation_quotient,
     evolve_manybody,
@@ -42,7 +41,7 @@ from gplab.potential import (
 )
 from gplab.scattering import coupling_sigma, jastrow, solve_zero_energy
 
-from conftest import barrier_a0
+from conftest import barrier_a0, l2_distance
 
 
 class _Criterion:
@@ -284,7 +283,7 @@ def test_criterion_11_marginal_overlap_suite():
     values = np.tensordot(p1.values, p2.values, axes=0) + np.tensordot(
         p2.values, p1.values, axes=0
     )
-    two_mode = ManyBodyState(grid, 2, values).normalized()
+    two_mode = WaveFunction(grid, values).normalized()
     occ = marginal(two_mode, 1).eigenvalues()
     c.expect(
         "two-mode occupations {1/2, 1/2} (1e-10)",

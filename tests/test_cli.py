@@ -19,7 +19,9 @@ from gplab.config import (
 )
 from gplab.errors import ConfigurationError, SolverError
 from gplab.grids import GridSpec, gaussian_packet
-from gplab.snapshots import MAGIC, read_state_binary, write_state_binary, write_state_csv
+from gplab.snapshots import MAGIC, read_state_binary, write_state_binary
+
+from conftest import l2_distance
 
 
 def _scatter_config(tmp_path, out_name="out", prefix="scatter", extra=None):
@@ -145,6 +147,16 @@ def test_config_hash_covers_table_csv_contents(tmp_path):
     after = load_config(config)
     assert after.config_hash() != before
     assert after.potential(0.0) == pytest.approx(2.0)
+
+
+def test_relative_table_csv_is_read_beside_the_config(tmp_path, monkeypatch):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "table.csv").write_text("radius,value\n0.0,1.0\n1.0,0.0\n")
+    config = _table_config(sub, "table.csv")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", "--config", "sub/table.json"]) == 0
+    assert load_config(config).normalized()["potential"]["csv_path"] == "table.csv"
 
 
 def test_missing_table_csv_exits_2(tmp_path, capsys):
@@ -348,16 +360,6 @@ def test_manybody_run_at_time_zero_dumps_initial_marginal(tmp_path):
     dumped = read_marginal_binary(tmp_path / "mb" / "mb_marginal1.bin")
     initial = marginal(product_state(gaussian_packet(GridSpec(1, 16, 8.0), width=1.0), 2), 1)
     assert np.max(np.abs(dumped.kernel - initial.kernel)) < 1e-6  # complex64 payload
-
-
-def test_snapshot_csv_layout(tmp_path):
-    grid = GridSpec(1, 16, 4.0)
-    wf = gaussian_packet(grid, width=0.8)
-    path = write_state_csv(tmp_path / "state.csv", wf)
-    header, rows = _read_rows(path)
-    assert header == ["index", "x", "re", "im"]
-    assert len(rows) == grid.size
-    assert float(rows[0][1]) == pytest.approx(-2.0)
 
 
 def test_coupling_validation():
@@ -705,7 +707,6 @@ def test_manybody_reference_matches_run_from_zero(tmp_path, monkeypatch):
     every sample (401 steps: stride 2 and a shorter last interval)."""
     from gplab import manybody
     from gplab.gp import evolve_gp
-    from gplab.grids import l2_distance
 
     references = []
     overlap = manybody.condensate_overlap

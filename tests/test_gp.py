@@ -9,12 +9,12 @@ from gplab.grids import (
     GridSpec,
     WaveFunction,
     gaussian_packet,
-    l2_distance,
     plane_wave,
-    plane_wave_k,
 )
 from gplab.potential import GaussianPotential, TrapModel
 from gplab.scattering import solve_zero_energy
+
+from conftest import l2_distance, plane_wave_k
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +34,33 @@ def test_grid_spec_invariants():
     for box in (float("nan"), float("inf")):
         with pytest.raises(ConfigurationError, match="box_length"):
             GridSpec(1, 16, box)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    points=st.sampled_from([8, 16, 32, 64]),
+    box=st.floats(1.0, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_slot_norm_is_the_plain_sum(dim, points, box, seed):
+    # the slab norm takes exactly np.sum up to 64^3 = 2^18 entries
+    grid = GridSpec(dim, points, box)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    wf = WaveFunction(grid, values)
+    assert wf.n_particles == 1
+    assert wf.norm() == float(np.sqrt(np.sum(np.abs(values) ** 2) * grid.cell_volume))
+
+
+def test_evolve_gp_hands_out_one_slot_fields(line_grid):
+    seen = []
+    phi0 = gaussian_packet(line_grid, width=1.0)
+    out = evolve_gp(phi0, 1.0, 0.02, 1e-2, callback=lambda s, t, wf: seen.append(wf))
+    assert len(seen) == 2
+    for wf in seen + [out]:
+        assert type(wf) is WaveFunction
+        assert wf.n_particles == 1
 
 
 def test_builders_normalize(line_grid):

@@ -14,7 +14,6 @@ from gplab.grids import (
     gaussian_packet,
     kinetic_energy,
     plane_wave,
-    plane_wave_k,
 )
 from gplab.hierarchy import (
     HierarchyFamily,
@@ -34,12 +33,13 @@ from gplab.hierarchy import (
 )
 from gplab.manybody import (
     DensityMatrix,
-    ManyBodyState,
     marginal,
     product_state,
     total_potential,
 )
 from gplab.potential import BarrierPotential, GaussianPotential, scale_potential
+
+from conftest import plane_wave_k
 
 
 @pytest.fixture(scope="module")
@@ -77,9 +77,8 @@ def test_free_propagate_conjugates_projector(grid, orbital):
 
 
 def test_free_propagate_preserves_spectrum_and_regularity(grid):
-    state = ManyBodyState(
+    state = WaveFunction(
         grid,
-        2,
         (
             np.tensordot(plane_wave(grid, 1).values, plane_wave(grid, 2).values, axes=0)
             + np.tensordot(plane_wave(grid, 2).values, plane_wave(grid, 1).values, axes=0)
@@ -229,7 +228,7 @@ def test_stationary_eigenstate_has_tiny_residual():
     m = grid.points_per_axis
     ground = vectors[:, 0].reshape(m, m)
     ground = 0.5 * (ground + ground.T)
-    state = ManyBodyState(grid, 2, ground.astype(complex)).normalized()
+    state = WaveFunction(grid, ground.astype(complex)).normalized()
     dm1, dm2 = marginal(state, 1), marginal(state, 2)
     dt = 1e-3
     frames = {-dt: dm1, 0.0: dm1, dt: dm1}

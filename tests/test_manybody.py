@@ -8,14 +8,19 @@ from hypothesis import strategies as st
 
 from gplab.errors import ConfigurationError, DomainError, GridMismatchError, SolverError
 from gplab.gp import evolve_gp
-from gplab.grids import GridSpec, gaussian_packet, plane_wave, plane_wave_k
+from gplab.grids import (
+    GridSpec,
+    WaveFunction,
+    exchange_particles,
+    gaussian_packet,
+    kinetic_energy,
+    plane_wave,
+)
 from gplab.manybody import (
-    ManyBodyState,
     condensate_overlap,
     correlation_quotient,
     energy_moment,
     evolve_manybody,
-    exchange_particles,
     factorization_distance,
     hardy_check,
     jastrow_product_state,
@@ -28,6 +33,8 @@ from gplab.manybody import (
 )
 from gplab.potential import BarrierPotential, GaussianPotential, TrapModel, born_coupling_1d
 from gplab.scattering import jastrow, solve_zero_energy
+
+from conftest import plane_wave_k
 
 
 def _distance_reference(grid):
@@ -154,7 +161,7 @@ def test_marginal_of_two_mode_state(grid):
     values = np.tensordot(p1.values, p2.values, axes=0) + np.tensordot(
         p2.values, p1.values, axes=0
     )
-    state = ManyBodyState(grid, 2, values).normalized()
+    state = WaveFunction(grid, values).normalized()
     eigs = marginal(state, 1).eigenvalues()
     # brute-force oracle: 2x2 overlap matrix of the two occupied orbitals
     assert eigs[0] == pytest.approx(0.5, abs=1e-10)
@@ -170,6 +177,30 @@ def test_marginal_chain_consistency(grid):
     assert np.max(np.abs(reduced.kernel - dm1.kernel)) < 1e-10
     assert dm2.hermiticity_defect() < 1e-10
     assert np.all(dm2.eigenvalues() > -1e-10)
+
+
+def test_partial_trace_on_a_plane_grid():
+    # tracing out a slot weighs it by one cell volume dx^d, not dx^(d^2)
+    state = random_symmetric_state(GridSpec(2, 8, 5.0), 2, seed=1)
+    reduced = partial_trace(marginal(state, 2))
+    assert reduced.trace() == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(reduced.kernel - marginal(state, 1).kernel)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_kinetic_energy_of_product_adds_per_slot(grid, orbital, n):
+    state = product_state(orbital, n)
+    assert kinetic_energy(state) == pytest.approx(n * kinetic_energy(orbital), rel=1e-12)
+
+
+def test_evolve_manybody_hands_out_n_slot_fields(grid, orbital):
+    seen = []
+    psi0 = product_state(orbital, 3)
+    out = evolve_manybody(psi0, None, None, 0.02, 1e-2, callback=lambda s, t, st: seen.append(st))
+    assert len(seen) == 2
+    for state in seen + [out]:
+        assert type(state) is WaveFunction
+        assert state.n_particles == 3
 
 
 def test_condensate_overlap_trivial_cases(grid):
@@ -453,4 +484,4 @@ def test_evolution_is_reversible(layout, box, v0, omega, steps, seed):
     pair, trap = GaussianPotential(v0, 0.1 * box), TrapModel("harmonic", omega)
     t, dt = 0.01 * steps, 0.01
     back = evolve_manybody(evolve_manybody(state, pair, trap, t, dt), pair, trap, -t, dt)
-    assert ManyBodyState(state.grid, n, back.values - state.values).norm() < 1e-10
+    assert WaveFunction(state.grid, back.values - state.values).norm() < 1e-10

@@ -101,6 +101,21 @@ def test_table_csv_roundtrip(tmp_path):
             from_table_csv(bad)
 
 
+def test_table_csv_rejects_a_row_without_two_columns(tmp_path):
+    path = tmp_path / "profile.csv"
+    for row in ("0.5,0.5,7.0", "0.5"):
+        path.write_text(f"radius,value\n0.0,1.0\n{row}\n1.0,0.0\n")
+        with pytest.raises(ConfigurationError, match="malformed table row"):
+            from_table_csv(path)
+
+
+def test_table_csv_accepts_trailing_blank_lines(tmp_path):
+    path = tmp_path / "profile.csv"
+    for tail in ("\n", "\n\n", "\r\n"):
+        path.write_text("radius,value\n0.0,1.0\n1.0,0.0\n" + tail)
+        assert from_table_csv(path) == TablePotential((0.0, 1.0), (1.0, 0.0))
+
+
 def test_scale_identity_and_barrier_case():
     model = BarrierPotential(1.0, 1.0)
     same = scale_potential(model, 1)
