@@ -11,6 +11,11 @@ so the CLI can pin thread counts before numpy comes in):
 - ``gplab.manybody``   exact few-boson dynamics and reduced density matrices
 - ``gplab.hierarchy``  marginal-hierarchy residuals, collision terms, series
 - ``gplab.cli``        scenario runner (JSON configs, CSV results)
+
+Importing the layer modules loads numpy and scipy.fft.  scipy.integrate,
+scipy.optimize and scipy.interpolate load on first use, inside the functions
+that call them: scatter runs, Born or from_scattering coupling, table
+potentials and alpha_strength.
 """
 
 __version__ = "0.1.0"

@@ -5,7 +5,10 @@ invalid model), 3 numerical failure.  One experiment per invocation; the
 experiment is named inside the config.  `GPLAB_OUTPUT_DIR` overrides the
 configured output directory.  Heavy imports happen after argument parsing so
 `--threads` can pin the BLAS thread pools before numpy loads; the same count
-caps scipy.fft's workers for the run.
+caps scipy.fft's workers for the run.  A run loads numpy and scipy.fft at
+start; scipy.integrate, scipy.optimize and scipy.interpolate load on first
+use, by scatter runs, Born or from_scattering coupling, table potentials and
+alpha_strength.
 """
 
 from __future__ import annotations
@@ -186,7 +189,9 @@ def _run_manybody(cfg, out_dir: Path):
         if step % stride == 0 or step == steps:
             record(t, state)
 
-    psi_t = evolve_manybody(psi, pair, trap, cfg.t_final, cfg.dt, callback=sample)
+    psi_t = evolve_manybody(
+        psi, pair, trap, cfg.t_final, cfg.dt, callback=sample, potential=potential
+    )
     if cfg.binary_snapshots:
         from .snapshots import write_marginal_binary
 

@@ -147,16 +147,23 @@ def evolve_manybody(
     t: float,
     dt: float,
     callback: Callable[[int, float, WaveFunction], None] | None = None,
+    *,
+    potential: np.ndarray | None = None,
 ) -> WaveFunction:
     """Unitary split-step evolution under kinetic + trap + pair interaction.
 
     Symmetric splitting: half kinetic, full potential, half kinetic; every
     factor is a phase so the norm and the exchange symmetry are preserved
-    exactly.  Negative t runs the evolution backwards.
+    exactly.  Negative t runs the evolution backwards.  `potential` is the
+    table `total_potential(psi0.grid, psi0.n_particles, pair, trap)` if the
+    caller already holds it; it is built here otherwise.
     """
 
     def potential_phase(dt_eff):
-        table = np.exp(-1j * total_potential(psi0.grid, psi0.n_particles, pair, trap) * dt_eff)
+        v = potential
+        if v is None:
+            v = total_potential(psi0.grid, psi0.n_particles, pair, trap)
+        table = np.exp(-1j * v * dt_eff)
         return lambda values: table
 
     return spectral.split_step_evolve(psi0, t, dt, potential_phase, callback)

@@ -11,12 +11,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import integrate, optimize
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigurationError, DomainError
+
+if TYPE_CHECKING:
+    from scipy.interpolate import PchipInterpolator
 
 _QUAD_EPSABS = 1e-14
 _QUAD_EPSREL = 1e-12
@@ -75,6 +77,8 @@ def _radial(r, cutoff: float, inside, outside):
 
 def _radial_integral(integrand, upper: float) -> float:
     """int_0^upper integrand(r) dr, at the tolerances every radial integral shares."""
+    from scipy import integrate
+
     result, _ = integrate.quad(
         integrand, 0.0, upper, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=200
     )
@@ -178,6 +182,8 @@ class TablePotential(PotentialModel):
     )
 
     def __post_init__(self) -> None:
+        from scipy.interpolate import PchipInterpolator
+
         r = np.asarray(self.radii, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if r.ndim != 1 or r.size < 2 or v.shape != r.shape:
@@ -260,6 +266,8 @@ def born_coupling_1d(model: PotentialModel) -> float:
 
 
 def _sup_r2_v(model: PotentialModel) -> float:
+    from scipy import optimize
+
     cutoff = model.cutoff_radius
     mesh = np.linspace(0.0, cutoff, 4097)
     samples = mesh**2 * model(mesh)

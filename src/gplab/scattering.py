@@ -16,13 +16,15 @@ initial slope drops out after normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigurationError, SolverError
 from .potential import PotentialModel, _check_count, _radial, _radial_integral, alpha_strength
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 DEFAULT_MESH_POINTS = 4096
 DEFAULT_R_MAX_FACTOR = 4.0
@@ -47,6 +49,8 @@ class ScatteringSolution:
     _inside: CubicSpline = field(repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
+        from scipy.interpolate import CubicSpline
+
         cutoff = self.potential.cutoff_radius
         mask = self.radii <= cutoff
         self._inside = CubicSpline(self.radii[mask], self.f_values[mask])

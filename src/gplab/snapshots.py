@@ -2,7 +2,9 @@
 
 Layout: 8-byte magic ``GPLAB001``, u32 dim, u32 points_per_axis,
 f64 box_length (all little-endian), then the complex64 field in row-major
-order.
+order.  The header describes the one-particle grid: an n-slot state holds
+``grid.size**n`` entries and a level-k marginal ``(grid.size**k)**2``, so the
+slot count or level is implied by the payload size.
 """
 
 from __future__ import annotations
@@ -49,18 +51,17 @@ def write_state_binary(path: str | Path, phi: WaveFunction) -> Path:
 
 def read_state_binary(path: str | Path) -> WaveFunction:
     grid, data = _read_binary(path, "state")
-    if data.size != grid.size:
+    n = 1
+    while grid.size**n < data.size:
+        n += 1
+    if grid.size**n != data.size:
         raise ConfigurationError(f"{path}: payload size does not match the header")
-    return WaveFunction(grid, data.reshape(grid.shape).astype(complex))
+    return WaveFunction(grid, data.reshape(grid.shape * n).astype(complex))
 
 
 def write_marginal_binary(path: str | Path, dm) -> Path:
-    """Dump a k-particle marginal kernel under the same header scheme.
-
-    The header describes the per-particle grid; the payload is the full
-    (M^(d k))^2 kernel in row-major order, so the level k is implied by the
-    payload size.
-    """
+    """Dump a k-particle marginal kernel: the full (M^(d k))^2 kernel in
+    row-major order under the one-particle header."""
     return _write_binary(path, dm.grid, dm.kernel)
 
 

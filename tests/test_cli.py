@@ -243,15 +243,55 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     }
     path = tmp_path / "pc.json"
     path.write_text(json.dumps(data))
+    _run_python(["-m", "gplab", "run", "--config", str(path)])
+    _, rows = _read_rows(tmp_path / "pc" / "pc_results.csv")
+    assert len(rows) == 110
+
+
+def _run_python(args):
+    """Run a fresh interpreter with this checkout's `src` first on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
-        [sys.executable, "-m", "gplab", "run", "--config", str(path)],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    _, rows = _read_rows(tmp_path / "pc" / "pc_results.csv")
-    assert len(rows) == 110
+    return done
+
+
+LAYER_MODULES = (
+    "cli", "config", "gp", "grids", "hierarchy", "manybody", "potential", "scattering",
+    "snapshots", "spectral",
+)
+ON_DEMAND_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.interpolate")
+RUN_CONFIGS = {
+    "hierarchy": {
+        "grid": {"dim": 1, "points_per_axis": 16, "box_length": 8.0},
+        "time": {"t_final": 0.02, "dt": 1e-3},
+        "coupling": {"mode": "explicit", "value": 0.2},
+    },
+    "power_counting": {},
+    "scatter": {"potential": {"kind": "barrier", "v0": 1.0, "radius": 1.0}, "scaling_N": [1]},
+}
+
+
+@pytest.mark.parametrize(
+    "experiment, loaded",
+    [(None, []), ("hierarchy", []), ("power_counting", []), ("scatter", list(ON_DEMAND_SCIPY))],
+    ids=["import-layers", "hierarchy-explicit", "power_counting", "scatter-control"],
+)
+def test_scipy_solver_stacks_load_on_first_use(tmp_path, experiment, loaded):
+    """A process loads scipy.integrate, .optimize and .interpolate only if its run
+    calls them; the scatter run, which does, is the control."""
+    statement = "import " + ", ".join(f"gplab.{name}" for name in LAYER_MODULES)
+    if experiment is not None:
+        data = {"schema_version": "1", "experiment": experiment, **RUN_CONFIGS[experiment],
+                "output": {"dir": str(tmp_path / "out"), "prefix": experiment}}
+        path = tmp_path / f"{experiment}.json"
+        path.write_text(json.dumps(data))
+        statement += f"\nassert gplab.cli.main(['run', '--config', {str(path)!r}]) == 0"
+    probe = f"{statement}\nimport sys\nprint(*[m for m in {ON_DEMAND_SCIPY!r} if m in sys.modules])"
+    assert _run_python(["-c", probe]).stdout.split() == loaded
 
 
 def test_report_merges_and_deduplicates(tmp_path):
@@ -293,6 +333,21 @@ def test_snapshot_binary_roundtrip(tmp_path):
     with pytest.raises(ConfigurationError):
         read_state_binary(garbage)
     _assert_damaged_files_rejected(tmp_path, path, read_state_binary)
+
+
+def test_n_slot_snapshot_roundtrip(tmp_path):
+    from gplab.manybody import product_state
+
+    psi = product_state(gaussian_packet(GridSpec(1, 16, 8.0)), 2)
+    path = write_state_binary(tmp_path / "pair.bin", psi)
+    back = read_state_binary(path)
+    assert back.grid == psi.grid and back.n_particles == 2
+    assert back.values.shape == (16, 16)
+    assert np.max(np.abs(back.values - psi.values)) < 1e-6  # complex64 payload
+    truncated = tmp_path / "truncated.bin"
+    truncated.write_bytes(path.read_bytes()[:-8])  # one complex64 entry short of 16^2
+    with pytest.raises(ConfigurationError, match="payload size"):
+        read_state_binary(truncated)
 
 
 def _assert_damaged_files_rejected(tmp_path, path, reader):

@@ -146,6 +146,19 @@ def test_evolution_conserves_energy(grid, orbital):
     assert abs(energy_moment(out, potential, 1) - e0) / abs(e0) < 1e-6
 
 
+def test_evolution_reuses_a_held_potential_table(grid, orbital, monkeypatch):
+    import gplab.manybody
+
+    pair = GaussianPotential(1.0, 1.0, cutoff=3.0)
+    trap = TrapModel("harmonic", 0.5)
+    state = product_state(orbital, 2)
+    potential = total_potential(grid, 2, pair, trap)
+    built = evolve_manybody(state, pair, trap, 0.05, 1e-2)
+    monkeypatch.setattr(gplab.manybody, "total_potential", None)  # a rebuild would fail
+    held = evolve_manybody(state, pair, trap, 0.05, 1e-2, potential=potential)
+    assert np.array_equal(held.values, built.values)
+
+
 def test_marginal_of_product_is_rank_one(grid, orbital):
     dm = marginal(product_state(orbital, 3), 1)
     assert dm.trace() == pytest.approx(1.0, abs=1e-12)
