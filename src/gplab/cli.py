@@ -161,14 +161,14 @@ def _run_manybody(cfg, out_dir: Path):
         product_state,
         total_potential,
     )
-    from .spectral import split_steps
+    from .spectral import k_squared, split_steps
 
     grid, trap, base, n = cfg.grid, cfg.trap, cfg.potential, cfg.particles
     pair = base.scaled_analog1d(n) if grid.dim == 1 else base.scaled(n)
     sigma = _resolve_coupling(cfg)
     phi0 = gaussian_packet(grid, width=grid.box_length / 8.0)
     psi = product_state(phi0, n)
-    potential = total_potential(grid, n, pair, trap)
+    potential, k2 = total_potential(grid, n, pair, trap), k_squared(grid, n)
     steps, _ = split_steps(cfg.t_final, cfg.dt)
     stride = max(1, steps // 200)
     rows = []
@@ -180,7 +180,7 @@ def _run_manybody(cfg, out_dir: Path):
             reference = evolve_gp(reference, sigma, t - reference_t, cfg.dt)
             reference_t = t
         overlap = condensate_overlap(marginal(state, 1), reference)
-        energy = energy_moment(state, potential, 1)
+        energy = energy_moment(state, potential, 1, k2=k2)
         rows.append([t, state.norm(), energy, overlap, 1.0 - overlap])
 
     record(0.0, psi)

@@ -16,7 +16,11 @@ Truncated series terms are iterated time-simplex integrals of collision and
 free-flight factors applied to the k-fold products of one orbital; every
 integrand is a short sum of rank-one products of single-particle fields,
 which is how orders one and two stay affordable.  The dense back end of the
-collision serves `collision_apply` and the exact-marginal residual.
+collision serves `collision_apply` and the exact-marginal residual; on a
+marginal of a pure state it reads the traced slot's diagonal off the Gram
+factor (see `gplab.manybody.DensityMatrix`), as `sobolev_trace_norm` reads
+its trace, so neither builds the (M^(d k))^2 kernel.  The limit residual
+takes its norms over row blocks of the product terms' kernel, never built.
 """
 
 from __future__ import annotations
@@ -86,15 +90,18 @@ def kinetic_commutator(kernel: np.ndarray, grid: GridSpec, k: int) -> np.ndarray
 # d = 1 kernel and one on rank-one product terms (_collide_terms, below).
 
 
-def _collide_dense(
-    kernel_next: np.ndarray, grid: GridSpec, k: int, weight: np.ndarray
-) -> np.ndarray:
+def _collide_dense(gamma_next: DensityMatrix, k: int, weight: np.ndarray) -> np.ndarray:
     """Dense back end on the (M^(k+1), M^(k+1)) kernel of a d = 1 grid."""
-    m = grid.points_per_axis
-    work = kernel_next.reshape((m,) * (2 * k + 2))
+    m = gamma_next.grid.points_per_axis
     rows, cols, z = _LETTERS[:k], _LETTERS[k : 2 * k], "z"
     # the traced slot's diagonal, taken once for every j
-    diag = np.einsum(rows + z + cols + z + "->" + rows + cols + z, work)
+    if gamma_next.factor is not None:  # weight sum_c F[x, z, c] conj(F[x', z, c])
+        factor = gamma_next.factor.reshape(m**k, m, -1)
+        diag = np.einsum("azc,bzc->abz", factor, factor.conj()) * gamma_next.weight
+        diag = diag.reshape((m,) * (2 * k + 1))
+    else:
+        work = gamma_next.kernel.reshape((m,) * (2 * k + 2))
+        diag = np.einsum(rows + z + cols + z + "->" + rows + cols + z, work)
     out = np.zeros((m,) * (2 * k), dtype=complex)
     for j in range(k):
         t1 = np.einsum(rows[j] + "z," + rows + cols + "z->" + rows + cols, weight, diag)
@@ -119,7 +126,7 @@ def collision_apply(gamma_next: DensityMatrix, sigma: float) -> np.ndarray:
         raise DomainError("gamma_next must have at least two particles")
     # the delta's (dx)^-d weight cancels the partial trace's (dx)^d measure
     contact = np.eye(grid.points_per_axis)
-    return -1j * sigma * _collide_dense(gamma_next.kernel, grid, k, contact)
+    return -1j * sigma * _collide_dense(gamma_next, k, contact)
 
 
 # --- hierarchy residuals --------------------------------------------------
@@ -177,7 +184,7 @@ def bbgky_residual(
             rhs += (row_pair * work - work * col_pair).reshape(rhs.shape)
     # collision with the pair potential through the (k+1)-marginal
     weight = grid.cell_volume * pair_field(grid, pair, 2, 0, 1)
-    rhs += (n_particles - k) * _collide_dense(gamma_next.kernel, grid, k, weight)
+    rhs += (n_particles - k) * _collide_dense(gamma_next, k, weight)
     return _relative_defect(kernel_norm(lhs - rhs, grid, k), kernel_norm(rhs, grid, k))
 
 
@@ -192,10 +199,10 @@ def infinite_hierarchy_residual(
 
     Central-differences the k-fold product kernels of the orbital at t -+ dt
     and subtracts the kinetic commutator plus the contact collision term of
-    strength sigma, all as rank-one product terms, so at most one level-k
-    kernel is alive at a time.  The defect vanishes at second order in dt
-    exactly when the orbital solves the nonlinear equation with the same
-    sigma.
+    strength sigma, all as rank-one product terms whose norms are summed
+    over row blocks, so no level-k kernel is built.  The defect vanishes at
+    second order in dt exactly when the orbital solves the nonlinear
+    equation with the same sigma.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -214,9 +221,9 @@ def infinite_hierarchy_residual(
     rhs += _collide_terms([(1j, [(phi, phi)] * (k + 1))], sigma)
     rate = 1j / (2.0 * dt)
     lhs = [(rate, [(after.values, after.values)] * k), (-rate, [(before.values, before.values)] * k)]
-    scale = kernel_norm(_assemble_terms(rhs, grid.size), grid, k)
+    scale = _terms_norm(rhs, grid, k)
     defect_terms = lhs + [(-coeff, slots) for coeff, slots in rhs]
-    return _relative_defect(kernel_norm(_assemble_terms(defect_terms, grid.size), grid, k), scale)
+    return _relative_defect(_terms_norm(defect_terms, grid, k), scale)
 
 
 # --- truncated series -----------------------------------------------------
@@ -286,10 +293,11 @@ def _evolve_terms(terms: list, grid: GridSpec, tau: float) -> list:
     return [(coeff, [(fly(a), fly(b)) for a, b in slots]) for coeff, slots in terms]
 
 
-def _assemble_terms(terms: list, size: int) -> np.ndarray:
-    """Level-k kernel sum_t c_t (a_t1 x .. x a_tk)(b_t1 x .. x b_tk)^H of
-    rank-one product terms (c_t, [(a_t1, b_t1), ..]), as one matrix product
-    of row-wise Kronecker (face-splitting) factors."""
+def _face_split(terms: list, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Factors (L, R) of the level-k kernel L @ R = sum_t c_t (a_t1 x .. x
+    a_tk)(b_t1 x .. x b_tk)^H of rank-one product terms (c_t, [(a_t1, b_t1),
+    ..]): row-wise Kronecker (face-splitting) products, L with the
+    coefficients.  Checks the kernel's 2^28-entry budget first."""
     k = len(terms[0][1])
     check_entry_budget(size ** (2 * k), f"level-{k} kernel")
     left = right = np.ones((len(terms), 1))
@@ -299,7 +307,26 @@ def _assemble_terms(terms: list, size: int) -> np.ndarray:
         left = (left[:, :, None] * a[:, None, :]).reshape(len(terms), -1)
         right = (right[:, :, None] * b[:, None, :]).reshape(len(terms), -1)
     coeffs = np.array([coeff for coeff, _ in terms])
-    return (left.T * coeffs) @ right.conj()
+    return left.T * coeffs, right.conj()
+
+
+def _assemble_terms(terms: list, size: int) -> np.ndarray:
+    """The level-k kernel of rank-one product terms, one matrix product."""
+    left, right = _face_split(terms, size)
+    return left @ right
+
+
+def _terms_norm(terms: list, grid: GridSpec, k: int) -> float:
+    """kernel_norm of the level-k kernel of rank-one product terms, summed
+    over row blocks of at most spectral.SLAB_ENTRIES entries: the kernel is
+    never built."""
+    left, right = _face_split(terms, grid.size)
+    step = max(1, spectral.SLAB_ENTRIES // right.shape[1])
+    total = sum(
+        spectral.weighted_norm_squared(left[start : start + step] @ right)
+        for start in range(0, left.shape[0], step)
+    )
+    return float(np.sqrt(total) * grid.cell_volume**k)
 
 
 def dyson_term(
@@ -369,23 +396,31 @@ def sobolev_trace_norm(dm: DensityMatrix) -> float:
     Equals (1 + int |grad phi|^2)^k on the k-fold product of a normalized
     orbital, and is invariant under the free flow.
 
-    The weight acts on the row slots of blocks of kernel columns, at most
-    spectral.SLAB_ENTRIES entries each, and only the diagonal entries of each
-    block are summed, so no copy of the whole kernel is made.
+    The weight acts on the row slots of blocks of columns, at most
+    spectral.SLAB_ENTRIES entries each, so no copy of the whole kernel or
+    factor is made.  On a dense kernel only the diagonal entries of each
+    block are summed; on a Gram factor F the trace is weight sum W |F^|^2 /
+    M^(d k) (Parseval on the row transform), and no kernel is built.
     """
-    grid, k = dm.grid, dm.k
-    size = dm.kernel.shape[0]
+    grid, k, factor = dm.grid, dm.k, dm.factor
+    source = dm.kernel if factor is None else factor
+    size, total_columns = source.shape
     columns = max(1, spectral.SLAB_ENTRIES // size)
     row_axes = tuple(range(k * grid.dim))
     weight = np.ones((1,) * (k * grid.dim + 1))  # the row layout, then the block's columns
     for particle in range(k):
         weight = weight * (1.0 + spectral.k_squared(grid, k, (particle,)))[..., None]
     total = 0.0
-    for start in range(0, size, columns):
-        block = dm.kernel[:, start : start + columns]
+    for start in range(0, total_columns, columns):
+        block = source[:, start : start + columns]
         width = block.shape[1]
-        work = spectral.fourier_multiply(block.reshape(grid.shape * k + (width,)), weight, row_axes)
-        total += np.real(np.trace(work.reshape(size, width), offset=-start))
+        block = block.reshape(grid.shape * k + (width,))
+        if factor is not None:
+            hat = spectral.fftn(block, axes=row_axes)
+            total += spectral.weighted_norm_squared(hat, weight) * dm.weight / size
+        else:
+            work = spectral.fourier_multiply(block, weight, row_axes)
+            total += np.real(np.trace(work.reshape(size, width), offset=-start))
     return float(total * grid.cell_volume**k)
 
 

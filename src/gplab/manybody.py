@@ -16,7 +16,6 @@ family's bookkeeping; outputs produced this way are flagged `analog1d`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -169,16 +168,21 @@ def evolve_manybody(
     return spectral.split_step_evolve(psi0, t, dt, potential_phase, callback)
 
 
-def energy_moment(psi: WaveFunction, potential: np.ndarray, order: int = 1) -> float:
+def energy_moment(
+    psi: WaveFunction, potential: np.ndarray, order: int = 1, *, k2: np.ndarray | None = None
+) -> float:
     """<psi, H^order psi> with spectral kinetic part; `potential` is the
     sampled table `total_potential(psi.grid, psi.n_particles, pair, trap)`,
-    built once by the caller for every state it measures."""
+    built once by the caller for every state it measures.  `k2` is the table
+    `spectral.k_squared(psi.grid, psi.n_particles)` if the caller already
+    holds it; it is built here otherwise."""
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
+    if k2 is None:
+        k2 = spectral.k_squared(psi.grid, psi.n_particles)
     if order == 1:
-        kinetic = kinetic_energy(psi)
+        kinetic = kinetic_energy(psi, k2)
         return kinetic + spectral.weighted_norm_squared(psi.values, potential) * psi.measure
-    k2 = spectral.k_squared(psi.grid, psi.n_particles)
     h_psi = spectral.fourier_multiply(psi.values, k2) + potential * psi.values
     return spectral.weighted_norm_squared(h_psi) * psi.measure
 
@@ -186,24 +190,55 @@ def energy_moment(psi: WaveFunction, potential: np.ndarray, order: int = 1) -> f
 # --- reduced density matrices -------------------------------------------
 
 
-@dataclass
 class DensityMatrix:
     """k-particle marginal as a kernel over the k-particle grid index set.
 
     The kernel follows the continuum convention: the operator acts as
     (gamma f)(x) = sum_y kernel[x, y] f(y) dx^(d k), and the trace is the
     diagonal sum with the same measure, normalized to 1.
+
+    `DensityMatrix(grid, k, kernel)` holds a dense kernel.  A marginal of a
+    pure state (`marginal`, `partial_trace` of one) holds its Gram factor
+    instead: `factor` is an (M^(d k), J) read-only view of the state's
+    amplitudes, no copy, and `weight` the measure cell_volume^(n-k) of the
+    traced slots, so that kernel = weight * factor @ factor^H.  That
+    (M^(d k))^2 kernel is built the first time `.kernel` is read and kept
+    from then on; `trace`, `partial_trace`, `condensate_overlap`,
+    `sobolev_trace_norm` and the collision's traced-slot diagonal work on
+    the factor and never build it.  The view follows the state: a marginal
+    of a state whose amplitudes are later written changes with them.
     """
 
-    grid: GridSpec
-    k: int
-    kernel: np.ndarray
+    def __init__(
+        self,
+        grid: GridSpec,
+        k: int,
+        kernel: np.ndarray | None = None,
+        *,
+        factor: np.ndarray | None = None,
+        weight: float = 1.0,
+    ):
+        if (kernel is None) == (factor is None):
+            raise DomainError("a density matrix holds a dense kernel or a Gram factor")
+        self.grid, self.k, self._kernel, self.weight = grid, k, kernel, weight
+        self.factor = None
+        if factor is not None:
+            self.factor = factor.view()
+            self.factor.flags.writeable = False
+
+    @property
+    def kernel(self) -> np.ndarray:
+        if self._kernel is None:
+            self._kernel = (self.factor @ self.factor.conj().T) * self.weight
+        return self._kernel
 
     @property
     def measure(self) -> float:
         return self.grid.cell_volume**self.k
 
     def trace(self) -> float:
+        if self.factor is not None:
+            return spectral.weighted_norm_squared(self.factor) * self.weight * self.measure
         return float(np.real(np.trace(self.kernel)) * self.measure)
 
     def hermiticity_defect(self) -> float:
@@ -216,15 +251,15 @@ class DensityMatrix:
 
 
 def marginal(psi: WaveFunction, k: int) -> DensityMatrix:
-    """Partial trace of |psi><psi| over particles k+1..n, trace one."""
+    """Partial trace of |psi><psi| over particles k+1..n, trace one, held
+    as its Gram factor (see DensityMatrix)."""
     n = psi.n_particles
     if not 1 <= k <= n:
         raise DomainError(f"k must lie in 1..{n}, got {k}")
     rows = psi.grid.size**k
     check_entry_budget(rows * rows, f"{k}-particle kernel")
-    mat = psi.values.reshape(rows, -1)
-    kernel = (mat @ mat.conj().T) * psi.grid.cell_volume ** (n - k)
-    return DensityMatrix(psi.grid, k, kernel)
+    factor = psi.values.reshape(rows, -1)
+    return DensityMatrix(psi.grid, k, factor=factor, weight=psi.grid.cell_volume ** (n - k))
 
 
 def partial_trace(dm: DensityMatrix) -> DensityMatrix:
@@ -233,6 +268,9 @@ def partial_trace(dm: DensityMatrix) -> DensityMatrix:
         raise DomainError("need k >= 2 to trace out a particle")
     m = dm.grid.size
     rows = dm.grid.size ** (dm.k - 1)
+    if dm.factor is not None:  # the traced slot joins the factor's columns
+        weight = dm.weight * dm.grid.cell_volume
+        return DensityMatrix(dm.grid, dm.k - 1, factor=dm.factor.reshape(rows, -1), weight=weight)
     four = dm.kernel.reshape(rows, m, rows, m)
     kernel = np.einsum("acbc->ab", four) * dm.grid.cell_volume
     return DensityMatrix(dm.grid, dm.k - 1, kernel)
@@ -244,8 +282,11 @@ def condensate_overlap(dm: DensityMatrix, phi: WaveFunction) -> float:
         raise DomainError("condensate overlap is defined for one-particle marginals")
     ensure_same_grid(dm.grid, phi.grid)
     v = phi.values.ravel()
-    value = np.real(np.vdot(v, dm.kernel @ v)) * dm.grid.cell_volume**2
-    return float(value)
+    if dm.factor is not None:  # weight |factor^H phi|^2
+        value = spectral.weighted_norm_squared(v.conj() @ dm.factor) * dm.weight
+    else:
+        value = np.real(np.vdot(v, dm.kernel @ v))
+    return float(value * dm.grid.cell_volume**2)
 
 
 def factorization_distance(psi: WaveFunction, phi: WaveFunction, k: int) -> float:

@@ -781,6 +781,25 @@ def test_manybody_reference_matches_run_from_zero(tmp_path, monkeypatch):
         assert l2_distance(reference, evolve_gp(phi0, 0.7, t, 0.001)) < 1e-12
 
 
+def test_manybody_run_builds_one_energy_k_squared_table(tmp_path, monkeypatch):
+    from gplab import spectral
+
+    builds = []
+    k_squared = spectral.k_squared
+
+    def counted(grid, n_slots=1, slots=None):
+        if n_slots == 2 and slots is None:
+            builds.append(grid)
+        return k_squared(grid, n_slots, slots)
+
+    monkeypatch.setattr(spectral, "k_squared", counted)
+    assert cli.main(["run", "--config", str(_manybody_config(tmp_path))]) == 0
+    _, rows = _read_rows(tmp_path / "mb" / "mb_results.csv")
+    assert len(rows) == 11
+    # one table for the energies of all 11 samples, one for the half-kinetic phase
+    assert len(builds) == 2
+
+
 def test_threads_must_be_positive(tmp_path):
     config = _scatter_config(tmp_path)
     with pytest.raises(SystemExit) as excinfo:

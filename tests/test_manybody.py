@@ -17,6 +17,7 @@ from gplab.grids import (
     plane_wave,
 )
 from gplab.manybody import (
+    DensityMatrix,
     condensate_overlap,
     correlation_quotient,
     energy_moment,
@@ -186,8 +187,8 @@ def test_marginal_chain_consistency(grid):
     state = random_symmetric_state(grid, 3, seed=11)
     dm2 = marginal(state, 2)
     dm1 = marginal(state, 1)
-    reduced = partial_trace(dm2)
-    assert np.max(np.abs(reduced.kernel - dm1.kernel)) < 1e-10
+    for dm in (dm2, DensityMatrix(grid, 2, dm2.kernel)):
+        assert np.max(np.abs(partial_trace(dm).kernel - dm1.kernel)) < 1e-10
     assert dm2.hermiticity_defect() < 1e-10
     assert np.all(dm2.eigenvalues() > -1e-10)
 
@@ -195,9 +196,11 @@ def test_marginal_chain_consistency(grid):
 def test_partial_trace_on_a_plane_grid():
     # tracing out a slot weighs it by one cell volume dx^d, not dx^(d^2)
     state = random_symmetric_state(GridSpec(2, 8, 5.0), 2, seed=1)
-    reduced = partial_trace(marginal(state, 2))
-    assert reduced.trace() == pytest.approx(1.0, abs=1e-12)
-    assert np.max(np.abs(reduced.kernel - marginal(state, 1).kernel)) < 1e-12
+    factored = marginal(state, 2)
+    for dm in (factored, DensityMatrix(state.grid, 2, factored.kernel)):
+        reduced = partial_trace(dm)
+        assert reduced.trace() == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(reduced.kernel - marginal(state, 1).kernel)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -224,8 +227,6 @@ def test_condensate_overlap_trivial_cases(grid):
     mixed = 0.5 * (
         marginal(product_state(p1, 2), 1).kernel + marginal(product_state(p2, 2), 1).kernel
     )
-    from gplab.manybody import DensityMatrix
-
     dm = DensityMatrix(grid, 1, mixed)
     assert condensate_overlap(dm, p1) == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(GridMismatchError):

@@ -254,11 +254,13 @@ def test_sobolev_trace_norm_matches_numpy_reference():
 
 def test_sobolev_trace_norm_column_blocks_sum_to_the_whole_trace(monkeypatch):
     grid = GridSpec(1, 16, 6.0)
-    dm = marginal(random_symmetric_state(grid, 3, seed=2), 2)
-    whole = sobolev_trace_norm(dm)  # 256 columns: one block
-    # blocks of 48 columns of 256 rows: six blocks, the last one partial
-    monkeypatch.setattr(spectral, "SLAB_ENTRIES", 48 * 256)
-    assert sobolev_trace_norm(dm) == pytest.approx(whole, rel=1e-13)
+    factored = marginal(random_symmetric_state(grid, 3, seed=2), 2)  # 256 rows, 16 columns
+    dense = DensityMatrix(grid, 2, factored.kernel)  # 256 columns
+    whole = sobolev_trace_norm(dense)  # one block
+    # blocks of 6 columns of 256 rows: the last one partial in both layouts
+    monkeypatch.setattr(spectral, "SLAB_ENTRIES", 6 * 256)
+    assert sobolev_trace_norm(dense) == pytest.approx(whole, rel=1e-13)
+    assert sobolev_trace_norm(factored) == pytest.approx(whole, rel=1e-13)
 
 
 def test_sobolev_trace_norm_makes_no_kernel_sized_copy():
