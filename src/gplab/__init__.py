@@ -12,10 +12,9 @@ so the CLI can pin thread counts before numpy comes in):
 - ``gplab.hierarchy``  marginal-hierarchy residuals, collision terms, series
 - ``gplab.cli``        scenario runner (JSON configs, CSV results)
 
-Importing the layer modules loads numpy and scipy.fft.  scipy.integrate,
-scipy.optimize and scipy.interpolate load on first use, inside the functions
-that call them: scatter runs, Born or from_scattering coupling, table
-potentials and alpha_strength.
+Importing the layer modules, or running any experiment, loads numpy and
+scipy.fft and nothing else from scipy: the radial layer's quadrature,
+interpolants and maximizer are written on numpy.
 """
 
 __version__ = "0.1.0"

@@ -5,10 +5,8 @@ invalid model), 3 numerical failure.  One experiment per invocation; the
 experiment is named inside the config.  `GPLAB_OUTPUT_DIR` overrides the
 configured output directory.  Heavy imports happen after argument parsing so
 `--threads` can pin the BLAS thread pools before numpy loads; the same count
-caps scipy.fft's workers for the run.  A run loads numpy and scipy.fft at
-start; scipy.integrate, scipy.optimize and scipy.interpolate load on first
-use, by scatter runs, Born or from_scattering coupling, table potentials and
-alpha_strength.
+caps scipy.fft's workers for the run.  A run loads numpy and scipy.fft and
+nothing else from scipy.
 """
 
 from __future__ import annotations

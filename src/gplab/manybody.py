@@ -202,11 +202,12 @@ class DensityMatrix:
     instead: `factor` is an (M^(d k), J) read-only view of the state's
     amplitudes, no copy, and `weight` the measure cell_volume^(n-k) of the
     traced slots, so that kernel = weight * factor @ factor^H.  That
-    (M^(d k))^2 kernel is built the first time `.kernel` is read and kept
-    from then on; `trace`, `partial_trace`, `condensate_overlap`,
-    `sobolev_trace_norm` and the collision's traced-slot diagonal work on
-    the factor and never build it.  The view follows the state: a marginal
-    of a state whose amplitudes are later written changes with them.
+    (M^(d k))^2 kernel is built the first time `.kernel` is read, after its
+    2^28-entry budget is checked, and kept from then on; `trace`,
+    `partial_trace`, `condensate_overlap`, `sobolev_trace_norm` and the
+    collision's traced-slot diagonal work on the factor and never build it.
+    The view follows the state: a marginal of a state whose amplitudes are
+    later written changes with them.
     """
 
     def __init__(
@@ -229,6 +230,8 @@ class DensityMatrix:
     @property
     def kernel(self) -> np.ndarray:
         if self._kernel is None:
+            rows = self.factor.shape[0]
+            check_entry_budget(rows * rows, f"{self.k}-particle kernel")
             self._kernel = (self.factor @ self.factor.conj().T) * self.weight
         return self._kernel
 
@@ -256,9 +259,7 @@ def marginal(psi: WaveFunction, k: int) -> DensityMatrix:
     n = psi.n_particles
     if not 1 <= k <= n:
         raise DomainError(f"k must lie in 1..{n}, got {k}")
-    rows = psi.grid.size**k
-    check_entry_budget(rows * rows, f"{k}-particle kernel")
-    factor = psi.values.reshape(rows, -1)
+    factor = psi.values.reshape(psi.grid.size**k, -1)
     return DensityMatrix(psi.grid, k, factor=factor, weight=psi.grid.cell_volume ** (n - k))
 
 

@@ -10,18 +10,16 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
 
-if TYPE_CHECKING:
-    from scipy.interpolate import PchipInterpolator
-
-_QUAD_EPSABS = 1e-14
-_QUAD_EPSREL = 1e-12
+_GAUSS_ORDER = 12  # Gauss-Legendre nodes per quadrature panel
+_UNIFORM_PANELS = 128  # panels on [0, cutoff] for a profile without knots
 
 
 class PotentialModel:
@@ -36,6 +34,8 @@ class PotentialModel:
     cutoff_radius: float = 0.0
     #: radii where the profile jumps (mesh builders align nodes with these)
     discontinuities: tuple[float, ...] = ()
+    #: radii where a piecewise profile's pieces join (quadrature panels end there)
+    knots: tuple[float, ...] = ()
 
     def _profile(self, r: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -75,14 +75,62 @@ def _radial(r, cutoff: float, inside, outside):
     return values
 
 
-def _radial_integral(integrand, upper: float) -> float:
-    """int_0^upper integrand(r) dr, at the tolerances every radial integral shares."""
-    from scipy import integrate
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(_GAUSS_ORDER)
 
-    result, _ = integrate.quad(
-        integrand, 0.0, upper, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=200
-    )
-    return result
+
+def _radial_integral(integrand, model: PotentialModel, nodes=()) -> float:
+    """int_0^cutoff integrand(r) dr by composite Gauss-Legendre.
+
+    Panels end at the model's knots (uniform panels when it has none) and at
+    `nodes`, so that the integrand is smooth on each panel.
+    """
+    cutoff = model.cutoff_radius
+    edges = model.knots or np.linspace(0.0, cutoff, _UNIFORM_PANELS + 1)
+    edges = np.unique(np.concatenate([edges, nodes, [0.0, cutoff]]))
+    x, w = _gauss_legendre()
+    half = 0.5 * np.diff(edges)[:, None]
+    radii = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * x
+    return float(np.sum(half * w * integrand(radii)))
+
+
+def _cubic_hermite(x: np.ndarray, y: np.ndarray, slopes: np.ndarray) -> Callable:
+    """Piecewise cubic through (x, y) with the given slopes; a radius outside
+    [x[0], x[-1]] takes the nearest end value."""
+
+    def evaluate(r):
+        r = np.clip(r, x[0], x[-1])
+        i = np.minimum(np.searchsorted(x, r, side="right") - 1, x.size - 2)
+        h = x[i + 1] - x[i]
+        t = (r - x[i]) / h
+        s = 1.0 - t
+        return s * s * ((1.0 + 2.0 * t) * y[i] + t * h * slopes[i]) + t * t * (
+            (3.0 - 2.0 * t) * y[i + 1] - s * h * slopes[i + 1]
+        )
+
+    return evaluate
+
+
+def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Fritsch-Carlson monotone slopes in their weighted-harmonic-mean form:
+    zero where the secants change sign, one-sided three-point at the ends
+    (zero if it opposes the end secant, at most 3 times it past an extremum)."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if x.size == 2:
+        return np.array([m[0], m[0]])
+    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+    same = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
+    # np.where evaluates the masked-out means too, where a zero secant divides
+    # by zero; a subnormal secant overflows its mean to inf: slope 0, as it should
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inner = np.where(same, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)), 0.0)
+    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+    ends = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(ends) > 3.0 * np.abs(m0))
+    ends = np.where(np.sign(ends) != np.sign(m0), 0.0, np.where(overshoot, 3.0 * m0, ends))
+    return np.concatenate([ends[:1], inner, ends[1:]])
 
 
 def _check_count(n: int) -> None:
@@ -169,21 +217,17 @@ class TablePotential(PotentialModel):
     """Tabulated radial profile, interpolated by a shape-preserving cubic.
 
     A monotone (PCHIP) cubic is used instead of a natural spline so that
-    non-negative samples can never interpolate to negative values.  The last
-    sample must be zero: the interpolant is clamped to 0 at the cutoff and
-    the model is exactly zero beyond it.
+    non-negative samples can never interpolate to negative values.  Below
+    the first radius the profile holds the first sample.  The last sample
+    must be zero: the model is exactly zero beyond it.
     """
 
     radii: tuple[float, ...]
     values: tuple[float, ...]
     amplitude: float = 1.0  # extra factor applied on top of the samples
-    _interp: PchipInterpolator = field(
-        init=False, repr=False, compare=False, default=None
-    )
+    _interp: Callable = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        from scipy.interpolate import PchipInterpolator
-
         r = np.asarray(self.radii, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if r.ndim != 1 or r.size < 2 or v.shape != r.shape:
@@ -201,16 +245,13 @@ class TablePotential(PotentialModel):
         object.__setattr__(self, "radii", tuple(float(x) for x in r))
         object.__setattr__(self, "values", tuple(float(x) for x in v))
         object.__setattr__(self, "cutoff_radius", float(r[-1]))
-        # a subnormal slope overflows PCHIP's harmonic mean to inf: derivative 0, as it should
-        with np.errstate(over="ignore"):
-            interp = PchipInterpolator(r, v, extrapolate=False)
-        object.__setattr__(self, "_interp", interp)
+        object.__setattr__(self, "knots", self.radii)
+        object.__setattr__(self, "_interp", _cubic_hermite(r, v, _pchip_slopes(r, v)))
 
     kind = "table"
 
     def _profile(self, r: np.ndarray) -> np.ndarray:
-        inside = np.clip(r, self.radii[0], self.cutoff_radius)
-        return self.amplitude * np.nan_to_num(self._interp(inside))
+        return self.amplitude * self._interp(r)
 
     def scaled(self, n: int) -> "TablePotential":
         _check_count(n)
@@ -257,34 +298,39 @@ def scale_potential(model: PotentialModel, n: int) -> PotentialModel:
 
 def born_coupling(model: PotentialModel) -> float:
     """First-order coupling: the full 3D integral of V, as 4 pi int V r^2 dr."""
-    return 4.0 * np.pi * _radial_integral(lambda r: model(r) * r**2, model.cutoff_radius)
+    return 4.0 * np.pi * _radial_integral(lambda r: model(r) * r**2, model)
 
 
 def born_coupling_1d(model: PotentialModel) -> float:
     """One-dimensional integral of V(|x|): 2 int_0^cutoff V dr."""
-    return 2.0 * _radial_integral(model, model.cutoff_radius)
+    return 2.0 * _radial_integral(model, model)
 
 
 def _sup_r2_v(model: PotentialModel) -> float:
-    from scipy import optimize
-
+    """sup r^2 V(r): the best of 4097 samples, refined by golden section
+    on the two mesh cells around it."""
     cutoff = model.cutoff_radius
     mesh = np.linspace(0.0, cutoff, 4097)
     samples = mesh**2 * model(mesh)
     best = int(np.argmax(samples))
     if samples[best] == 0.0:
         return 0.0
-    lo = mesh[max(best - 1, 0)]
-    hi = mesh[min(best + 1, mesh.size - 1)]
-    if hi <= lo:
-        return float(samples[best])
-    refined = optimize.minimize_scalar(
-        lambda r: -(r**2) * model(r),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-13 * max(cutoff, 1.0)},
-    )
-    return float(max(samples[best], -refined.fun))
+    lo = float(mesh[max(best - 1, 0)])
+    hi = float(mesh[min(best + 1, mesh.size - 1)])
+    xatol = 1e-13 * max(cutoff, 1.0)
+    shrink = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fc, fd = c * c * model(c), d * d * model(d)
+    while hi - lo > xatol:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - shrink * (hi - lo)
+            fc = c * c * model(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + shrink * (hi - lo)
+            fd = d * d * model(d)
+    return float(max(samples[best], fc, fd))
 
 
 def alpha_strength(model: PotentialModel) -> float:
@@ -292,7 +338,7 @@ def alpha_strength(model: PotentialModel) -> float:
 
     Both terms are invariant under the r -> n r, V -> n^2 V family map.
     """
-    first_moment = _radial_integral(lambda r: model(r) * r, model.cutoff_radius)
+    first_moment = _radial_integral(lambda r: model(r) * r, model)
     return 4.0 * np.pi * first_moment + _sup_r2_v(model)
 
 

@@ -16,15 +16,19 @@ initial slope drops out after normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, SolverError
-from .potential import PotentialModel, _check_count, _radial, _radial_integral, alpha_strength
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
+from .potential import (
+    PotentialModel,
+    _check_count,
+    _cubic_hermite,
+    _radial,
+    _radial_integral,
+    alpha_strength,
+)
 
 DEFAULT_MESH_POINTS = 4096
 DEFAULT_R_MAX_FACTOR = 4.0
@@ -36,8 +40,10 @@ class ScatteringSolution:
     """Radial zero-energy solution with its scattering length.
 
     `f_values` holds f on the solver mesh (normalized so f -> 1); `f`
-    evaluates anywhere, using the exact exterior form 1 - a0/r beyond the
-    support.  Immutable after the solve; the evaluators are pure.
+    evaluates anywhere: inside the support by cubic Hermite interpolation on
+    the mesh, with the slopes f' = (u' r - u)/r^2 that the solve returns
+    (f'(0) = 0), and by the exact exterior form 1 - a0/r beyond it.
+    Immutable after the solve; the evaluators are pure.
     """
 
     potential: PotentialModel
@@ -46,14 +52,14 @@ class ScatteringSolution:
     a0: float
     u_values: np.ndarray
     u_prime_values: np.ndarray
-    _inside: CubicSpline = field(repr=False, compare=False, default=None)
+    _inside: Callable = field(repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        from scipy.interpolate import CubicSpline
-
-        cutoff = self.potential.cutoff_radius
-        mask = self.radii <= cutoff
-        self._inside = CubicSpline(self.radii[mask], self.f_values[mask])
+        inside = self.radii <= self.potential.cutoff_radius
+        r, u, du = self.radii[inside], self.u_values[inside], self.u_prime_values[inside]
+        slopes = np.zeros_like(r)
+        slopes[1:] = (du[1:] * r[1:] - u[1:]) / r[1:] ** 2
+        self._inside = _cubic_hermite(r, self.f_values[inside], slopes)
 
     def f(self, r):
         """Pair profile f(r); exact 1 - a0/r outside the potential support."""
@@ -76,28 +82,28 @@ def _build_mesh(cutoff: float, r_max: float, n_points: int) -> np.ndarray:
 def _integrate_u(model: PotentialModel, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Classical RK4 for u'' = g(r) u, g = V/2, with u(0) = 0, u'(0) = 1."""
     mids = 0.5 * (radii[:-1] + radii[1:])
-    g_node = 0.5 * np.asarray(model(radii), dtype=float)
-    g_mid = 0.5 * np.asarray(model(mids), dtype=float)
-    n = radii.size
-    u = np.empty(n)
-    v = np.empty(n)
-    u[0], v[0] = 0.0, 1.0
-    # overflow surfaces as non-finite output and is reported by the caller
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n - 1):
-            h = radii[i + 1] - radii[i]
-            ga, gm, gb = g_node[i], g_mid[i], g_node[i + 1]
-            ui, vi = u[i], v[i]
-            k1u, k1v = vi, ga * ui
-            k2u = vi + 0.5 * h * k1v
-            k2v = gm * (ui + 0.5 * h * k1u)
-            k3u = vi + 0.5 * h * k2v
-            k3v = gm * (ui + 0.5 * h * k2u)
-            k4u = vi + h * k3v
-            k4v = gb * (ui + h * k3u)
-            u[i + 1] = ui + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            v[i + 1] = vi + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return u, v
+    g_node = (0.5 * np.asarray(model(radii), dtype=float)).tolist()
+    g_mid = (0.5 * np.asarray(model(mids), dtype=float)).tolist()
+    r = radii.tolist()
+    ui, vi = 0.0, 1.0
+    u, v = [ui], [vi]
+    # Python floats step faster than numpy scalars; overflow runs on to
+    # inf or nan, which the caller reports
+    for i in range(len(r) - 1):
+        h = r[i + 1] - r[i]
+        ga, gm, gb = g_node[i], g_mid[i], g_node[i + 1]
+        k1u, k1v = vi, ga * ui
+        k2u = vi + 0.5 * h * k1v
+        k2v = gm * (ui + 0.5 * h * k1u)
+        k3u = vi + 0.5 * h * k2v
+        k3v = gm * (ui + 0.5 * h * k2u)
+        k4u = vi + h * k3v
+        k4v = gb * (ui + h * k3u)
+        ui += (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        vi += (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        u.append(ui)
+        v.append(vi)
+    return np.array(u), np.array(v)
 
 
 def _solve_on_mesh(model: PotentialModel, r_max: float, n_points: int) -> ScatteringSolution:
@@ -176,14 +182,15 @@ def coupling_sigma(
     scale invariance of the coupling.
     """
     model = solution.potential
+    nodes = solution.radii[solution.radii <= model.cutoff_radius]  # f's pieces join there
     sigma = 4.0 * np.pi * _radial_integral(
-        lambda r: model(r) * solution.f(r) * r * r, model.cutoff_radius
+        lambda r: model(r) * solution.f(r) * r * r, model, nodes
     )
     if check_scale is not None:
         scaled = model.scaled(check_scale)
         f_n = jastrow(solution, check_scale)
         sigma_scaled = 4.0 * np.pi * _radial_integral(
-            lambda r: check_scale * scaled(r) * f_n(r) * r * r, scaled.cutoff_radius
+            lambda r: check_scale * scaled(r) * f_n(r) * r * r, scaled, nodes / check_scale
         )
         scale = max(abs(sigma), 1e-30)
         if abs(sigma_scaled - sigma) > check_tol * scale:

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -263,7 +264,8 @@ LAYER_MODULES = (
     "cli", "config", "gp", "grids", "hierarchy", "manybody", "potential", "scattering",
     "snapshots", "spectral",
 )
-ON_DEMAND_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.interpolate")
+SOLVER_STACKS = ("scipy.integrate", "scipy.optimize", "scipy.interpolate")
+GAUSSIAN = {"kind": "gaussian", "v0": 2.0, "width": 0.5}
 RUN_CONFIGS = {
     "hierarchy": {
         "grid": {"dim": 1, "points_per_axis": 16, "box_length": 8.0},
@@ -271,27 +273,67 @@ RUN_CONFIGS = {
         "coupling": {"mode": "explicit", "value": 0.2},
     },
     "power_counting": {},
-    "scatter": {"potential": {"kind": "barrier", "v0": 1.0, "radius": 1.0}, "scaling_N": [1]},
+    "scatter": {"potential": {"kind": "table", "csv_path": "table.csv"}, "scaling_N": [1, 4]},
+    "gp_groundstate": {
+        "grid": {"dim": 3, "points_per_axis": 16, "box_length": 8.0},
+        "trap": {"kind": "harmonic", "omega": 1.0},
+        "potential": GAUSSIAN,
+        "coupling": {"mode": "from_scattering"},
+    },
+    "manybody": {
+        "grid": {"dim": 1, "points_per_axis": 16, "box_length": 8.0},
+        "potential": GAUSSIAN,
+        "particles": 2,
+        "time": {"t_final": 0.01, "dt": 1e-3},
+        "coupling": {"mode": "born"},
+    },
 }
 
 
 @pytest.mark.parametrize(
-    "experiment, loaded",
-    [(None, []), ("hierarchy", []), ("power_counting", []), ("scatter", list(ON_DEMAND_SCIPY))],
-    ids=["import-layers", "hierarchy-explicit", "power_counting", "scatter-control"],
+    "experiment, own_import",
+    [(None, None), ("hierarchy", None), ("power_counting", None), ("scatter", None),
+     ("gp_groundstate", None), ("manybody", None), (None, "scipy.integrate")],
+    ids=["import-layers", "hierarchy-explicit", "power_counting", "scatter-table",
+         "gp_groundstate-from_scattering", "manybody-born-1d", "control-imports-integrate"],
 )
-def test_scipy_solver_stacks_load_on_first_use(tmp_path, experiment, loaded):
-    """A process loads scipy.integrate, .optimize and .interpolate only if its run
-    calls them; the scatter run, which does, is the control."""
+def test_scipy_solver_stacks_load_on_first_use(tmp_path, experiment, own_import):
+    """No run loads scipy.integrate, .optimize or .interpolate: a process has
+    them only if it imports them itself, as the control does."""
     statement = "import " + ", ".join(f"gplab.{name}" for name in LAYER_MODULES)
+    if own_import is not None:
+        statement += f"\nimport {own_import}"
     if experiment is not None:
+        (tmp_path / "table.csv").write_text("radius,value\n0.0,2.0\n0.5,1.2\n1.0,0.3\n1.5,0.0\n")
         data = {"schema_version": "1", "experiment": experiment, **RUN_CONFIGS[experiment],
                 "output": {"dir": str(tmp_path / "out"), "prefix": experiment}}
         path = tmp_path / f"{experiment}.json"
         path.write_text(json.dumps(data))
         statement += f"\nassert gplab.cli.main(['run', '--config', {str(path)!r}]) == 0"
-    probe = f"{statement}\nimport sys\nprint(*[m for m in {ON_DEMAND_SCIPY!r} if m in sys.modules])"
-    assert _run_python(["-c", probe]).stdout.split() == loaded
+    probe = f"{statement}\nimport sys\nprint(*[m for m in {SOLVER_STACKS!r} if m in sys.modules])"
+    loaded = _run_python(["-c", probe]).stdout.split()
+    if own_import is None:
+        assert loaded == []
+    else:
+        assert own_import in loaded
+
+
+def test_layers_import_no_scipy_module_but_fft():
+    """The ast of every module under src/gplab names scipy only as scipy.fft."""
+    offenders = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "gplab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno} {name}" for name in names
+                if name.split(".")[0] == "scipy" and name.split(".")[:2] != ["scipy", "fft"]
+            ]
+    assert offenders == []
 
 
 def test_report_merges_and_deduplicates(tmp_path):

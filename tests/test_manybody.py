@@ -90,10 +90,11 @@ def test_memory_budget_names_the_limit():
     phi = gaussian_packet(big, width=1.0)
     with pytest.raises(ConfigurationError, match="2\\^28"):
         product_state(phi, 3)
-    # a two-particle kernel on 256 points has 2^32 entries
+    # a two-particle kernel on 256 points has 2^32 entries; the marginal is a
+    # view of the state, and reading its kernel is what would build them
     pair_state = product_state(gaussian_packet(GridSpec(1, 256, 8.0), width=1.0), 2)
     with pytest.raises(ConfigurationError, match="2\\^28"):
-        marginal(pair_state, 2)
+        marginal(pair_state, 2).kernel
     # a three-particle potential on a 16^3 grid has 2^36 entries
     with pytest.raises(ConfigurationError, match="2\\^28"):
         total_potential(
@@ -416,6 +417,21 @@ def test_total_potential_is_exchange_symmetric(layout, box):
 
 
 # --- memory of the pair-state diagnostics -------------------------------------
+
+
+def test_marginal_checks_the_kernel_budget_only_when_the_kernel_is_read():
+    # the level-3 kernel of three bosons on 64 points has 2^36 entries
+    dm = marginal(product_state(gaussian_packet(GridSpec(1, 64, 8.0)), 3), 3)
+    assert dm.trace() == pytest.approx(1.0, abs=1e-12)
+    assert partial_trace(dm).trace() == pytest.approx(1.0, abs=1e-12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match="2\\^28"):
+            dm.kernel
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _extra_peak(call, *args):
