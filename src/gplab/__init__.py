@@ -6,15 +6,16 @@ so the CLI can pin thread counts before numpy comes in):
 - ``gplab.potential``  radial interactions, traps, strength diagnostics
 - ``gplab.scattering`` zero-energy pair problem and scattering length
 - ``gplab.grids``      periodic grids and fields of one or n particle slots
-- ``gplab.spectral``   scipy.fft transforms, wavenumber tables, Parseval sums
+- ``gplab.spectral``   numpy.fft transforms, wavenumber tables, Parseval sums
 - ``gplab.gp``         nonlinear orbital evolution and ground states
 - ``gplab.manybody``   exact few-boson dynamics and reduced density matrices
 - ``gplab.hierarchy``  marginal-hierarchy residuals, collision terms, series
 - ``gplab.cli``        scenario runner (JSON configs, CSV results)
 
-Importing the layer modules, or running any experiment, loads numpy and
-scipy.fft and nothing else from scipy: the radial layer's quadrature,
-interpolants and maximizer are written on numpy.
+numpy is the only runtime dependency: importing the layer modules, or
+running any experiment, loads no scipy module.  Transforms are numpy.fft's,
+and the radial layer's quadrature, interpolants and maximizer are written on
+numpy.
 """
 
 __version__ = "0.1.0"

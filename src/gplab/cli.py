@@ -4,9 +4,9 @@ Exit codes: 0 success, 2 configuration problem (malformed JSON, bad schema,
 invalid model), 3 numerical failure.  One experiment per invocation; the
 experiment is named inside the config.  `GPLAB_OUTPUT_DIR` overrides the
 configured output directory.  Heavy imports happen after argument parsing so
-`--threads` can pin the BLAS thread pools before numpy loads; the same count
-caps scipy.fft's workers for the run.  A run loads numpy and scipy.fft and
-nothing else from scipy.
+`--threads` can pin the BLAS thread pools before numpy loads.  Transforms are
+numpy.fft's and run single-threaded whatever `--threads` says.  A run loads
+numpy and no scipy module.
 """
 
 from __future__ import annotations
@@ -247,8 +247,6 @@ _EXPERIMENTS = {
 
 
 def run(config_path: str | Path, threads: int = 1) -> int:
-    import scipy.fft
-
     from .config import load_config
 
     started = time.perf_counter()
@@ -260,8 +258,7 @@ def run(config_path: str | Path, threads: int = 1) -> int:
         report([out_dir], out_dir / f"{cfg.output_prefix}_summary.csv")
         return 0
     runner = _EXPERIMENTS[cfg.experiment]
-    with scipy.fft.set_workers(threads):
-        header, rows = runner(cfg, out_dir)
+    header, rows = runner(cfg, out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)  # only a run that finished leaves a directory
     results_path = out_dir / f"{cfg.output_prefix}_results.csv"
     _write_csv(results_path, header, rows)
@@ -271,6 +268,7 @@ def run(config_path: str | Path, threads: int = 1) -> int:
         "config_hash": cfg.config_hash(),
         "tool_version": _version(),
         "threads": threads,
+        "fft_backend": "numpy.fft",
         "seed": cfg.seed,
         "mode": "analog1d" if cfg.experiment == "manybody" and cfg.grid.dim == 1 else "gp3d",
         "wall_time_seconds": time.perf_counter() - started,
@@ -340,7 +338,10 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     run_parser = sub.add_parser("run", help="execute the experiment named in a config")
     run_parser.add_argument("--config", required=True, help="path to a scenario JSON file")
-    run_parser.add_argument("--threads", type=int, default=1, help="thread cap (default 1)")
+    run_parser.add_argument(
+        "--threads", type=int, default=1,
+        help="cap on the BLAS thread pools (default 1); transforms run single-threaded",
+    )
     report_parser = sub.add_parser("report", help="merge run directories into a summary CSV")
     report_parser.add_argument("run_dirs", nargs="*", help="directories holding manifests")
     report_parser.add_argument("--out", default="summary.csv", help="summary CSV path")

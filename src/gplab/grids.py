@@ -2,9 +2,9 @@
 
 Units follow the rest of the package: hbar = 1, particle mass 1/2, so the
 kinetic operator is minus the Laplacian and a Fourier mode exp(ikx) carries
-kinetic energy k^2.  Transforms run on scipy.fft through `gplab.spectral`:
+kinetic energy k^2.  Transforms run on numpy.fft through `gplab.spectral`:
 forward transforms are unnormalized, inverse transforms carry 1/M per axis,
-and single-threaded runs are bit-comparable across reruns.
+and every transform is single-threaded, so reruns are bit-comparable.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.fft
 
 from . import spectral
 from .errors import ConfigurationError, DomainError, GridMismatchError
@@ -70,7 +69,7 @@ class GridSpec:
         return sum(c**2 for c in mesh)
 
     def k_axis(self) -> np.ndarray:
-        return 2.0 * np.pi * scipy.fft.fftfreq(self.points_per_axis, d=self.spacing)
+        return 2.0 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
 
     def k_squared_mesh(self) -> np.ndarray:
         """Sum of squared wavenumbers, shaped like the grid."""

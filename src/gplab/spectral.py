@@ -2,8 +2,12 @@
 the one split-step loop, wavenumber and free-flight phase tables and weighted
 sums of squares.
 
-Transforms are scipy.fft's, forward unnormalized and inverse carrying 1/M per
-axis, looked up at call time so `scipy.fft.set_workers` applies to them.
+Transforms are numpy.fft's, forward unnormalized and inverse carrying 1/M per
+axis, looked up as module attributes at call time and single-threaded.  Each
+writes into one buffer: the input itself when the caller gives it up, else
+one fresh complex array (numpy would otherwise allocate once per axis).  Axes
+run in ascending order: the order fixes the round-off, and this one gives
+complex results bit-identical to those of scipy.fft.
 Tables describe `n_slots` particle slots of `grid.dim` axes each (slot j owns
 axes [j*dim, (j+1)*dim)); only the per-grid 1D table of k_axis^2 is cached,
 so no tensor-sized table outlives the computation that needs it.  Sums of
@@ -18,7 +22,6 @@ import operator
 from typing import Iterable
 
 import numpy as np
-import scipy.fft
 
 from .errors import DomainError, SolverError
 
@@ -26,19 +29,35 @@ from .errors import DomainError, SolverError
 SLAB_ENTRIES = 2**20
 
 
+def _transform(function, x: np.ndarray, axes, overwrite_x: bool) -> np.ndarray:
+    """numpy.fft's `function` of x over `axes` (all by default), in ascending
+    axis order, written into x itself if the caller gives it up and it is a
+    writeable complex128 array, else into one fresh complex array."""
+    axes = tuple(reversed(range(x.ndim) if axes is None else axes))  # numpy runs the last first
+    if overwrite_x and x.dtype == np.complex128 and x.flags.writeable:
+        out = x
+    else:  # a streaming copy, then in place: a first pass strided over both arrays is slower
+        out = np.empty(x.shape, dtype=complex)
+        out[...] = x
+    # the lengths spare numpy an array lookup per call, which small transforms notice
+    return function(out, [x.shape[axis] for axis in axes], axes, out=out)
+
+
 def fftn(x: np.ndarray, axes=None, overwrite_x: bool = False) -> np.ndarray:
-    """Unnormalized forward transform over `axes` (all axes by default)."""
-    return scipy.fft.fftn(x, axes=axes, overwrite_x=overwrite_x)
+    """Unnormalized forward transform over `axes` (all axes by default); with
+    overwrite_x=True on a writeable complex128 x the result is x, in place."""
+    return _transform(np.fft.fftn, x, axes, overwrite_x)
 
 
 def ifftn(x: np.ndarray, axes=None, overwrite_x: bool = False) -> np.ndarray:
-    """Inverse transform over `axes`, normalized by 1/M per axis."""
-    return scipy.fft.ifftn(x, axes=axes, overwrite_x=overwrite_x)
+    """Inverse transform over `axes`, normalized by 1/M per axis; in place as fftn."""
+    return _transform(np.fft.ifftn, x, axes, overwrite_x)
 
 
 def fourier_multiply(x: np.ndarray, multiplier, axes=None, overwrite_x: bool = False):
     """ifftn(multiplier * fftn(x)) over `axes`.  Pass overwrite_x=True only for
-    an `x` the caller owns and no longer needs: its buffer may be reused."""
+    an `x` the caller owns and no longer needs: a writeable complex128 x is
+    overwritten and returned."""
     hat = fftn(x, axes=axes, overwrite_x=overwrite_x)
     hat *= multiplier
     return ifftn(hat, axes=axes, overwrite_x=True)

@@ -58,6 +58,8 @@ def test_scatter_run_hits_coupling_identity(tmp_path):
     manifest = json.loads((tmp_path / "out" / "scatter_manifest.json").read_text())
     assert manifest["experiment"] == "scatter"
     assert len(manifest["config_hash"]) == 64
+    assert manifest["threads"] == 1
+    assert manifest["fft_backend"] == "numpy.fft"
 
 
 def test_gp_evolve_flat_coupling_keeps_energy_constant(tmp_path):
@@ -264,7 +266,6 @@ LAYER_MODULES = (
     "cli", "config", "gp", "grids", "hierarchy", "manybody", "potential", "scattering",
     "snapshots", "spectral",
 )
-SOLVER_STACKS = ("scipy.integrate", "scipy.optimize", "scipy.interpolate")
 GAUSSIAN = {"kind": "gaussian", "v0": 2.0, "width": 0.5}
 RUN_CONFIGS = {
     "hierarchy": {
@@ -290,6 +291,16 @@ RUN_CONFIGS = {
 }
 
 
+def _experiment_statement(tmp_path, experiment):
+    """Source lines that run `experiment`'s tiny config through gplab.cli.main."""
+    (tmp_path / "table.csv").write_text("radius,value\n0.0,2.0\n0.5,1.2\n1.0,0.3\n1.5,0.0\n")
+    data = {"schema_version": "1", "experiment": experiment, **RUN_CONFIGS[experiment],
+            "output": {"dir": str(tmp_path / "out"), "prefix": experiment}}
+    path = tmp_path / f"{experiment}.json"
+    path.write_text(json.dumps(data))
+    return f"import gplab.cli\nassert gplab.cli.main(['run', '--config', {str(path)!r}]) == 0"
+
+
 @pytest.mark.parametrize(
     "experiment, own_import",
     [(None, None), ("hierarchy", None), ("power_counting", None), ("scatter", None),
@@ -297,20 +308,16 @@ RUN_CONFIGS = {
     ids=["import-layers", "hierarchy-explicit", "power_counting", "scatter-table",
          "gp_groundstate-from_scattering", "manybody-born-1d", "control-imports-integrate"],
 )
-def test_scipy_solver_stacks_load_on_first_use(tmp_path, experiment, own_import):
-    """No run loads scipy.integrate, .optimize or .interpolate: a process has
-    them only if it imports them itself, as the control does."""
+def test_runs_load_no_scipy_module(tmp_path, experiment, own_import):
+    """No run loads any scipy module: a process has one only if it imports
+    scipy itself, as the control does."""
     statement = "import " + ", ".join(f"gplab.{name}" for name in LAYER_MODULES)
     if own_import is not None:
         statement += f"\nimport {own_import}"
     if experiment is not None:
-        (tmp_path / "table.csv").write_text("radius,value\n0.0,2.0\n0.5,1.2\n1.0,0.3\n1.5,0.0\n")
-        data = {"schema_version": "1", "experiment": experiment, **RUN_CONFIGS[experiment],
-                "output": {"dir": str(tmp_path / "out"), "prefix": experiment}}
-        path = tmp_path / f"{experiment}.json"
-        path.write_text(json.dumps(data))
-        statement += f"\nassert gplab.cli.main(['run', '--config', {str(path)!r}]) == 0"
-    probe = f"{statement}\nimport sys\nprint(*[m for m in {SOLVER_STACKS!r} if m in sys.modules])"
+        statement += "\n" + _experiment_statement(tmp_path, experiment)
+    listing = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    probe = f"{statement}\nimport sys\n{listing}"
     loaded = _run_python(["-c", probe]).stdout.split()
     if own_import is None:
         assert loaded == []
@@ -318,20 +325,46 @@ def test_scipy_solver_stacks_load_on_first_use(tmp_path, experiment, own_import)
         assert own_import in loaded
 
 
-def test_layers_import_no_scipy_module_but_fft():
-    """The ast of every module under src/gplab names scipy only as scipy.fft."""
+BLOCK_SCIPY = """\
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, BlockScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    raise SystemExit("scipy was not blocked")
+"""
+
+
+@pytest.mark.parametrize("experiment", sorted(RUN_CONFIGS))
+def test_runs_without_scipy_installed(tmp_path, experiment):
+    """Each experiment exits 0 in a process where `import scipy` fails."""
+    _run_python(["-c", BLOCK_SCIPY + _experiment_statement(tmp_path, experiment)])
+
+
+def test_layers_import_no_scipy():
+    """The ast of no module under src/gplab imports scipy."""
     offenders = []
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "gplab").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [f"{node.module}.{alias.name}" for alias in node.names]
+                names = [node.module]
             else:
                 continue
             offenders += [
                 f"{path.name}:{node.lineno} {name}" for name in names
-                if name.split(".")[0] == "scipy" and name.split(".")[:2] != ["scipy", "fft"]
+                if name.split(".")[0] == "scipy"
             ]
     assert offenders == []
 

@@ -1,10 +1,11 @@
-"""Transform budget of the spectral core, and round-off equivalence with the
-numpy.fft formulas it replaced.
+"""Transform budget and buffer contract of the spectral core, and round-off
+equivalence with the plain numpy.fft formulas.
 
-The budget tests count calls through the `scipy.fft` and `numpy.fft` module
+The budget tests count calls through the `numpy.fft` and `scipy.fft` module
 attributes, so a transform bound by name at import time (for example
-`from scipy.fft import fftn`) escapes the count and fails them.  The series
-budget counts `free_evolve` calls through the binding `gplab.hierarchy` uses.
+`from numpy.fft import fftn`) escapes the count and fails them; every
+transform runs on numpy.fft, none on scipy.fft.  The series budget counts
+`free_evolve` calls through the binding `gplab.hierarchy` uses.
 """
 
 import tracemalloc
@@ -75,7 +76,7 @@ def test_evolve_manybody_four_transforms_per_step(transforms):
     seen = []
     _reset(transforms)
     evolve_manybody(psi, PAIR, TRAP, 7 * 0.01, 0.01, callback=lambda s, t, st: seen.append(st))
-    assert transforms == {"scipy": 4 * 7, "numpy": 0}
+    assert transforms == {"scipy": 0, "numpy": 4 * 7}
     # in-place transforms never touch a state already handed to the callback
     replay = [product_state(gaussian_packet(grid, width=1.0), 3)]
     for _ in range(7):
@@ -89,7 +90,7 @@ def test_evolve_gp_four_transforms_per_step(transforms):
     seen = []
     _reset(transforms)
     evolve_gp(phi, 2.0, 9 * 0.005, 0.005, callback=lambda s, t, wf: seen.append(wf))
-    assert transforms == {"scipy": 4 * 9, "numpy": 0}
+    assert transforms == {"scipy": 0, "numpy": 4 * 9}
     # in-place transforms never touch an orbital already handed to the callback
     replay = [phi]
     for _ in range(9):
@@ -105,7 +106,7 @@ def test_minimize_gp_four_transforms_per_cg_iteration(transforms):
         minimize_gp(TRAP, 0.1, GridSpec(1, 64, 12.0), tol=0.0, max_iterations=6)
     # one transform for the starting spectrum, then 4 per iteration: -Laplacian phi,
     # the preconditioner's forward/inverse pair and the direction's spectrum
-    assert transforms == {"scipy": 1 + 4 * 6, "numpy": 0}
+    assert transforms == {"scipy": 0, "numpy": 1 + 4 * 6}
 
 
 def test_energy_moment_first_order_is_one_transform(transforms):
@@ -113,7 +114,7 @@ def test_energy_moment_first_order_is_one_transform(transforms):
     potential = total_potential(psi.grid, 3, PAIR, TRAP)
     _reset(transforms)
     energy_moment(psi, potential, 1)
-    assert transforms == {"scipy": 1, "numpy": 0}
+    assert transforms == {"scipy": 0, "numpy": 1}
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -123,7 +124,7 @@ def test_limit_residual_is_two_transforms(transforms, k):
     frames = {tt: phi for tt in (-1e-3, 0.0, 1e-3)}
     _reset(transforms)
     infinite_hierarchy_residual(frames, k, 1.0, 0.0, 1e-3)
-    assert transforms == {"scipy": 2, "numpy": 0}
+    assert transforms == {"scipy": 0, "numpy": 2}
 
 
 @pytest.mark.parametrize("quad_points", [4, 6])
@@ -145,7 +146,7 @@ def test_series_free_evolve_calls_per_term(monkeypatch, quad_points):
         assert len(calls) == expected
 
 
-def test_no_numpy_transforms_anywhere(transforms):
+def test_no_scipy_transforms_anywhere(transforms):
     line = GridSpec(1, 8, 6.0)
     cube = GridSpec(3, 8, 6.0)
     phi = gaussian_packet(line, width=1.0)
@@ -161,8 +162,85 @@ def test_no_numpy_transforms_anywhere(transforms):
     free_propagate_kernel(gamma2.kernel, line, 2, 0.1)
     kinetic_commutator(gamma2.kernel, line, 2)
     sobolev_trace_norm(gamma2)
-    assert transforms["numpy"] == 0
-    assert transforms["scipy"] > 0
+    assert transforms["scipy"] == 0
+    assert transforms["numpy"] > 0
+
+
+# --- buffer contract ----------------------------------------------------------
+
+
+def _complex_cube(points, seed):
+    rng = np.random.default_rng(seed)
+    shape = (points,) * 3
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("name", ["fftn", "ifftn"])
+@pytest.mark.parametrize("axes", [None, (0, 2)])
+def test_overwrite_transforms_writeable_complex_in_place(name, axes):
+    transform, reference = getattr(spectral, name), getattr(np.fft, name)
+    x = _complex_cube(8, seed=1)
+    expected = reference(x, axes=axes)
+    assert transform(x, axes=axes, overwrite_x=True) is x
+    np.testing.assert_allclose(x, expected, rtol=0, atol=1e-13)
+    # a strided view of a larger buffer is written through, the rest untouched
+    base = _complex_cube(8, seed=2)
+    before = base.copy()
+    view = base[:, ::2]
+    expected = reference(view, axes=axes)
+    assert transform(view, axes=axes, overwrite_x=True) is view
+    np.testing.assert_allclose(base[:, ::2], expected, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(base[:, 1::2], before[:, 1::2])
+
+
+def _read_only(x):
+    x.flags.writeable = False
+    return x
+
+
+@pytest.mark.parametrize("name", ["fftn", "ifftn"])
+@pytest.mark.parametrize(
+    "make, overwrite_x",
+    [(lambda: _read_only(_complex_cube(8, seed=3)), True),
+     (lambda: _complex_cube(8, seed=3).real.copy(), True),
+     (lambda: _complex_cube(8, seed=3).astype(np.complex64), True),
+     (lambda: _complex_cube(8, seed=3), False)],
+    ids=["read-only", "real", "complex64", "kept"],
+)
+def test_other_inputs_get_a_fresh_result(name, make, overwrite_x):
+    transform, reference = getattr(spectral, name), getattr(np.fft, name)
+    x = make()
+    before = x.copy()
+    result = transform(x, overwrite_x=overwrite_x)
+    assert result.dtype == np.complex128
+    assert not np.shares_memory(result, x)
+    np.testing.assert_array_equal(x, before)
+    np.testing.assert_allclose(result, reference(before), rtol=0, atol=1e-5)
+
+
+@pytest.mark.parametrize("name", ["fftn", "ifftn"])
+@pytest.mark.parametrize("axes", [None, (0, 2)])
+def test_transforms_run_their_axes_in_ascending_order(name, axes):
+    # bit for bit: the order fixes the round-off of every result
+    x = _complex_cube(16, seed=5)
+    expected = x
+    for axis in range(3) if axes is None else axes:
+        expected = getattr(np.fft, name[:-1])(expected, axis=axis)
+    np.testing.assert_array_equal(getattr(spectral, name)(x, axes=axes), expected)
+
+
+@pytest.mark.parametrize("name", ["fftn", "ifftn"])
+def test_three_axis_transform_allocates_one_output(name):
+    x = _complex_cube(32, seed=4)  # 512 KiB
+    transform = getattr(spectral, name)
+    tracemalloc.start()
+    try:
+        result = transform(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.nbytes == x.nbytes
+    assert peak < 1.5 * x.nbytes  # numpy.fft alone makes one array per axis
 
 
 # --- round-off equivalence with the numpy.fft formulas ----------------------
