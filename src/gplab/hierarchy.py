@@ -15,17 +15,16 @@ the contracted collision term has the same closed form as in the continuum:
 Truncated series terms are iterated time-simplex integrals of collision and
 free-flight factors applied to the k-fold products of one orbital; every
 integrand is a short sum of rank-one products of single-particle fields,
-which is how orders one and two stay affordable.  The dense back end of the
-collision serves `collision_apply` and the exact-marginal residual; on a
-marginal of a pure state it reads the traced slot's diagonal off the Gram
-factor (see `gplab.manybody.DensityMatrix`), as `sobolev_trace_norm` reads
-its trace, so neither builds the (M^(d k))^2 kernel.  The limit residual
-takes its norms over row blocks of the product terms' kernel, never built.
+which is how orders one and two stay affordable.  The exact-marginal
+residual collides on the Gram factor of a pure-state marginal (see
+`gplab.manybody.DensityMatrix`) in any d, and `sobolev_trace_norm` reads
+its trace there, so neither builds that marginal's kernel.  The limit
+residual takes its norms over row blocks of the product terms' kernel,
+never built.
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -36,8 +35,6 @@ from .errors import ConfigurationError, DomainError
 from .grids import GridSpec, WaveFunction, ensure_same_grid, free_evolve
 from .manybody import DensityMatrix, check_entry_budget, pair_field
 from .potential import PotentialModel
-
-_LETTERS = string.ascii_lowercase
 
 
 # --- kernel plumbing ------------------------------------------------------
@@ -85,48 +82,23 @@ def kinetic_commutator(kernel: np.ndarray, grid: GridSpec, k: int) -> np.ndarray
 # --- collision operator ---------------------------------------------------
 
 
-# Two back ends compute sum_j Tr_{k+1}[W(x_j, z), gamma^(k+1)] for a pair
-# weight W that already carries the trace's grid measure: a dense one on a
-# d = 1 kernel and one on rank-one product terms (_collide_terms, below).
-
-
-def _collide_dense(gamma_next: DensityMatrix, k: int, weight: np.ndarray) -> np.ndarray:
-    """Dense back end on the (M^(k+1), M^(k+1)) kernel of a d = 1 grid."""
-    m = gamma_next.grid.points_per_axis
-    rows, cols, z = _LETTERS[:k], _LETTERS[k : 2 * k], "z"
-    # the traced slot's diagonal, taken once for every j
-    if gamma_next.factor is not None:  # weight sum_c F[x, z, c] conj(F[x', z, c])
-        factor = gamma_next.factor.reshape(m**k, m, -1)
-        diag = np.einsum("azc,bzc->abz", factor, factor.conj()) * gamma_next.weight
-        diag = diag.reshape((m,) * (2 * k + 1))
-    else:
-        work = gamma_next.kernel.reshape((m,) * (2 * k + 2))
-        diag = np.einsum(rows + z + cols + z + "->" + rows + cols + z, work)
-    out = np.zeros((m,) * (2 * k), dtype=complex)
-    for j in range(k):
-        t1 = np.einsum(rows[j] + "z," + rows + cols + "z->" + rows + cols, weight, diag)
-        t2 = np.einsum(cols[j] + "z," + rows + cols + "z->" + rows + cols, weight, diag)
-        out += t1 - t2
-    return out.reshape(m**k, m**k)
-
-
-def collision_apply(gamma_next: DensityMatrix, sigma: float) -> np.ndarray:
-    """Contact collision term of strength sigma applied to a (k+1)-kernel.
-
-    Returns the k-particle kernel -i sigma sum_j [gamma(x, x_j; x', x_j) -
-    gamma(x, x'_j; x', x'_j)]; traceless and anti-hermitian-consistent by
-    construction.  The dense back end keeps the full kernel in memory and is
-    restricted to one-dimensional grids.
+def _collide(gamma_next: DensityMatrix, k: int, weight: np.ndarray) -> np.ndarray:
+    """sum_j Tr_{k+1}[W(x_j, z), gamma^(k+1)] on the Gram factor F (weight w)
+    of a pure-state marginal, for a real symmetric (M^d, M^d) pair weight W
+    that carries the trace's grid measure; `_collide_terms` (below) is the
+    same on rank-one product terms.  With F laid out as [x_1..x_k, z, c],
+    the sum is P - P^H for P = w (V o F) F^H, (V o F)[x, z, c] = sum_j
+    W(x_j, z) F[x, z, c]: one matrix product and no traced-slot diagonal.
+    Slots index M^d points, so any d works.
     """
-    grid = gamma_next.grid
-    if grid.dim != 1:
-        raise ConfigurationError("general collision path supports d = 1 only")
-    k = gamma_next.k - 1
-    if k < 1:
-        raise DomainError("gamma_next must have at least two particles")
-    # the delta's (dx)^-d weight cancels the partial trace's (dx)^d measure
-    contact = np.eye(grid.points_per_axis)
-    return -1j * sigma * _collide_dense(gamma_next, k, contact)
+    if gamma_next.factor is None:
+        raise DomainError("the collision needs a pure-state marginal's Gram factor")
+    size = gamma_next.grid.size
+    factor = gamma_next.factor.reshape((size,) * (k + 1) + (-1,))
+    v = sum(weight.reshape((1,) * j + (size,) + (1,) * (k - 1 - j) + (size, 1)) for j in range(k))
+    rows = size**k
+    p = gamma_next.weight * ((v * factor).reshape(rows, -1) @ factor.reshape(rows, -1).conj().T)
+    return p - p.conj().T
 
 
 # --- hierarchy residuals --------------------------------------------------
@@ -140,10 +112,13 @@ def _frame(frames: Mapping[float, object], time: float):
 
 
 def _frame_triple(frames: Mapping[float, object], t: float, dt: float) -> list:
-    """The frames at t - dt, t and t + dt of a central difference."""
+    """The frames at t - dt, t and t + dt of a central difference, on one grid."""
     if dt <= 0:
         raise DomainError("dt must be positive")
-    return [_frame(frames, time) for time in (t - dt, t, t + dt)]
+    triple = [_frame(frames, time) for time in (t - dt, t, t + dt)]
+    for frame in triple:
+        ensure_same_grid(frame.grid, triple[1].grid)
+    return triple
 
 
 def _relative_defect(defect: float, scale: float) -> float:
@@ -169,8 +144,8 @@ def bbgky_residual(
     """
     before, center, after = _frame_triple(gamma_frames, t, dt)
     grid, k = center.grid, center.k
-    if grid.dim != 1:
-        raise ConfigurationError("marginal-equation residual supports d = 1 only")
+    if before.k != k or after.k != k:
+        raise ConfigurationError(f"every frame must be a {k}-particle marginal")
     if gamma_next.k != k + 1:
         raise ConfigurationError("gamma_next must hold one more particle")
     ensure_same_grid(grid, gamma_next.grid)
@@ -183,8 +158,8 @@ def bbgky_residual(
             col_pair = pair_field(grid, pair, 2 * k, k + i, k + j)
             rhs += (row_pair * work - work * col_pair).reshape(rhs.shape)
     # collision with the pair potential through the (k+1)-marginal
-    weight = grid.cell_volume * pair_field(grid, pair, 2, 0, 1)
-    rhs += (n_particles - k) * _collide_dense(gamma_next, k, weight)
+    weight = grid.cell_volume * pair_field(grid, pair, 2, 0, 1).reshape(grid.size, grid.size)
+    rhs += (n_particles - k) * _collide(gamma_next, k, weight)
     return _relative_defect(kernel_norm(lhs - rhs, grid, k), kernel_norm(rhs, grid, k))
 
 
@@ -207,8 +182,6 @@ def infinite_hierarchy_residual(
     if k < 1:
         raise DomainError("k must be >= 1")
     before, center, after = _frame_triple(orbital_frames, t, dt)
-    ensure_same_grid(before.grid, center.grid)
-    ensure_same_grid(after.grid, center.grid)
     grid, phi = center.grid, center.values
     lap_phi = spectral.fourier_multiply(phi, spectral.k_squared(grid))  # -Laplacian phi
     # [-Laplacian_total, product]: -Laplacian on one slot, row minus column side

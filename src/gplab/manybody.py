@@ -205,7 +205,7 @@ class DensityMatrix:
     (M^(d k))^2 kernel is built the first time `.kernel` is read, after its
     2^28-entry budget is checked, and kept from then on; `trace`,
     `partial_trace`, `condensate_overlap`, `sobolev_trace_norm` and the
-    collision's traced-slot diagonal work on the factor and never build it.
+    hierarchy's collision work on the factor and never build it.
     The view follows the state: a marginal of a state whose amplitudes are
     later written changes with them.
     """

@@ -1,8 +1,9 @@
+import string
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gplab.errors import ConfigurationError, DomainError
@@ -18,9 +19,9 @@ from gplab.grids import (
 from gplab.hierarchy import (
     HierarchyFamily,
     _assemble_terms,
+    _collide,
     _collide_terms,
     bbgky_residual,
-    collision_apply,
     dyson_partial_sum,
     dyson_term,
     factorized_kernel,
@@ -119,13 +120,33 @@ def _term_collision(phi, k, sigma):
     return _assemble_terms(_collide_terms(product, sigma), phi.grid.size)
 
 
-def test_collision_factorized_matches_general_path(grid, orbital):
+def _contact_collision(gamma_next, sigma):
+    """Contact collision of strength sigma on a factored (k+1)-marginal: the
+    delta's (dx)^-d weight cancels the partial trace's (dx)^d measure."""
+    return -1j * sigma * _collide(gamma_next, gamma_next.k - 1, np.eye(gamma_next.grid.size))
+
+
+def _collision_oracle(kernel, k, weight):
+    """sum_j Tr_{k+1}[W(x_j, z), gamma^(k+1)] on a dense (k+1)-particle kernel,
+    through the traced slot's diagonal: one einsum letter per slot of M^d points."""
+    size = weight.shape[0]
+    rows, cols = string.ascii_lowercase[:k], string.ascii_lowercase[k : 2 * k]
+    work = kernel.reshape((size,) * (2 * k + 2))
+    diag = np.einsum(f"{rows}z{cols}z->{rows}{cols}z", work)
+    out = np.zeros((size,) * (2 * k), dtype=complex)
+    for j in range(k):
+        out += np.einsum(f"{rows[j]}z,{rows}{cols}z->{rows}{cols}", weight, diag)
+        out -= np.einsum(f"{cols[j]}z,{rows}{cols}z->{rows}{cols}", weight, diag)
+    return out.reshape(size**k, size**k)
+
+
+def test_factored_collision_matches_closed_form(grid, orbital):
     state = product_state(orbital, 2)
     gamma2 = marginal(state, 2)
     sigma = 0.7
-    general = collision_apply(gamma2, sigma)
+    factored = _contact_collision(gamma2, sigma)
     closed_form = _collision_closed_form(orbital, 1, sigma)
-    assert np.max(np.abs(general - closed_form)) < 1e-12
+    assert np.max(np.abs(factored - closed_form)) < 1e-12
 
 
 def test_collision_commutator_structure(grid, orbital):
@@ -143,11 +164,10 @@ def test_collision_vanishes_for_flat_density_and_zero_coupling(grid, orbital):
     assert np.max(np.abs(_term_collision(orbital, 1, 0.0))) < 1e-14
 
 
-def test_collision_general_path_guards(grid, orbital):
-    grid3 = GridSpec(3, 8, 6.0)
-    stub = DensityMatrix(grid3, 2, np.zeros((4, 4), dtype=complex))
-    with pytest.raises(ConfigurationError):
-        collision_apply(stub, 1.0)  # dimension guard fires first
+def test_collision_rejects_dense_kernel(grid):
+    dense = DensityMatrix(grid, 2, np.zeros((grid.size**2, grid.size**2), dtype=complex))
+    with pytest.raises(DomainError):
+        _collide(dense, 1, np.eye(grid.size))
 
 
 def _random_orbital(grid, seed):
@@ -158,38 +178,33 @@ def _random_orbital(grid, seed):
 
 collision_cases = settings(max_examples=20, deadline=None)
 levels = st.sampled_from([1, 2])
+# (k, d) on 8 points with a level-k kernel of at most 64^2 entries
+collision_layouts = st.tuples(levels, st.sampled_from([1, 2])).filter(lambda kd: kd[0] * kd[1] <= 2)
 boxes = st.floats(4.0, 12.0)
 couplings = st.floats(-3.0, 3.0).filter(lambda sigma: abs(sigma) > 1e-3)
 seeds = st.integers(0, 2**32 - 1)
 
 
 @collision_cases
-@given(k=levels, box=boxes, sigma=couplings, seed=seeds)
-def test_collision_back_ends_agree_on_product_states(k, box, sigma, seed):
-    grid = GridSpec(1, 8, box)
-    phi = _random_orbital(grid, seed)
+@given(layout=collision_layouts, box=boxes, sigma=couplings, seed=seeds)
+@example(layout=(1, 2), box=6.0, sigma=0.7, seed=2)
+@example(layout=(1, 3), box=6.0, sigma=0.7, seed=3)
+def test_collision_back_ends_agree_on_product_states(layout, box, sigma, seed):
+    k, d = layout
+    phi = _random_orbital(GridSpec(d, 8, box), seed)
     closed_form = _collision_closed_form(phi, k, sigma)
-    dense = collision_apply(marginal(product_state(phi, k + 1), k + 1), sigma)
-    assert np.max(np.abs(dense - closed_form)) < 1e-12
+    factored = _contact_collision(marginal(product_state(phi, k + 1), k + 1), sigma)
+    assert np.max(np.abs(factored - closed_form)) < 1e-12
     assert np.max(np.abs(_term_collision(phi, k, sigma) - closed_form)) < 1e-12
 
 
-def test_term_collision_matches_closed_form_in_higher_dimensions():
-    for dim in (2, 3):
-        phi = _random_orbital(GridSpec(dim, 8, 6.0), dim)
-        closed_form = _collision_closed_form(phi, 1, 0.7)
-        assert np.max(np.abs(_term_collision(phi, 1, 0.7) - closed_form)) < 1e-12
-
-
 @collision_cases
-@given(k=levels, box=boxes, sigma=couplings, seed=seeds)
-def test_collision_is_traceless_and_anti_hermitian(k, box, sigma, seed):
-    grid = GridSpec(1, 8, box)
-    size = grid.size ** (k + 1)
-    rng = np.random.default_rng(seed)
-    raw = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-    gamma_next = DensityMatrix(grid, k + 1, 0.5 * (raw + raw.conj().T))
-    part = collision_apply(gamma_next, sigma) / (-1j * sigma)
+@given(layout=collision_layouts, extra=st.sampled_from([0, 1]), box=boxes, seed=seeds)
+def test_collision_is_traceless_and_anti_hermitian(layout, extra, box, seed):
+    k, d = layout
+    grid = GridSpec(d, 8, box)
+    state = random_symmetric_state(grid, k + 1 + extra, seed)
+    part = _collide(marginal(state, k + 1), k, np.eye(grid.size))
     assert abs(np.trace(part)) * grid.cell_volume**k < 1e-12
     assert np.max(np.abs(part + part.conj().T)) < 1e-12
 
@@ -258,6 +273,26 @@ def test_marginal_equation_residual_second_order():
     assert 3.2 < residuals[0] / residuals[1] < 4.8
 
 
+def test_marginal_equation_residual_second_order_in_3d():
+    # criterion 07's pair on 8^3: slots index M^d points, so any d runs
+    grid = GridSpec(3, 8, 8.0)
+    phi = gaussian_packet(grid, width=1.0)
+    pair = scale_potential(GaussianPotential(2.0, 0.5, cutoff=3.0), 2)
+    state0 = product_state(phi, 2)
+    t = 0.008
+    residuals = []
+    for dt in (2e-3, 1e-3):
+        frames = {}
+        gamma2 = None
+        for tt in (t - dt, t, t + dt):
+            evolved = evolve_manybody_cached(state0, pair, tt, dt)
+            frames[tt] = marginal(evolved, 1)
+            if abs(tt - t) < 1e-12:
+                gamma2 = marginal(evolved, 2)
+        residuals.append(bbgky_residual(frames, gamma2, pair, 2, t, dt))
+    assert 3.2 < residuals[0] / residuals[1] < 4.8
+
+
 def test_two_particle_marginal_equation_residual_second_order():
     # k = 2 of n = 3 reaches the intra-group pair commutator
     grid = GridSpec(1, 8, 6.0)
@@ -301,6 +336,26 @@ def test_missing_frames_rejected(grid, orbital):
     gamma2 = marginal(product_state(orbital, 2), 2)
     with pytest.raises(ConfigurationError):
         bbgky_residual({0.0: dm}, gamma2, BarrierPotential(0.0, 1.0), 2, 0.0, 1e-3)
+
+
+def test_frames_on_another_grid_rejected():
+    grid, other = GridSpec(1, 16, 8.0), GridSpec(1, 16, 12.0)
+    phi, stray = gaussian_packet(grid, width=1.0), gaussian_packet(other, width=1.0)
+    dt = 1e-3
+    frames = {-dt: marginal(product_state(stray, 2), 1), 0.0: marginal(product_state(phi, 2), 1)}
+    frames[dt] = frames[0.0]
+    gamma2 = marginal(product_state(phi, 2), 2)
+    with pytest.raises(ConfigurationError):
+        bbgky_residual(frames, gamma2, BarrierPotential(0.0, 1.0), 2, 0.0, dt)
+    with pytest.raises(ConfigurationError):
+        infinite_hierarchy_residual({-dt: stray, 0.0: phi, dt: phi}, 1, 1.0, 0.0, dt)
+
+
+def test_frames_at_another_level_rejected(grid, orbital):
+    state, dt = product_state(orbital, 2), 1e-3
+    frames = {-dt: marginal(state, 2), 0.0: marginal(state, 1), dt: marginal(state, 1)}
+    with pytest.raises(ConfigurationError):
+        bbgky_residual(frames, marginal(state, 2), BarrierPotential(0.0, 1.0), 2, 0.0, dt)
 
 
 # --- limiting-equation residual ---------------------------------------------
@@ -533,10 +588,9 @@ def _assert_close(value, reference):
 @given(
     layout=factored_layouts,
     box=st.floats(4.0, 12.0),
-    sigma=st.floats(0.1, 2.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_factored_marginal_matches_its_dense_kernel(layout, box, sigma, seed):
+def test_factored_marginal_matches_its_dense_kernel(layout, box, seed):
     n, d, k = layout
     grid = GridSpec(d, 8, box)
     state = random_symmetric_state(grid, n, seed)
@@ -552,8 +606,10 @@ def test_factored_marginal_matches_its_dense_kernel(layout, box, sigma, seed):
     reduced = partial_trace(dm)
     assert reduced.factor is not None
     _assert_close(reduced.kernel, partial_trace(dense).kernel)
-    if d == 1:  # the collision's traced-slot diagonal
-        _assert_close(collision_apply(dm, sigma), collision_apply(dense, sigma))
+    # the collision, against a real symmetric pair weight
+    raw = np.random.default_rng(seed).normal(size=(grid.size, grid.size))
+    weight = raw + raw.T
+    _assert_close(_collide(dm, k - 1, weight), _collision_oracle(dense.kernel, k - 1, weight))
 
 
 def test_marginal_checks_build_no_level_two_kernel():
@@ -574,6 +630,6 @@ def test_marginal_checks_build_no_level_two_kernel():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 4096**2 / 16
+    assert peak < 2 * 2**20
     assert defect < 1e-12 and 0.0 < residual < 1e-2
     assert norm > 1.0 + kinetic_energy(states[t])  # plus <(-Laplacian_1)(-Laplacian_2)> >= 0
