@@ -213,8 +213,6 @@ def parse_config(data: dict, base: str | Path = ".") -> ScenarioConfig:
             _count("grid: points_per_axis", block["points_per_axis"]),
             _real("grid: box_length", block["box_length"]),
         )
-    if experiment == "hierarchy" and grid.dim != 1:
-        raise ConfigurationError("hierarchy experiment runs on d = 1 grids")
 
     t_final, dt = 0.1, 1e-3
     if "time" in data:

@@ -19,8 +19,8 @@ which is how orders one and two stay affordable.  The exact-marginal
 residual collides on the Gram factor of a pure-state marginal (see
 `gplab.manybody.DensityMatrix`) in any d, and `sobolev_trace_norm` reads
 its trace there, so neither builds that marginal's kernel.  The limit
-residual takes its norms over row blocks of the product terms' kernel,
-never built.
+residual takes its norms from per-slot Gram matrices of the product terms,
+so it builds nothing kernel-sized and runs at any level and in any d.
 """
 
 from __future__ import annotations
@@ -149,6 +149,8 @@ def bbgky_residual(
     if gamma_next.k != k + 1:
         raise ConfigurationError("gamma_next must hold one more particle")
     ensure_same_grid(grid, gamma_next.grid)
+    if n_particles < k + 1:
+        raise DomainError(f"a {k + 1}-particle marginal needs n_particles >= {k + 1}")
     lhs = 1j * (after.kernel - before.kernel) / (2.0 * dt)
     rhs = kinetic_commutator(center.kernel, grid, k)
     work = center.kernel.reshape(grid.shape * (2 * k))
@@ -172,31 +174,39 @@ def infinite_hierarchy_residual(
 ) -> float:
     """Normalized defect of the limiting hierarchy on a factorized family.
 
-    Central-differences the k-fold product kernels of the orbital at t -+ dt
-    and subtracts the kinetic commutator plus the contact collision term of
-    strength sigma, all as rank-one product terms whose norms are summed
-    over row blocks, so no level-k kernel is built.  The defect vanishes at
-    second order in dt exactly when the orbital solves the nonlinear
-    equation with the same sigma.
+    With Phi, A and B the k-fold products of the orbital at t, t + dt and
+    t - dt, U = i (A - B) / (2 dt) and H = sum_j (-Laplacian_j + sigma
+    |phi(x_j)|^2) (the kinetic and contact collision terms), the defect
+    i (A A^H - B B^H) / (2 dt) - [H, Phi Phi^H] is normed as
+        (U - H Phi) A^H + H Phi (A - Phi)^H - B (U - H Phi)^H - (B - Phi) (H Phi)^H
+    with each difference telescoped into products of one difference slot:
+    every term is of order dt, so the Gram sums of `_terms_norm` do not
+    cancel.  It vanishes at second order in dt exactly when the orbital
+    solves the nonlinear equation with the same sigma.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
     before, center, after = _frame_triple(orbital_frames, t, dt)
-    grid, phi = center.grid, center.values
-    lap_phi = spectral.fourier_multiply(phi, spectral.k_squared(grid))  # -Laplacian phi
-    # [-Laplacian_total, product]: -Laplacian on one slot, row minus column side
-    rhs = []
-    for j in range(k):
-        for coeff, side in ((1.0, (lap_phi, phi)), (-1.0, (phi, lap_phi))):
-            slots = [(phi, phi)] * k
-            slots[j] = side
-            rhs.append((coeff, slots))
-    rhs += _collide_terms([(1j, [(phi, phi)] * (k + 1))], sigma)
-    rate = 1j / (2.0 * dt)
-    lhs = [(rate, [(after.values, after.values)] * k), (-rate, [(before.values, before.values)] * k)]
-    scale = _terms_norm(rhs, grid, k)
-    defect_terms = lhs + [(-coeff, slots) for coeff, slots in rhs]
-    return _relative_defect(_terms_norm(defect_terms, grid, k), scale)
+    grid, phi, a, b = center.grid, center.values, after.values, before.values
+    h_phi = spectral.fourier_multiply(phi, spectral.k_squared(grid)) + sigma * abs(phi) ** 2 * phi
+    u, a_k, b_k, phi_k = 1j * (a - b) / (2.0 * dt), [a] * k, [b] * k, [phi] * k
+    h_prods = [phi_k[:j] + [h_phi] + phi_k[j + 1 :] for j in range(k)]  # H Phi
+    u_prods = [b_k[:j] + [u] + a_k[j + 1 :] for j in range(k)]  # U, telescoped
+    w_prods = [p for x, y in zip(u_prods, h_prods) for p in _difference(x, y)]  # U - H Phi
+    defect = _outer(1.0, w_prods, [a_k]) + _outer(1.0, h_prods, _difference(a_k, phi_k))
+    defect += _outer(-1.0, [b_k], w_prods) + _outer(-1.0, _difference(b_k, phi_k), h_prods)
+    rhs = _outer(1.0, h_prods, [phi_k]) + _outer(-1.0, [phi_k], h_prods)
+    return _relative_defect(_terms_norm(defect, grid, k), _terms_norm(rhs, grid, k))
+
+
+def _difference(x: list, y: list) -> list:
+    """Products summing to x_1 x .. x x_k - y_1 x .. x y_k, one difference slot each."""
+    return [y[:j] + [x[j] - y[j]] + x[j + 1 :] for j in range(len(x))]
+
+
+def _outer(coeff: complex, rows: list, cols: list) -> list:
+    """Rank-one product terms of coeff (sum of rows)(sum of cols)^H."""
+    return [(coeff, list(zip(row, col))) for row in rows for col in cols]
 
 
 # --- truncated series -----------------------------------------------------
@@ -266,11 +276,10 @@ def _evolve_terms(terms: list, grid: GridSpec, tau: float) -> list:
     return [(coeff, [(fly(a), fly(b)) for a, b in slots]) for coeff, slots in terms]
 
 
-def _face_split(terms: list, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Factors (L, R) of the level-k kernel L @ R = sum_t c_t (a_t1 x .. x
-    a_tk)(b_t1 x .. x b_tk)^H of rank-one product terms (c_t, [(a_t1, b_t1),
-    ..]): row-wise Kronecker (face-splitting) products, L with the
-    coefficients.  Checks the kernel's 2^28-entry budget first."""
+def _assemble_terms(terms: list, size: int) -> np.ndarray:
+    """The level-k kernel L @ R = sum_t c_t (a_t1 x .. x a_tk)(b_t1 x .. x b_tk)^H of
+    rank-one product terms (c_t, [(a_t1, b_t1), ..]), L and R row-wise Kronecker
+    products, L with the coefficients; checks the 2^28-entry budget first."""
     k = len(terms[0][1])
     check_entry_budget(size ** (2 * k), f"level-{k} kernel")
     left = right = np.ones((len(terms), 1))
@@ -280,26 +289,22 @@ def _face_split(terms: list, size: int) -> tuple[np.ndarray, np.ndarray]:
         left = (left[:, :, None] * a[:, None, :]).reshape(len(terms), -1)
         right = (right[:, :, None] * b[:, None, :]).reshape(len(terms), -1)
     coeffs = np.array([coeff for coeff, _ in terms])
-    return left.T * coeffs, right.conj()
-
-
-def _assemble_terms(terms: list, size: int) -> np.ndarray:
-    """The level-k kernel of rank-one product terms, one matrix product."""
-    left, right = _face_split(terms, size)
-    return left @ right
+    return (left.T * coeffs) @ right.conj()
 
 
 def _terms_norm(terms: list, grid: GridSpec, k: int) -> float:
-    """kernel_norm of the level-k kernel of rank-one product terms, summed
-    over row blocks of at most spectral.SLAB_ENTRIES entries: the kernel is
-    never built."""
-    left, right = _face_split(terms, grid.size)
-    step = max(1, spectral.SLAB_ENTRIES // right.shape[1])
-    total = sum(
-        spectral.weighted_norm_squared(left[start : start + step] @ right)
-        for start in range(0, left.shape[0], step)
-    )
-    return float(np.sqrt(total) * grid.cell_volume**k)
+    """kernel_norm of the level-k kernel of rank-one product terms, from
+    per-slot Gram matrices: ||sum_t c_t A_t B_t^H||^2 = sum_(s,t) conj(c_s)
+    c_t prod_slots <a_s, a_t> <b_t, b_s>, with nothing kernel-sized built.
+    Terms that cancel lose digits twice over here (the squared norm cancels),
+    so callers write differences into the fields, one slot per term."""
+    gram = np.ones((len(terms), len(terms)))
+    for slot in range(k):
+        a = np.stack([slots[slot][0].ravel() for _, slots in terms])
+        b = np.stack([slots[slot][1].ravel() for _, slots in terms])
+        gram = gram * (a.conj() @ a.T) * (b @ b.conj().T)
+    coeffs = np.array([coeff for coeff, _ in terms])
+    return float(np.sqrt(max(np.real(coeffs.conj() @ gram @ coeffs), 0.0)) * grid.cell_volume**k)
 
 
 def dyson_term(
@@ -330,6 +335,7 @@ def dyson_term(
     grid, size = phi.grid, phi.grid.size
     if m == 0:
         return free_propagate_kernel(factorized_kernel(phi, k), grid, k, t)
+    check_entry_budget(size ** (2 * k), f"level-{k} kernel")
     total = np.zeros((size**k, size**k), dtype=complex)
     if family.sigma == 0.0:
         return total
@@ -353,11 +359,7 @@ def dyson_partial_sum(
     """Sum of the series terms of orders 0..n-1 at level k (n <= 3)."""
     if not 1 <= n <= 3:
         raise ConfigurationError("partial sums support n in 1..3")
-    total = None
-    for m in range(n):
-        term = dyson_term(family, k, m, t, quad_points)
-        total = term if total is None else total + term
-    return total
+    return sum(dyson_term(family, k, m, t, quad_points) for m in range(n))
 
 
 # --- regularity norm and power counting -----------------------------------

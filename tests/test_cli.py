@@ -212,6 +212,26 @@ def test_hierarchy_run_evolves_each_gp_frame_once(tmp_path, monkeypatch):
     assert [row[:2] for row in rows] == [["1", "0"], ["2", "0"], ["1", "1"], ["1", "2"], ["1", "3"]]
 
 
+def test_hierarchy_run_in_3d_at_the_scattering_coupling(tmp_path):
+    # the limit hierarchy in 3D with sigma = 8 pi a0 of the pair potential
+    data = {
+        "schema_version": "1",
+        "experiment": "hierarchy",
+        "grid": {"dim": 3, "points_per_axis": 8, "box_length": 8.0},
+        "potential": {"kind": "gaussian", "v0": 2.0, "width": 0.5},
+        "time": {"t_final": 0.05, "dt": 1e-3},
+        "coupling": {"mode": "from_scattering"},
+        "output": {"dir": str(tmp_path / "h"), "prefix": "h"},
+    }
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", "--config", str(path)]) == 0
+    _, rows = _read_rows(tmp_path / "h" / "h_results.csv")
+    assert len(rows) == 5
+    distances = [float(row[3]) for row in rows[2:]]
+    assert distances[0] > distances[1] > distances[2]
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     override = tmp_path / "redirected"
     monkeypatch.setenv("GPLAB_OUTPUT_DIR", str(override))
@@ -654,8 +674,6 @@ UNRUNNABLE_CASES = [
     pytest.param("scatter", {"scaling_N": [1, 4]}, "scatter needs a potential", id="scatter"),
     pytest.param("manybody", {"grid": LINE, "coupling": EXPLICIT}, "manybody needs a potential",
                  id="manybody"),
-    pytest.param("hierarchy", {"grid": {"dim": 3, "points_per_axis": 8, "box_length": 8.0},
-                               "coupling": EXPLICIT}, "d = 1 grids", id="hierarchy"),
     # a config number is a finite JSON number: no bool, string, list, null, NaN or inf
     pytest.param("scatter", _gaussian(v0="2.0"), "potential: v0", id="v0-string"),
     pytest.param("scatter", _gaussian(v0=True), "potential: v0", id="v0-bool"),
@@ -731,9 +749,12 @@ OVER_BUDGET_CASES = [
                               "grid": {"dim": 1, "points_per_axis": 1024, "box_length": 8.0},
                               "particles": 3, "coupling": EXPLICIT},
                  "3-particle state", id="manybody"),
-    pytest.param("hierarchy", {"grid": {"dim": 1, "points_per_axis": 256, "box_length": 8.0},
+    pytest.param("hierarchy", {"grid": {"dim": 1, "points_per_axis": 2**15, "box_length": 8.0},
                                "time": {"t_final": 0.002, "dt": 1e-3}, "coupling": EXPLICIT},
-                 "level-2 kernel", id="hierarchy"),
+                 "level-1 kernel", id="hierarchy"),
+    pytest.param("hierarchy", {"grid": {"dim": 3, "points_per_axis": 32, "box_length": 8.0},
+                               "time": {"t_final": 0.002, "dt": 1e-3}, "coupling": EXPLICIT},
+                 "level-1 kernel", id="hierarchy-3d"),
 ]
 
 
@@ -800,8 +821,6 @@ def valid_configs(draw):
     for key in sorted(read & set(field_values)):
         if draw(st.booleans()):
             data[key] = draw(field_values[key])
-    if experiment == "hierarchy" and "grid" in data:
-        data["grid"]["dim"] = 1  # the hierarchy experiment runs on d = 1 grids only
     if "coupling" in read:
         data["coupling"] = draw(couplings)
     # the mean-field experiments read the potential only to set the coupling

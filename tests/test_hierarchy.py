@@ -21,6 +21,7 @@ from gplab.hierarchy import (
     _assemble_terms,
     _collide,
     _collide_terms,
+    _terms_norm,
     bbgky_residual,
     dyson_partial_sum,
     dyson_term,
@@ -210,7 +211,8 @@ def test_collision_is_traceless_and_anti_hermitian(layout, extra, box, seed):
 
 
 def test_level_three_kernels_rejected_before_allocation():
-    # a level-3 kernel on 64 points has 2^36 entries
+    # a level-3 kernel on 64 points has 2^36 entries; the limit residual never
+    # builds it, so it runs at level 3 there
     grid = GridSpec(1, 64, 8.0)
     phi = gaussian_packet(grid, width=1.0)
     frames = {tt: phi for tt in (-1e-3, 0.0, 1e-3)}
@@ -218,12 +220,12 @@ def test_level_three_kernels_rejected_before_allocation():
     try:
         with pytest.raises(ConfigurationError):
             factorized_kernel(phi, 3)
-        with pytest.raises(ConfigurationError):
-            infinite_hierarchy_residual(frames, 3, 1.0, 0.0, 1e-3)
+        residual = infinite_hierarchy_residual(frames, 3, 1.0, 0.0, 1e-3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    assert residual > 0.0
 
 
 # --- exact-marginal equation -----------------------------------------------
@@ -338,6 +340,17 @@ def test_missing_frames_rejected(grid, orbital):
         bbgky_residual({0.0: dm}, gamma2, BarrierPotential(0.0, 1.0), 2, 0.0, 1e-3)
 
 
+def test_too_few_particles_rejected():
+    # the collision carries the factor n - k: a 2-particle marginal needs n >= 2
+    grid = GridSpec(1, 16, 8.0)
+    state = product_state(gaussian_packet(grid, width=1.0), 2)
+    t, dt = 0.01, 1e-3
+    frames = {tt: marginal(state, 1) for tt in (t - dt, t, t + dt)}
+    for n in (1, 0, -3):
+        with pytest.raises(DomainError, match="n_particles"):
+            bbgky_residual(frames, marginal(state, 2), BarrierPotential(1.0, 1.0), n, t, dt)
+
+
 def test_frames_on_another_grid_rejected():
     grid, other = GridSpec(1, 16, 8.0), GridSpec(1, 16, 12.0)
     phi, stray = gaussian_packet(grid, width=1.0), gaussian_packet(other, width=1.0)
@@ -426,6 +439,18 @@ def test_limit_residual_matches_dense_formula(points, k, box, sigma, dt, seed):
     )
 
 
+def test_limit_residual_resolves_small_defects(grid, orbital):
+    # on GP frames the defect is 2e-5 of the terms it is made of, and the Gram
+    # sum squares that cancellation: the terms must carry the differences
+    sigma, t, dt = 1.0, 0.1, 1e-3
+    frames = {tt: evolve_gp(orbital, sigma, tt, dt) for tt in (t - dt, t, t + dt)}
+    for k in (1, 2):
+        reference = _dense_limit_residual(frames, k, sigma, t, dt)
+        assert infinite_hierarchy_residual(frames, k, sigma, t, dt) == pytest.approx(
+            reference, rel=1e-8
+        )
+
+
 def test_limit_residual_holds_one_level_two_kernel():
     # a level-2 kernel on 64 points: 4096^2 complex entries, 268 MB
     grid = GridSpec(1, 64, 8.0)
@@ -437,8 +462,40 @@ def test_limit_residual_holds_one_level_two_kernel():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # both norms are summed over row blocks: the kernel itself is never built
-    assert peak < 0.25 * 16 * 4096**2
+    # both norms come from T x T Gram matrices: nothing kernel-sized is built
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2])
+def test_terms_norm_matches_assembled_kernel(k, d):
+    # only the grid's cell volume enters the norm, so the fields may be
+    # smaller than the grid: 3 points per axis keep the assembled kernel small
+    grid = GridSpec(d, 8, 6.0)
+    rng = np.random.default_rng(10 * k + d)
+
+    def field():
+        return rng.normal(size=(3,) * d) + 1j * rng.normal(size=(3,) * d)
+
+    terms = [
+        (complex(*rng.normal(size=2)), [(field(), field()) for _ in range(k)]) for _ in range(6)
+    ]
+    reference = kernel_norm(_assemble_terms(terms, 3**d), grid, k)
+    assert _terms_norm(terms, grid, k) == pytest.approx(reference, rel=1e-10)
+
+
+def test_limit_residual_second_order_in_3d():
+    grid = GridSpec(3, 8, 8.0)
+    phi = gaussian_packet(grid, width=1.0, momentum=[0.5, 0.0, 0.0])
+    sigma, t = 1.0, 0.1
+    for k in (1, 2):
+        residuals = []
+        for dt in (4e-3, 2e-3):
+            frames = {tt: evolve_gp(phi, sigma, tt, dt) for tt in (t - dt, t, t + dt)}
+            residuals.append(infinite_hierarchy_residual(frames, k, sigma, t, dt))
+        assert 3.2 < residuals[0] / residuals[1] < 4.8
+        mismatched = infinite_hierarchy_residual(frames, k, sigma / 2.0, t, 2e-3)
+        assert mismatched > 10.0 * residuals[1]
 
 
 def test_residual_consistent_across_levels(grid, orbital):
@@ -512,6 +569,19 @@ def test_series_guards(grid, orbital):
         dyson_term(family, 2, 1, 0.1)  # needs level 3 > k_max
     with pytest.raises(ConfigurationError):
         dyson_term(family, 1, 1, 0.1, quad_points=2)
+
+
+def test_series_kernel_budget_checked_before_allocation():
+    # a level-1 kernel on 2^15 points has 2^30 entries (16 GiB)
+    family = HierarchyFamily.from_orbital(gaussian_packet(GridSpec(1, 2**15, 8.0)), 2, 0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match="level-1 kernel"):
+            dyson_term(family, 1, 1, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # --- regularity norm ---------------------------------------------------------
