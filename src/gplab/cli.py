@@ -202,7 +202,7 @@ def _run_hierarchy(cfg, out_dir: Path):
     from .grids import gaussian_packet
     from .hierarchy import (
         HierarchyFamily,
-        dyson_partial_sum,
+        dyson_term,
         factorized_kernel,
         infinite_hierarchy_residual,
         kernel_distance,
@@ -215,9 +215,10 @@ def _run_hierarchy(cfg, out_dir: Path):
     rows = [[k, 0, t, infinite_hierarchy_residual(frames, k, sigma, t, dt)] for k in (1, 2)]
     family = HierarchyFamily.from_orbital(phi0, 3, sigma)
     exact = factorized_kernel(evolve_gp(phi0, sigma, t, min(dt, 1e-3)), 1)
-    for n in (1, 2, 3):
-        partial = dyson_partial_sum(family, 1, n, t, quad_points=24)
-        rows.append([1, n, t, kernel_distance(partial, exact, grid, 1)])
+    partial = 0  # the partial sums over orders 0..m, each order computed once
+    for m in range(3):
+        partial = partial + dyson_term(family, 1, m, t, quad_points=24)
+        rows.append([1, m + 1, t, kernel_distance(partial, exact, grid, 1)])
     return ["k", "m", "t", "residual"], rows
 
 

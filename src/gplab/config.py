@@ -33,6 +33,7 @@ EXPERIMENT_KEYS = {
     "power_counting": set(),
     "report": set(),
 }
+SNAPSHOT_EXPERIMENTS = ("gp_evolve", "gp_groundstate", "manybody")  # the ones that write one
 COUPLING_MODES = ("from_scattering", "born", "explicit")
 GRID_KEYS = ("dim", "points_per_axis", "box_length")
 
@@ -194,6 +195,7 @@ def parse_config(data: dict, base: str | Path = ".") -> ScenarioConfig:
     # imported here, after the CLI pins threads, since they load numpy;
     # the grid, trap and potential are built so bad values exit before any output
     from .grids import GridSpec
+    from .manybody import check_entry_budget
     from .potential import TrapModel
 
     potential, csv_path = None, None
@@ -246,6 +248,8 @@ def parse_config(data: dict, base: str | Path = ".") -> ScenarioConfig:
         )
 
     output = _section(data, "output", {"dir", "prefix", "binary_snapshots"}, {"dir", "prefix"})
+    if "binary_snapshots" in output and experiment not in SNAPSHOT_EXPERIMENTS:
+        raise ConfigurationError(f"output: {experiment} writes no binary_snapshots")
     binary_snapshots = output.get("binary_snapshots", False)
     if not isinstance(binary_snapshots, bool):
         raise ConfigurationError(
@@ -261,6 +265,8 @@ def parse_config(data: dict, base: str | Path = ".") -> ScenarioConfig:
         raise ConfigurationError("scaling_N must be a non-empty list of counts")
     scaling_n = tuple(_count("scaling_N entry", n, minimum=1) for n in scaling)
     seed = _count("seed", data.get("seed", 0))
+    if experiment == "hierarchy":  # the series kernels, checked before any GP frame is run
+        check_entry_budget(grid.size**2, "level-1 kernel")
 
     return ScenarioConfig(
         experiment=experiment,

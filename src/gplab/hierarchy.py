@@ -71,14 +71,6 @@ def free_propagate_kernel(kernel: np.ndarray, grid: GridSpec, k: int, t: float) 
     return work.reshape(kernel.shape)
 
 
-def kinetic_commutator(kernel: np.ndarray, grid: GridSpec, k: int) -> np.ndarray:
-    """[-Laplacian_total, kernel], computed spectrally on both slots."""
-    work, rows, cols = _per_axis(kernel, grid, k)
-    left = spectral.fourier_multiply(work, spectral.k_squared(grid, 2 * k, range(k)), rows)
-    left -= spectral.fourier_multiply(work, spectral.k_squared(grid, 2 * k, range(k, 2 * k)), cols)
-    return left.reshape(kernel.shape)
-
-
 # --- collision operator ---------------------------------------------------
 
 
@@ -136,11 +128,12 @@ def bbgky_residual(
     """Normalized defect of the exact k-particle marginal equation.
 
     The time derivative is the central difference of the k-particle kernels
-    at t -+ dt; the right side is the kinetic commutator, the intra-group
-    interaction commutator and (n - k) times the collision term built from
-    the (k+1)-marginal against the pair potential.  Exact marginals satisfy
-    the spatially discretized identity, so the residual decays at second
-    order in dt.
+    at t -+ dt; the right side is [H_k, gamma^(k)] (kinetic and intra-group
+    pair terms, from the row half: H_k gamma - (H_k gamma)^H for Hermitian
+    H_k and gamma) plus (n - k) times the collision term built from the
+    (k+1)-marginal against the pair potential.  Exact marginals satisfy the
+    spatially discretized identity, so the residual decays at second order
+    in dt.
     """
     before, center, after = _frame_triple(gamma_frames, t, dt)
     grid, k = center.grid, center.k
@@ -152,13 +145,13 @@ def bbgky_residual(
     if n_particles < k + 1:
         raise DomainError(f"a {k + 1}-particle marginal needs n_particles >= {k + 1}")
     lhs = 1j * (after.kernel - before.kernel) / (2.0 * dt)
-    rhs = kinetic_commutator(center.kernel, grid, k)
-    work = center.kernel.reshape(grid.shape * (2 * k))
+    work, rows, _ = _per_axis(center.kernel, grid, k)
+    rhs = spectral.fourier_multiply(work, spectral.k_squared(grid, 2 * k, range(k)), rows)
     for i in range(k):
         for j in range(i + 1, k):
-            row_pair = pair_field(grid, pair, 2 * k, i, j)
-            col_pair = pair_field(grid, pair, 2 * k, k + i, k + j)
-            rhs += (row_pair * work - work * col_pair).reshape(rhs.shape)
+            rhs += pair_field(grid, pair, 2 * k, i, j) * work
+    rhs = rhs.reshape(center.kernel.shape)
+    rhs -= rhs.conj().T  # in place: one kernel-sized temporary, the adjoint
     # collision with the pair potential through the (k+1)-marginal
     weight = grid.cell_volume * pair_field(grid, pair, 2, 0, 1).reshape(grid.size, grid.size)
     rhs += (n_particles - k) * _collide(gamma_next, k, weight)

@@ -15,6 +15,7 @@ family's bookkeeping; outputs produced this way are flagged `analog1d`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable
 
@@ -278,38 +279,17 @@ def partial_trace(dm: DensityMatrix) -> DensityMatrix:
 
 
 def condensate_overlap(dm: DensityMatrix, phi: WaveFunction) -> float:
-    """<phi, gamma phi> in [0, 1]; 1 - overlap is the depletion diagnostic."""
-    if dm.k != 1:
-        raise DomainError("condensate overlap is defined for one-particle marginals")
+    """<phi^(x k), gamma^(k) phi^(x k)> in [0, 1] on a k-particle marginal: 1 - overlap is the
+    depletion; on a state's k-marginal, sqrt(1 - overlap) is its distance to phi in k slots."""
     ensure_same_grid(dm.grid, phi.grid)
-    v = phi.values.ravel()
-    if dm.factor is not None:  # weight |factor^H phi|^2
+    if phi.n_particles != 1:
+        raise DomainError("the condensate phi must be one orbital")
+    v = functools.reduce(np.multiply.outer, [phi.values] * dm.k).ravel()
+    if dm.factor is not None:  # weight |factor^H phi^(x k)|^2
         value = spectral.weighted_norm_squared(v.conj() @ dm.factor) * dm.weight
     else:
         value = np.real(np.vdot(v, dm.kernel @ v))
-    return float(value * dm.grid.cell_volume**2)
-
-
-def factorization_distance(psi: WaveFunction, phi: WaveFunction, k: int) -> float:
-    """Distance from psi to the closest state with its first k slots in phi.
-
-    Equals sqrt(1 - |P psi|^2) where P projects onto phi^(tensor k) in the
-    first k slots; 0 for a pure product of phi, 1 when the contraction
-    vanishes.
-    """
-    ensure_same_grid(psi.grid, phi.grid)
-    if not 1 <= k < psi.n_particles:
-        raise DomainError("k must satisfy 1 <= k < n_particles")
-    rows = psi.grid.size**k
-    phi_k = np.array(1.0, dtype=complex)
-    for _ in range(k):
-        phi_k = np.tensordot(phi_k, phi.values, axes=0)
-    mat = psi.values.reshape(rows, -1)
-    chi = (phi_k.ravel().conj() @ mat) * psi.grid.cell_volume**k
-    chi_norm_sq = spectral.weighted_norm_squared(chi) * psi.grid.cell_volume ** (
-        psi.n_particles - k
-    )
-    return float(np.sqrt(max(0.0, 1.0 - chi_norm_sq)))
+    return float(value * dm.grid.cell_volume ** (2 * dm.k))
 
 
 # --- regularity diagnostics ----------------------------------------------

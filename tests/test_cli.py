@@ -15,6 +15,7 @@ from gplab import cli
 from gplab.config import (
     COMMON_KEYS,
     EXPERIMENT_KEYS,
+    SNAPSHOT_EXPERIMENTS,
     load_config,
     parse_config,
 )
@@ -210,6 +211,31 @@ def test_hierarchy_run_evolves_each_gp_frame_once(tmp_path, monkeypatch):
     assert len(calls) == 4
     _, rows = _read_rows(tmp_path / "h" / "h_results.csv")
     assert [row[:2] for row in rows] == [["1", "0"], ["2", "0"], ["1", "1"], ["1", "2"], ["1", "3"]]
+
+
+def test_hierarchy_run_computes_each_series_order_once(tmp_path, monkeypatch):
+    import gplab.hierarchy
+
+    orders = []
+    dyson_term = gplab.hierarchy.dyson_term
+
+    def counted(family, k, m, *args, **kwargs):
+        orders.append(m)
+        return dyson_term(family, k, m, *args, **kwargs)
+
+    monkeypatch.setattr(gplab.hierarchy, "dyson_term", counted)
+    data = {
+        "schema_version": "1",
+        "experiment": "hierarchy",
+        "grid": {"dim": 1, "points_per_axis": 8, "box_length": 8.0},
+        "time": {"t_final": 0.002, "dt": 1e-3},
+        "coupling": {"mode": "explicit", "value": 0.2},
+        "output": {"dir": str(tmp_path / "h"), "prefix": "h"},
+    }
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", "--config", str(path)]) == 0
+    assert orders == [0, 1, 2]
 
 
 def test_hierarchy_run_in_3d_at_the_scattering_coupling(tmp_path):
@@ -719,7 +745,8 @@ UNRUNNABLE_CASES = [
                  id="output-string"),
     pytest.param("scatter", {**_gaussian(), "experiment": ["scatter"]},
                  "experiment must be a string", id="experiment-list"),
-    pytest.param("scatter", {**_gaussian(), "output": {"binary_snapshots": "false"}},
+    pytest.param("gp_evolve", {"grid": LINE, "coupling": EXPLICIT,
+                               "output": {"binary_snapshots": "false"}},
                  "output: binary_snapshots must be true or false", id="snapshots-string"),
     pytest.param("scatter", {**_gaussian(), "output": {"dir": None}},
                  "output: dir must be a string", id="dir-null"),
@@ -771,6 +798,32 @@ def test_over_budget_runs_exit_2_without_output(tmp_path, capsys, experiment, fi
     assert cli.main(["run", "--config", str(path)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    if experiment == "hierarchy":  # rejected while parsing, before any GP frame is computed
+        with pytest.raises(ConfigurationError, match=message):
+            load_config(path)
+
+
+# experiments that write no snapshot, each with a config it runs
+NO_SNAPSHOT_CASES = [
+    ("scatter", _gaussian()),
+    ("hierarchy", {"grid": LINE, "time": {"t_final": 0.002, "dt": 1e-3}, "coupling": EXPLICIT}),
+    ("power_counting", {}),
+    ("report", {}),
+]
+
+
+@pytest.mark.parametrize("experiment,fields", NO_SNAPSHOT_CASES)
+def test_snapshot_flag_rejected_where_no_snapshot_is_written(tmp_path, capsys, experiment, fields):
+    output = {"dir": str(tmp_path / "out"), "prefix": "x"}
+    data = {"schema_version": "1", "experiment": experiment, "output": output, **fields}
+    path = tmp_path / "x.json"
+    for flag in (True, False):
+        path.write_text(json.dumps({**data, "output": {**output, "binary_snapshots": flag}}))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert f"{experiment} writes no binary_snapshots" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", "--config", str(path)]) == 0
 
 
 positive = st.floats(0.1, 5.0)
@@ -807,12 +860,12 @@ couplings = st.one_of(
 @st.composite
 def valid_configs(draw):
     experiment = draw(st.sampled_from(sorted(EXPERIMENT_KEYS)))
+    snapshots = {"binary_snapshots": st.booleans()} if experiment in SNAPSHOT_EXPERIMENTS else {}
     data = {
         "schema_version": "1",
         "experiment": experiment,
         "output": draw(st.fixed_dictionaries(
-            {"dir": st.text(min_size=1), "prefix": st.text(min_size=1)},
-            optional={"binary_snapshots": st.booleans()},
+            {"dir": st.text(min_size=1), "prefix": st.text(min_size=1)}, optional=snapshots
         )),
     }
     if draw(st.booleans()):
@@ -821,6 +874,9 @@ def valid_configs(draw):
     for key in sorted(read & set(field_values)):
         if draw(st.booleans()):
             data[key] = draw(field_values[key])
+    if experiment == "hierarchy" and "grid" in data:  # series kernels within the 2^28 budget
+        grid = data["grid"]
+        grid["points_per_axis"] = min(grid["points_per_axis"], {1: 1024, 2: 64, 3: 16}[grid["dim"]])
     if "coupling" in read:
         data["coupling"] = draw(couplings)
     # the mean-field experiments read the potential only to set the coupling
@@ -838,6 +894,8 @@ def test_normalize_parse_hash_is_a_fixed_point(data):
     config = parse_config(data)
     read = COMMON_KEYS | EXPERIMENT_KEYS[config.experiment]
     normalized = {k: v for k, v in config.normalized().items() if k in read and v is not None}
+    if config.experiment not in SNAPSHOT_EXPERIMENTS:
+        del normalized["output"]["binary_snapshots"]
     again = parse_config(json.loads(json.dumps(normalized)))
     assert again == config
     assert again.config_hash() == config.config_hash()

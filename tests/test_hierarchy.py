@@ -38,6 +38,7 @@ from gplab.manybody import (
     condensate_overlap,
     evolve_manybody,
     marginal,
+    pair_field,
     partial_trace,
     product_state,
     random_symmetric_state,
@@ -313,6 +314,51 @@ def test_two_particle_marginal_equation_residual_second_order():
                 gamma3 = marginal(evolved, 3)
         residuals.append(bbgky_residual(frames, gamma3, pair, 3, t, dt))
     assert 3.2 < residuals[0] / residuals[1] < 4.8
+
+
+def _residual_oracle(frames, gamma_next, pair, n, t, dt):
+    """bbgky_residual with [H_k, gamma] from both slot halves: the kinetic term
+    through numpy.fft on the rows and on the columns, the row and the column
+    pair fields, and the collision through `_collision_oracle` where the dense
+    (k+1)-kernel fits (on 8^3 its 2^36 entries do not, and `_collide` stands in)."""
+    before, center, after = (frames[tt] for tt in (t - dt, t, t + dt))
+    grid, k = center.grid, center.k
+    work = center.kernel.reshape(grid.shape * (2 * k))
+    rows, cols = tuple(range(k * grid.dim)), tuple(range(k * grid.dim, 2 * k * grid.dim))
+    k2 = grid.k_axis() ** 2
+    k2_rows, k2_cols = (
+        sum(k2.reshape([-1 if b == a else 1 for b in range(work.ndim)]) for a in axes)
+        for axes in (rows, cols)
+    )
+    rhs = np.fft.ifftn(np.fft.fftn(work, axes=rows) * k2_rows, axes=rows)
+    rhs -= np.fft.fftn(np.fft.ifftn(work, axes=cols) * k2_cols, axes=cols)
+    for i in range(k):
+        for j in range(i + 1, k):
+            rhs += pair_field(grid, pair, 2 * k, i, j) * work
+            rhs -= work * pair_field(grid, pair, 2 * k, k + i, k + j)
+    rhs = rhs.reshape(center.kernel.shape)
+    weight = grid.cell_volume * pair_field(grid, pair, 2, 0, 1).reshape(grid.size, grid.size)
+    if grid.size ** (2 * k + 2) <= 2**24:
+        rhs += (n - k) * _collision_oracle(gamma_next.kernel, k, weight)
+    else:
+        rhs += (n - k) * _collide(gamma_next, k, weight)
+    lhs = 1j * (after.kernel - before.kernel) / (2.0 * dt)
+    return kernel_norm(lhs - rhs, grid, k) / kernel_norm(rhs, grid, k)
+
+
+@pytest.mark.parametrize("n,k,dim,points", [(2, 1, 1, 16), (3, 2, 1, 8), (2, 1, 3, 8)])
+def test_residual_matches_two_half_oracle(n, k, dim, points):
+    # H_k from the row half alone against both halves, on an evolved random state
+    grid = GridSpec(dim, points, 6.0)
+    pair = GaussianPotential(2.0, 0.7, cutoff=2.5)
+    state0 = random_symmetric_state(grid, n, seed=5)
+    t, dt = 0.006, 2e-3
+    states = {tt: evolve_manybody_cached(state0, pair, tt, dt) for tt in (t - dt, t, t + dt)}
+    frames = {tt: marginal(state, k) for tt, state in states.items()}
+    gamma_next = marginal(states[t], k + 1)
+    residual = bbgky_residual(frames, gamma_next, pair, n, t, dt)
+    oracle = _residual_oracle(frames, gamma_next, pair, n, t, dt)
+    assert residual == pytest.approx(oracle, rel=1e-9)
 
 
 def evolve_manybody_cached(state0, pair, t, dt):
@@ -669,9 +715,9 @@ def test_factored_marginal_matches_its_dense_kernel(layout, box, seed):
     dense = DensityMatrix(grid, k, dm.kernel)
     _assert_close(dm.trace(), dense.trace())
     _assert_close(sobolev_trace_norm(dm), sobolev_trace_norm(dense))
+    phi = random_symmetric_state(grid, 1, seed + 1)
+    _assert_close(condensate_overlap(dm, phi), condensate_overlap(dense, phi))
     if k == 1:
-        phi = random_symmetric_state(grid, 1, seed + 1)
-        _assert_close(condensate_overlap(dm, phi), condensate_overlap(dense, phi))
         return
     reduced = partial_trace(dm)
     assert reduced.factor is not None

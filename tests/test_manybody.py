@@ -22,7 +22,6 @@ from gplab.manybody import (
     correlation_quotient,
     energy_moment,
     evolve_manybody,
-    factorization_distance,
     hardy_check,
     jastrow_product_state,
     marginal,
@@ -320,24 +319,33 @@ def test_second_moment_controls_correlation_quotient(grid, orbital):
     assert all(np.isfinite(r) and r > 0 for r in ratios)
 
 
-def test_factorization_distance_trivial_cases(grid, orbital):
-    assert factorization_distance(product_state(orbital, 3), orbital, 1) == pytest.approx(
+def _factorization_distance(psi, phi, k):
+    """Distance from psi to the closest state with its first k slots in phi."""
+    return np.sqrt(max(0.0, 1.0 - condensate_overlap(marginal(psi, k), phi)))
+
+
+def test_overlap_distance_trivial_cases(grid, orbital):
+    assert _factorization_distance(product_state(orbital, 3), orbital, 1) == pytest.approx(
         0.0, abs=1e-8
     )
-    assert factorization_distance(product_state(orbital, 3), orbital, 2) == pytest.approx(
+    assert _factorization_distance(product_state(orbital, 3), orbital, 2) == pytest.approx(
         0.0, abs=1e-8
     )
     p1, p2 = plane_wave(grid, 1), plane_wave(grid, 2)
-    assert factorization_distance(product_state(p2, 2), p1, 1) == pytest.approx(1.0, abs=1e-12)
+    assert _factorization_distance(product_state(p2, 2), p1, 1) == pytest.approx(1.0, abs=1e-12)
+    assert _factorization_distance(product_state(p2, 2), p1, 2) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(DomainError):
-        factorization_distance(product_state(orbital, 2), orbital, 2)
+        _factorization_distance(product_state(orbital, 2), orbital, 3)
+    with pytest.raises(DomainError):
+        condensate_overlap(marginal(product_state(orbital, 2), 2), product_state(orbital, 2))
 
 
-def test_factorization_distance_shrinks_with_scaling(grid, orbital):
+@pytest.mark.parametrize("k", [1, 2])
+def test_overlap_distance_shrinks_with_scaling(grid, orbital, k):
     solution = solve_zero_energy(BarrierPotential(8.0, 1.0))
     distances = [
-        factorization_distance(
-            jastrow_product_state(orbital, 2, jastrow(solution, n)), orbital, 1
+        _factorization_distance(
+            jastrow_product_state(orbital, 2, jastrow(solution, n)), orbital, k
         )
         for n in (4, 8, 16)
     ]

@@ -20,10 +20,10 @@ from gplab.gp import evolve_gp, gp_energy, minimize_gp
 from gplab.grids import GridSpec, free_evolve, gaussian_packet, kinetic_energy
 from gplab.hierarchy import (
     HierarchyFamily,
+    bbgky_residual,
     dyson_term,
     free_propagate_kernel,
     infinite_hierarchy_residual,
-    kinetic_commutator,
     sobolev_trace_norm,
 )
 from gplab.manybody import (
@@ -160,7 +160,8 @@ def test_no_scipy_transforms_anywhere(transforms):
     correlation_quotient(psi, lambda r: 1.0 + 0.0 * r, 0, 1)
     hardy_check(gaussian_packet(cube, width=1.0))
     free_propagate_kernel(gamma2.kernel, line, 2, 0.1)
-    kinetic_commutator(gamma2.kernel, line, 2)
+    gamma1 = marginal(psi, 1)
+    bbgky_residual({-0.1: gamma1, 0.0: gamma1, 0.1: gamma1}, gamma2, PAIR, 2, 0.0, 0.1)
     sobolev_trace_norm(gamma2)
     assert transforms["scipy"] == 0
     assert transforms["numpy"] > 0
@@ -290,9 +291,8 @@ def test_free_evolve_matches_numpy_reference():
     assert _relative(free_evolve(phi, 0.3).values, reference) < 1e-12
 
 
-def _kernel_reference(grid, k, t=None):
-    """Seed formulas of the free-flow conjugation (t given) or the kinetic
-    commutator (t None) on a random k-particle kernel."""
+def _kernel_reference(grid, k, t):
+    """Seed formula of the free-flow conjugation on a random k-particle kernel."""
     rng = np.random.default_rng(11)
     size = grid.size**k
     kernel = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
@@ -302,10 +302,6 @@ def _kernel_reference(grid, k, t=None):
     cols = tuple(range(k * grid.dim, 2 * k * grid.dim))
     k2_rows = _k2_reference(grid, 2 * k, range(k))
     k2_cols = _k2_reference(grid, 2 * k, range(k, 2 * k))
-    if t is None:
-        left = np.fft.ifftn(np.fft.fftn(work, axes=rows) * k2_rows, axes=rows)
-        right = np.fft.fftn(np.fft.ifftn(work, axes=cols) * k2_cols, axes=cols)
-        return kernel, (left - right).reshape(kernel.shape)
     work = np.fft.ifftn(np.fft.fftn(work, axes=rows) * np.exp(-1j * t * k2_rows), axes=rows)
     work = np.fft.fftn(np.fft.ifftn(work, axes=cols) * np.exp(1j * t * k2_cols), axes=cols)
     return kernel, work.reshape(kernel.shape)
@@ -316,8 +312,6 @@ def test_kernel_transforms_match_numpy_reference(dim, points, k):
     grid = GridSpec(dim, points, 5.0)
     kernel, reference = _kernel_reference(grid, k, t=0.2)
     assert _relative(free_propagate_kernel(kernel, grid, k, 0.2), reference) < 1e-12
-    kernel, reference = _kernel_reference(grid, k)
-    assert _relative(kinetic_commutator(kernel, grid, k), reference) < 1e-12
 
 
 def test_sobolev_trace_norm_matches_numpy_reference():
