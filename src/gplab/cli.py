@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -49,32 +50,29 @@ def _resolve_coupling(cfg):
     from . import potential as pot
     from . import scattering
 
-    if cfg.coupling_mode == "explicit":
-        return float(cfg.coupling_value)
+    coupling = cfg.record["coupling"]
+    if coupling["mode"] == "explicit":
+        return coupling["value"]
     model = cfg.potential  # parse_config requires one outside explicit mode
-    if cfg.coupling_mode == "from_scattering":
-        import numpy as np
-
-        return 8.0 * np.pi * scattering.solve_zero_energy(model).a0
+    if coupling["mode"] == "from_scattering":
+        return 8.0 * math.pi * scattering.solve_zero_energy(model).a0
     if cfg.grid.dim == 1:
         return pot.born_coupling_1d(model)
     return pot.born_coupling(model)
 
 
 def _run_scatter(cfg, out_dir: Path):
-    import numpy as np
-
     from . import potential as pot
     from . import scattering
 
     base = cfg.potential
     header = ["potential_id", "N", "a0", "b0", "alpha", "sigma", "sigma_over_8pi_a0"]
     rows = []
-    for n in cfg.scaling_n:
+    for n in cfg.record["scaling_N"]:
         model = pot.scale_potential(base, n)
         solution = scattering.solve_zero_energy(model)
         sigma = scattering.coupling_sigma(solution)
-        ratio = sigma / (8.0 * np.pi * solution.a0) if solution.a0 != 0.0 else 1.0
+        ratio = sigma / (8.0 * math.pi * solution.a0) if solution.a0 != 0.0 else 1.0
         rows.append(
             [
                 base.label,
@@ -101,17 +99,16 @@ def _initial_orbital(cfg, a0):
 
 
 def _run_gp_evolve(cfg, out_dir: Path):
-    import numpy as np
-
     from .gp import evolve_gp, gp_energy
     from .snapshots import write_state_binary
     from .spectral import split_steps
 
     sigma = _resolve_coupling(cfg)
-    a0 = sigma / (8.0 * np.pi)
+    a0 = sigma / (8.0 * math.pi)
     phi0 = _initial_orbital(cfg, a0)
 
-    steps, _ = split_steps(cfg.t_final, cfg.dt)
+    t_final, dt = cfg.record["time"]["t_final"], cfg.record["time"]["dt"]
+    steps, _ = split_steps(t_final, dt)
     stride = max(1, steps // 1000)
     rows = [[0.0, phi0.norm(), gp_energy(phi0, a0)]]
 
@@ -119,20 +116,19 @@ def _run_gp_evolve(cfg, out_dir: Path):
         if step % stride == 0 or step == steps:
             rows.append([t, wf.norm(), gp_energy(wf, a0)])
 
-    phi_t = evolve_gp(phi0, sigma, cfg.t_final, cfg.dt, callback=sample)
-    if cfg.binary_snapshots:
-        write_state_binary(out_dir / f"{cfg.output_prefix}_state_initial.bin", phi0)
-        write_state_binary(out_dir / f"{cfg.output_prefix}_state_final.bin", phi_t)
+    phi_t = evolve_gp(phi0, sigma, t_final, dt, callback=sample)
+    output = cfg.record["output"]
+    if output["binary_snapshots"]:
+        write_state_binary(out_dir / f"{output['prefix']}_state_initial.bin", phi0)
+        write_state_binary(out_dir / f"{output['prefix']}_state_final.bin", phi_t)
     return ["t", "norm", "energy"], rows
 
 
 def _run_gp_groundstate(cfg, out_dir: Path):
-    import numpy as np
-
     from .gp import minimize_gp
     from .snapshots import write_state_binary
 
-    a0 = _resolve_coupling(cfg) / (8.0 * np.pi)
+    a0 = _resolve_coupling(cfg) / (8.0 * math.pi)
     history = []
 
     def track(iteration, energy):
@@ -143,8 +139,9 @@ def _run_gp_groundstate(cfg, out_dir: Path):
     for (it, e), prev in zip(history, [None] + history[:-1]):
         rate = "" if prev is None else prev[1] - e
         rows.append([it, e, rate])
-    if cfg.binary_snapshots:
-        write_state_binary(out_dir / f"{cfg.output_prefix}_groundstate.bin", phi)
+    output = cfg.record["output"]
+    if output["binary_snapshots"]:
+        write_state_binary(out_dir / f"{output['prefix']}_groundstate.bin", phi)
     return ["iter", "energy", "energy_decrease"], rows
 
 
@@ -161,13 +158,14 @@ def _run_manybody(cfg, out_dir: Path):
     )
     from .spectral import k_squared, split_steps
 
-    grid, trap, base, n = cfg.grid, cfg.trap, cfg.potential, cfg.particles
+    grid, trap, base, n = cfg.grid, cfg.trap, cfg.potential, cfg.record["particles"]
     pair = base.scaled_analog1d(n) if grid.dim == 1 else base.scaled(n)
     sigma = _resolve_coupling(cfg)
     phi0 = gaussian_packet(grid, width=grid.box_length / 8.0)
     psi = product_state(phi0, n)
     potential, k2 = total_potential(grid, n, pair, trap), k_squared(grid, n)
-    steps, _ = split_steps(cfg.t_final, cfg.dt)
+    t_final, dt = cfg.record["time"]["t_final"], cfg.record["time"]["dt"]
+    steps, _ = split_steps(t_final, dt)
     stride = max(1, steps // 200)
     rows = []
     reference_t, reference = 0.0, phi0
@@ -175,7 +173,7 @@ def _run_manybody(cfg, out_dir: Path):
     def record(t, state):
         nonlocal reference_t, reference
         if t > reference_t:  # advance the mean-field reference from the last sample
-            reference = evolve_gp(reference, sigma, t - reference_t, cfg.dt)
+            reference = evolve_gp(reference, sigma, t - reference_t, dt)
             reference_t = t
         overlap = condensate_overlap(marginal(state, 1), reference)
         energy = energy_moment(state, potential, 1, k2=k2)
@@ -187,13 +185,12 @@ def _run_manybody(cfg, out_dir: Path):
         if step % stride == 0 or step == steps:
             record(t, state)
 
-    psi_t = evolve_manybody(
-        psi, pair, trap, cfg.t_final, cfg.dt, callback=sample, potential=potential
-    )
-    if cfg.binary_snapshots:
+    psi_t = evolve_manybody(psi, pair, trap, t_final, dt, callback=sample, potential=potential)
+    output = cfg.record["output"]
+    if output["binary_snapshots"]:
         from .snapshots import write_marginal_binary
 
-        write_marginal_binary(out_dir / f"{cfg.output_prefix}_marginal1.bin", marginal(psi_t, 1))
+        write_marginal_binary(out_dir / f"{output['prefix']}_marginal1.bin", marginal(psi_t, 1))
     return ["t", "norm", "energy", "overlap", "depletion"], rows
 
 
@@ -210,7 +207,7 @@ def _run_hierarchy(cfg, out_dir: Path):
 
     grid, sigma = cfg.grid, _resolve_coupling(cfg)
     phi0 = gaussian_packet(grid, width=grid.box_length / 8.0)
-    t, dt = cfg.t_final, cfg.dt
+    t, dt = cfg.record["time"]["t_final"], cfg.record["time"]["dt"]
     frames = {tt: evolve_gp(phi0, sigma, tt, dt) for tt in (t - dt, t, t + dt)}
     rows = [[k, 0, t, infinite_hierarchy_residual(frames, k, sigma, t, dt)] for k in (1, 2)]
     family = HierarchyFamily.from_orbital(phi0, 3, sigma)
@@ -252,30 +249,32 @@ def run(config_path: str | Path, threads: int = 1) -> int:
 
     started = time.perf_counter()
     cfg = load_config(config_path)
+    record, prefix = cfg.record, cfg.record["output"]["prefix"]
 
-    out_dir = Path(os.environ.get("GPLAB_OUTPUT_DIR", cfg.output_dir))
-    if cfg.experiment == "report":
+    out_dir = Path(os.environ.get("GPLAB_OUTPUT_DIR", record["output"]["dir"]))
+    if record["experiment"] == "report":
         out_dir.mkdir(parents=True, exist_ok=True)
-        report([out_dir], out_dir / f"{cfg.output_prefix}_summary.csv")
+        report([out_dir], out_dir / f"{prefix}_summary.csv")
         return 0
-    runner = _EXPERIMENTS[cfg.experiment]
+    runner = _EXPERIMENTS[record["experiment"]]
     header, rows = runner(cfg, out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)  # only a run that finished leaves a directory
-    results_path = out_dir / f"{cfg.output_prefix}_results.csv"
+    results_path = out_dir / f"{prefix}_results.csv"
     _write_csv(results_path, header, rows)
     manifest = {
-        "schema_version": cfg.normalized()["schema_version"],
-        "experiment": cfg.experiment,
+        "schema_version": record["schema_version"],
+        "experiment": record["experiment"],
         "config_hash": cfg.config_hash(),
         "tool_version": _version(),
         "threads": threads,
         "fft_backend": "numpy.fft",
-        "seed": cfg.seed,
-        "mode": "analog1d" if cfg.experiment == "manybody" and cfg.grid.dim == 1 else "gp3d",
+        "seed": record["seed"],
+        # one-dimensional runs use the analog coupling and pair family
+        "mode": "analog1d" if record.get("grid", {}).get("dim") == 1 else "gp3d",
         "wall_time_seconds": time.perf_counter() - started,
         "results": results_path.name,
     }
-    manifest_path = out_dir / f"{cfg.output_prefix}_manifest.json"
+    manifest_path = out_dir / f"{prefix}_manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     log.info("wrote %s and %s", results_path, manifest_path)
     return 0

@@ -1,16 +1,21 @@
 """Scenario configuration: strict, versioned JSON.
 
 Unknown keys are rejected at every level, and so are top-level keys the
-chosen experiment never reads, so configs stay diff-able and the manifest
-hash (sha256 over the canonically serialized, normalized config) changes
-exactly when an effective field changes.
+chosen experiment never reads.  While checking a config, `parse_config`
+builds its record: exactly the fields the experiment reads, each default
+filled in here and nowhere else.  The manifest hash is sha256 over the
+canonically serialized record, so it changes exactly when an effective field
+changes, and the record is itself a config that parses back to the same one
+(except a table read from a file, whose record also holds its contents).
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -35,7 +40,6 @@ EXPERIMENT_KEYS = {
 }
 SNAPSHOT_EXPERIMENTS = ("gp_evolve", "gp_groundstate", "manybody")  # the ones that write one
 COUPLING_MODES = ("from_scattering", "born", "explicit")
-GRID_KEYS = ("dim", "points_per_axis", "box_length")
 
 
 def _require_keys(section: str, data: dict, allowed: set[str], required: set[str]) -> None:
@@ -79,26 +83,29 @@ def _text(name: str, value: Any) -> str:
     return value
 
 
-def _parse_potential(data: dict, base: Path) -> tuple[PotentialModel, str | None]:
-    """The potential model and, for a table read from a file, the file's path
-    as written (a relative path is read from `base`)."""
+def _parse_potential(data: dict, base: Path) -> tuple[PotentialModel, dict]:
+    """The potential model and its record.  A table read from a file records
+    its path as written (a relative path is read from `base`) beside the radii
+    and values read, so the hash covers the file's contents."""
     from . import potential as pot
 
     kind = data.get("kind")
     if kind == "barrier":
         _require_keys("potential", data, {"kind", "v0", "radius"}, {"kind", "v0", "radius"})
         v0, radius = _real("potential: v0", data["v0"]), _real("potential: radius", data["radius"])
-        return pot.BarrierPotential(v0, radius), None
+        return pot.BarrierPotential(v0, radius), {"kind": kind, "v0": v0, "radius": radius}
     if kind == "gaussian":
         _require_keys(
             "potential", data, {"kind", "v0", "width", "cutoff_radius"}, {"kind", "v0", "width"}
         )
         cutoff = data.get("cutoff_radius")
-        return pot.GaussianPotential(
-            _real("potential: v0", data["v0"]),
-            _real("potential: width", data["width"]),
-            None if cutoff is None else _real("potential: cutoff_radius", cutoff),
-        ), None
+        fields = {
+            "kind": kind,
+            "v0": _real("potential: v0", data["v0"]),
+            "width": _real("potential: width", data["width"]),
+            "cutoff_radius": None if cutoff is None else _real("potential: cutoff_radius", cutoff),
+        }
+        return pot.GaussianPotential(fields["v0"], fields["width"], fields["cutoff_radius"]), fields
     if kind == "table":
         _require_keys("potential", data, {"kind", "radii", "values", "csv_path"}, {"kind"})
         if data.get("csv_path") is not None:
@@ -106,74 +113,46 @@ def _parse_potential(data: dict, base: Path) -> tuple[PotentialModel, str | None
                 raise ConfigurationError(
                     "potential: table takes csv_path or radii+values, not both"
                 )
-            # read once, so the hash covers the table and not only its path
-            path = _text("potential: csv_path", data["csv_path"])
-            return pot.from_table_csv(base / path), path
-        if "radii" not in data or "values" not in data:
-            raise ConfigurationError("potential: table needs csv_path or radii+values")
-        if not (isinstance(data["radii"], list) and isinstance(data["values"], list)):
-            raise ConfigurationError("potential: table radii and values must be lists")
-        return pot.TablePotential(
-            tuple(_real("potential: radii entry", x) for x in data["radii"]),
-            tuple(_real("potential: values entry", x) for x in data["values"]),
-        ), None
+            fields = {"kind": kind, "csv_path": _text("potential: csv_path", data["csv_path"])}
+            model = pot.from_table_csv(base / fields["csv_path"])
+        else:
+            if "radii" not in data or "values" not in data:
+                raise ConfigurationError("potential: table needs csv_path or radii+values")
+            if not (isinstance(data["radii"], list) and isinstance(data["values"], list)):
+                raise ConfigurationError("potential: table radii and values must be lists")
+            fields = {"kind": kind}
+            model = pot.TablePotential(
+                tuple(_real("potential: radii entry", x) for x in data["radii"]),
+                tuple(_real("potential: values entry", x) for x in data["values"]),
+            )
+        return model, {**fields, "radii": list(model.radii), "values": list(model.values)}
     raise ConfigurationError(f"potential: unknown kind {kind!r}")
-
-
-def _potential_fields(model: PotentialModel, csv_path: str | None) -> dict:
-    """The config fields that rebuild `model`, as `_parse_potential` reads them."""
-    if model.kind == "barrier":
-        return dict(kind="barrier", v0=model.v0, radius=model.radius)
-    if model.kind == "gaussian":
-        return dict(kind="gaussian", v0=model.v0, width=model.width, cutoff_radius=model.cutoff)
-    return dict(kind="table", radii=list(model.radii), values=list(model.values), csv_path=csv_path)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    experiment: str
-    grid: GridSpec
-    trap: TrapModel
+    """A checked config: the record of the fields its experiment reads, and
+    the grid, trap and potential built from it (None where it reads none)."""
+
+    record: dict
+    grid: GridSpec | None = None
+    trap: TrapModel | None = None
     potential: PotentialModel | None = None
-    potential_csv_path: str | None = None  # where a table potential was read from
-    particles: int = 2
-    scaling_n: tuple[int, ...] = (1,)
-    t_final: float = 0.1
-    dt: float = 1e-3
-    coupling_mode: str = "born"
-    coupling_value: float | None = None
-    output_dir: str = "out"
-    output_prefix: str = "run"
-    binary_snapshots: bool = False
-    seed: int = 0
 
     def normalized(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "experiment": self.experiment,
-            "potential": None
-            if self.potential is None
-            else _potential_fields(self.potential, self.potential_csv_path),
-            "trap": {"kind": self.trap.kind, "omega": self.trap.omega},
-            "grid": {key: getattr(self.grid, key) for key in GRID_KEYS},
-            "particles": self.particles,
-            "scaling_N": list(self.scaling_n),
-            "time": {"t_final": self.t_final, "dt": self.dt},
-            "coupling": {"mode": self.coupling_mode, "value": self.coupling_value},
-            "output": {
-                "dir": self.output_dir,
-                "prefix": self.output_prefix,
-                "binary_snapshots": self.binary_snapshots,
-            },
-            "seed": self.seed,
-        }
+        return copy.deepcopy(self.record)
 
     def config_hash(self) -> str:
-        canonical = json.dumps(self.normalized(), sort_keys=True, separators=(",", ":"))
+        canonical = json.dumps(self.record, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 _TOP_KEYS = COMMON_KEYS.union(*EXPERIMENT_KEYS.values())
+
+
+def _block(data: dict, name: str, allowed: set[str], required: set[str], default: dict) -> dict:
+    """Section `name`, its keys checked, or `default` when the config has none."""
+    return _section(data, name, allowed, required) if name in data else default
 
 
 def parse_config(data: dict, base: str | Path = ".") -> ScenarioConfig:
@@ -188,7 +167,8 @@ def parse_config(data: dict, base: str | Path = ".") -> ScenarioConfig:
     experiment = _text("experiment", data["experiment"])
     if experiment not in EXPERIMENT_KEYS:
         raise ConfigurationError(f"unknown experiment {experiment!r}")
-    unread = set(data) - COMMON_KEYS - EXPERIMENT_KEYS[experiment]
+    read = EXPERIMENT_KEYS[experiment]
+    unread = set(data) - COMMON_KEYS - read
     if unread:
         raise ConfigurationError(f"{experiment} does not read field(s) {sorted(unread)}")
 
@@ -198,50 +178,54 @@ def parse_config(data: dict, base: str | Path = ".") -> ScenarioConfig:
     from .manybody import check_entry_budget
     from .potential import TrapModel
 
-    potential, csv_path = None, None
+    record: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "experiment": experiment}
+    potential = trap = grid = None
     if "potential" in data:
-        potential, csv_path = _parse_potential(_section(data, "potential"), Path(base))
+        potential, record["potential"] = _parse_potential(_section(data, "potential"), Path(base))
 
-    trap = TrapModel()
-    if "trap" in data:
-        block = _section(data, "trap", {"kind", "omega"}, {"kind"})
-        trap = TrapModel(block["kind"], _real("trap: omega", block.get("omega", 1.0)))
+    if "trap" in read:
+        block = _block(data, "trap", {"kind", "omega"}, {"kind"}, {"kind": "none"})
+        record["trap"] = {
+            "kind": block["kind"], "omega": _real("trap: omega", block.get("omega", 1.0))
+        }
+        trap = TrapModel(**record["trap"])
 
-    grid = GridSpec(1, 1024, 16.0)  # a line, the box a few times any O(1) state width
-    if "grid" in data:
-        block = _section(data, "grid", set(GRID_KEYS), set(GRID_KEYS))
-        grid = GridSpec(
-            _count("grid: dim", block["dim"]),
-            _count("grid: points_per_axis", block["points_per_axis"]),
-            _real("grid: box_length", block["box_length"]),
-        )
+    if "grid" in read:  # by default a line, the box a few times any O(1) state width
+        line = {"dim": 1, "points_per_axis": 1024, "box_length": 16.0}
+        block = _block(data, "grid", set(line), set(line), line)
+        record["grid"] = {
+            "dim": _count("grid: dim", block["dim"]),
+            "points_per_axis": _count("grid: points_per_axis", block["points_per_axis"]),
+            "box_length": _real("grid: box_length", block["box_length"]),
+        }
+        grid = GridSpec(**record["grid"])
 
-    t_final, dt = 0.1, 1e-3
-    if "time" in data:
-        time_block = _section(data, "time", {"t_final", "dt"}, {"t_final", "dt"})
-        t_final = _real("time: t_final", time_block["t_final"])
-        dt = _real("time: dt", time_block["dt"])
+    if "time" in read:
+        keys = {"t_final", "dt"}
+        block = _block(data, "time", keys, keys, {"t_final": 0.1, "dt": 1e-3})
+        t_final, dt = _real("time: t_final", block["t_final"]), _real("time: dt", block["dt"])
         if not (t_final >= 0.0 and dt > 0.0):
-            raise ConfigurationError(f"time: need t_final >= 0 and dt > 0, got {time_block}")
+            raise ConfigurationError(f"time: need t_final >= 0 and dt > 0, got {block}")
+        record["time"] = {"t_final": t_final, "dt": dt}
 
-    coupling_mode, coupling_value = "born", None
-    if "coupling" in data:
-        coupling = _section(data, "coupling", {"mode", "value"}, {"mode"})
-        coupling_mode = coupling["mode"]
-        if coupling_mode not in COUPLING_MODES:
-            raise ConfigurationError(f"coupling: unknown mode {coupling_mode!r}")
-        if coupling_mode == "explicit":
-            if "value" not in coupling:
+    mode = None
+    if "coupling" in read:
+        block = _block(data, "coupling", {"mode", "value"}, {"mode"}, {"mode": "born"})
+        mode = block["mode"]
+        if mode not in COUPLING_MODES:
+            raise ConfigurationError(f"coupling: unknown mode {mode!r}")
+        record["coupling"] = {"mode": mode}
+        if mode == "explicit":
+            if "value" not in block:
                 raise ConfigurationError("coupling: explicit mode needs a value")
-            coupling_value = _real("coupling: value", coupling["value"])
-        elif "value" in coupling and coupling["value"] is not None:
+            record["coupling"]["value"] = _real("coupling: value", block["value"])
+        elif block.get("value") is not None:
             raise ConfigurationError("coupling: value is only valid in explicit mode")
     if potential is None and experiment in ("scatter", "manybody"):
         raise ConfigurationError(f"{experiment} needs a potential spec")
-    sets_coupling = "coupling" in EXPERIMENT_KEYS[experiment] and coupling_mode != "explicit"
-    if potential is None and sets_coupling:
-        raise ConfigurationError(f"coupling mode {coupling_mode!r} needs a potential spec")
-    if coupling_mode == "explicit" and potential is not None and experiment != "manybody":
+    if potential is None and mode not in (None, "explicit"):
+        raise ConfigurationError(f"coupling mode {mode!r} needs a potential spec")
+    if mode == "explicit" and potential is not None and experiment != "manybody":
         # outside manybody (a pair interaction) the potential only sets the coupling
         raise ConfigurationError(
             f"{experiment} with explicit coupling does not read field(s) ['potential']"
@@ -250,41 +234,34 @@ def parse_config(data: dict, base: str | Path = ".") -> ScenarioConfig:
     output = _section(data, "output", {"dir", "prefix", "binary_snapshots"}, {"dir", "prefix"})
     if "binary_snapshots" in output and experiment not in SNAPSHOT_EXPERIMENTS:
         raise ConfigurationError(f"output: {experiment} writes no binary_snapshots")
-    binary_snapshots = output.get("binary_snapshots", False)
-    if not isinstance(binary_snapshots, bool):
+    out_dir = _text("output: dir", output["dir"])
+    prefix = _text("output: prefix", output["prefix"])
+    if "\0" in out_dir:
+        raise ConfigurationError(f"output: dir must hold no NUL character, got {out_dir!r}")
+    if {"/", os.sep, "\0"} & set(prefix):
         raise ConfigurationError(
-            f"output: binary_snapshots must be true or false, got {binary_snapshots!r}"
+            f"output: prefix must be a plain file name, without '/' or NUL, got {prefix!r}"
         )
+    record["output"] = {"dir": out_dir, "prefix": prefix}
+    if experiment in SNAPSHOT_EXPERIMENTS:
+        flag = output.get("binary_snapshots", False)
+        if not isinstance(flag, bool):
+            raise ConfigurationError(
+                f"output: binary_snapshots must be true or false, got {flag!r}"
+            )
+        record["output"]["binary_snapshots"] = flag
 
-    particles = _count("particles", data.get("particles", 2))
-    if experiment == "manybody" and particles < 2:
-        raise ConfigurationError(f"particles: manybody needs at least 2, got {particles}")
-
-    scaling = data.get("scaling_N", [1])
-    if not isinstance(scaling, list) or not scaling:
-        raise ConfigurationError("scaling_N must be a non-empty list of counts")
-    scaling_n = tuple(_count("scaling_N entry", n, minimum=1) for n in scaling)
-    seed = _count("seed", data.get("seed", 0))
+    if "particles" in read:
+        record["particles"] = _count("particles", data.get("particles", 2), minimum=2)
+    if "scaling_N" in read:
+        scaling = data.get("scaling_N", [1])
+        if not isinstance(scaling, list) or not scaling:
+            raise ConfigurationError("scaling_N must be a non-empty list of counts")
+        record["scaling_N"] = [_count("scaling_N entry", n, minimum=1) for n in scaling]
+    record["seed"] = _count("seed", data.get("seed", 0))
     if experiment == "hierarchy":  # the series kernels, checked before any GP frame is run
         check_entry_budget(grid.size**2, "level-1 kernel")
-
-    return ScenarioConfig(
-        experiment=experiment,
-        grid=grid,
-        trap=trap,
-        potential=potential,
-        potential_csv_path=csv_path,
-        particles=particles,
-        scaling_n=scaling_n,
-        t_final=t_final,
-        dt=dt,
-        coupling_mode=coupling_mode,
-        coupling_value=coupling_value,
-        output_dir=_text("output: dir", output["dir"]),
-        output_prefix=_text("output: prefix", output["prefix"]),
-        binary_snapshots=binary_snapshots,
-        seed=seed,
-    )
+    return ScenarioConfig(record, grid, trap, potential)
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

@@ -163,6 +163,20 @@ def test_relative_table_csv_is_read_beside_the_config(tmp_path, monkeypatch):
     assert load_config(config).normalized()["potential"]["csv_path"] == "table.csv"
 
 
+def test_table_csv_record_holds_path_and_contents(tmp_path):
+    """A table read from a file records its path as written beside the radii
+    and values read, so the hash covers the file's contents.  It is the one
+    record that does not parse back: a table takes csv_path or radii+values."""
+    table = tmp_path / "table.csv"
+    table.write_text("radius,value\n0.0,1.0\n1.0,0.0\n")
+    record = load_config(_table_config(tmp_path, "table.csv")).normalized()
+    assert record["potential"] == {
+        "kind": "table", "csv_path": "table.csv", "radii": [0.0, 1.0], "values": [1.0, 0.0]
+    }
+    with pytest.raises(ConfigurationError, match="not both"):
+        parse_config(record, tmp_path)
+
+
 def test_missing_table_csv_exits_2(tmp_path, capsys):
     config = _table_config(tmp_path, tmp_path / "absent.csv")
     assert cli.main(["run", "--config", str(config)]) == 2
@@ -256,6 +270,7 @@ def test_hierarchy_run_in_3d_at_the_scattering_coupling(tmp_path):
     assert len(rows) == 5
     distances = [float(row[3]) for row in rows[2:]]
     assert distances[0] > distances[1] > distances[2]
+    assert json.loads((tmp_path / "h" / "h_manifest.json").read_text())["mode"] == "gp3d"
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):
@@ -752,6 +767,13 @@ UNRUNNABLE_CASES = [
                  "output: dir must be a string", id="dir-null"),
     pytest.param("scatter", {**_gaussian(), "output": {"prefix": ["a"]}},
                  "output: prefix must be a string", id="prefix-list"),
+    # the prefix names files inside output.dir, and no path holds a NUL
+    pytest.param("power_counting", {"output": {"prefix": "sub/x"}},
+                 "output: prefix must be a plain file name", id="prefix-slash"),
+    pytest.param("power_counting", {"output": {"prefix": "x\0y"}},
+                 "output: prefix must be a plain file name", id="prefix-nul"),
+    pytest.param("power_counting", {"output": {"dir": "out\0y"}},
+                 "output: dir must hold no NUL", id="dir-nul"),
 ]
 
 
@@ -865,7 +887,9 @@ def valid_configs(draw):
         "schema_version": "1",
         "experiment": experiment,
         "output": draw(st.fixed_dictionaries(
-            {"dir": st.text(min_size=1), "prefix": st.text(min_size=1)}, optional=snapshots
+            {"dir": st.text(st.characters(exclude_characters="\0"), min_size=1),
+             "prefix": st.text(st.characters(exclude_characters="/\0" + os.sep), min_size=1)},
+            optional=snapshots,
         )),
     }
     if draw(st.booleans()):
@@ -889,16 +913,59 @@ def valid_configs(draw):
 @settings(max_examples=100, deadline=None)
 @given(data=valid_configs())
 def test_normalize_parse_hash_is_a_fixed_point(data):
-    # normalized() also records the defaults of fields the experiment never
-    # reads (the hash covers them); a config takes back only the fields it reads
     config = parse_config(data)
-    read = COMMON_KEYS | EXPERIMENT_KEYS[config.experiment]
-    normalized = {k: v for k, v in config.normalized().items() if k in read and v is not None}
-    if config.experiment not in SNAPSHOT_EXPERIMENTS:
-        del normalized["output"]["binary_snapshots"]
-    again = parse_config(json.loads(json.dumps(normalized)))
+    again = parse_config(json.loads(json.dumps(config.normalized())))
     assert again == config
     assert again.config_hash() == config.config_hash()
+
+
+BARRIER = {"kind": "barrier", "v0": 1.0, "radius": 1.0}
+# the least config each experiment runs: every read field left out takes its default
+LEAST_CONFIGS = {
+    "scatter": {"potential": BARRIER},
+    "gp_evolve": {"potential": BARRIER},
+    "gp_groundstate": {"coupling": EXPLICIT},
+    "manybody": {"potential": BARRIER, "coupling": EXPLICIT},
+    "hierarchy": {"coupling": EXPLICIT},
+    "power_counting": {},
+    "report": {},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENT_KEYS))
+def test_record_holds_exactly_the_fields_the_experiment_reads(experiment):
+    data = {"schema_version": "1", "experiment": experiment,
+            "output": {"dir": "out", "prefix": "x"}, **LEAST_CONFIGS[experiment]}
+    record = parse_config(data).normalized()
+    read = COMMON_KEYS | EXPERIMENT_KEYS[experiment]
+    if experiment in ("gp_groundstate", "hierarchy"):  # explicit coupling: no potential read
+        read = read - {"potential"}
+    assert set(record) == read
+    snapshots = {"binary_snapshots"} if experiment in SNAPSHOT_EXPERIMENTS else set()
+    assert set(record["output"]) == {"dir", "prefix"} | snapshots
+    assert parse_config(record) == parse_config(data)
+
+
+SHORT = {"t_final": 0.002, "dt": 1e-3}
+# a run of each grid experiment on a line; gp_evolve takes the default born coupling
+LINE_RUNS = {
+    "gp_evolve": {"potential": BARRIER, "time": SHORT},
+    "gp_groundstate": {"trap": {"kind": "harmonic"}, "coupling": EXPLICIT},
+    "manybody": {"potential": BARRIER, "time": SHORT, "coupling": EXPLICIT},
+    "hierarchy": {"time": SHORT, "coupling": EXPLICIT},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(LINE_RUNS))
+def test_runs_on_a_line_are_flagged_analog1d(tmp_path, experiment):
+    """On a line, `born` is the 1D analog coupling and manybody pairs are the
+    analog family, so every grid experiment's manifest reads analog1d."""
+    data = {"schema_version": "1", "experiment": experiment, "grid": LINE, **LINE_RUNS[experiment],
+            "output": {"dir": str(tmp_path / "out"), "prefix": "x"}}
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", "--config", str(path)]) == 0
+    assert json.loads((tmp_path / "out" / "x_manifest.json").read_text())["mode"] == "analog1d"
 
 
 @pytest.mark.parametrize("counts", [[0], [1, 2.5], [True], []])
