@@ -185,9 +185,11 @@ def parse_config(data: dict, base: str | Path = ".") -> ScenarioConfig:
 
     if "trap" in read:
         block = _block(data, "trap", {"kind", "omega"}, {"kind"}, {"kind": "none"})
-        record["trap"] = {
-            "kind": block["kind"], "omega": _real("trap: omega", block.get("omega", 1.0))
-        }
+        record["trap"] = {"kind": block["kind"]}
+        if block["kind"] != "none":
+            record["trap"]["omega"] = _real("trap: omega", block.get("omega", 1.0))
+        elif "omega" in block:
+            raise ConfigurationError("trap: omega has no effect on a trap of kind 'none'")
         trap = TrapModel(**record["trap"])
 
     if "grid" in read:  # by default a line, the box a few times any O(1) state width

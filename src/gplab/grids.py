@@ -9,6 +9,7 @@ and every transform is single-threaded, so reruns are bit-comparable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -179,7 +180,20 @@ def kinetic_energy(psi: WaveFunction, k2: np.ndarray | None = None) -> float:
     return spectral.parseval_energy(spectral.fftn(psi.values), psi.measure, k2)
 
 
+@functools.lru_cache(maxsize=4)
+def _flight_phase(grid: GridSpec, t: float) -> np.ndarray:
+    table = spectral.free_phase(grid, t)
+    table.flags.writeable = False
+    return table
+
+
 def free_evolve(phi: WaveFunction, t: float) -> WaveFunction:
-    """Exact evolution of i d/dt phi = -Laplacian phi on the grid."""
-    phase = spectral.free_phase(phi.grid, t)
+    """Exact evolution of i d/dt phi = -Laplacian phi on the grid.
+
+    The one-slot table exp(-i t k^2) comes from a read-only cache of the last
+    4 (grid, t) pairs, since flights come in runs that share a time (a series
+    stage flies all its fields over one interval).  The cache holds at most
+    4 grid-sized tables: 16 MiB at 64^3.  Keys compare as numbers, so t = -0.0
+    may read the table of t = 0.0, which differs only in the sign of zeros."""
+    phase = _flight_phase(phi.grid, t)
     return WaveFunction(phi.grid, spectral.fourier_multiply(phi.values, phase))

@@ -736,6 +736,9 @@ UNRUNNABLE_CASES = [
                  "must be lists", id="table-string"),
     pytest.param("gp_groundstate", {"grid": LINE, "trap": {"kind": "harmonic", "omega": NAN},
                                     "coupling": EXPLICIT}, "trap: omega", id="omega-nan"),
+    # a frequency only a harmonic trap reads
+    pytest.param("gp_evolve", {"grid": LINE, "trap": {"kind": "none", "omega": 2.0},
+                               "coupling": EXPLICIT}, "trap: omega", id="omega-no-trap"),
     pytest.param("gp_evolve", {"grid": {**LINE, "box_length": INF}, "coupling": EXPLICIT},
                  "grid: box_length", id="box-inf"),
     pytest.param("gp_evolve", {"grid": LINE, "coupling": {"mode": "explicit", "value": None}},
@@ -866,9 +869,8 @@ field_values = {
         "points_per_axis": st.sampled_from([8, 16, 64, 1024]),
         "box_length": positive,
     }),
-    "trap": st.fixed_dictionaries(
-        {"kind": st.sampled_from(["harmonic", "none"])}, optional={"omega": positive}
-    ),
+    "trap": st.just({"kind": "none"})
+    | st.fixed_dictionaries({"kind": st.just("harmonic")}, optional={"omega": positive}),
     "time": st.fixed_dictionaries({"t_final": st.floats(0.0, 1.0), "dt": st.floats(1e-4, 1e-2)}),
     "particles": st.integers(2, 4),
     "scaling_N": st.lists(st.integers(1, 1000), min_size=1, max_size=4),
@@ -943,6 +945,8 @@ def test_record_holds_exactly_the_fields_the_experiment_reads(experiment):
     assert set(record) == read
     snapshots = {"binary_snapshots"} if experiment in SNAPSHOT_EXPERIMENTS else set()
     assert set(record["output"]) == {"dir", "prefix"} | snapshots
+    if "trap" in read:  # the default trap is none, which reads no frequency
+        assert record["trap"] == {"kind": "none"}
     assert parse_config(record) == parse_config(data)
 
 

@@ -146,6 +146,48 @@ def test_series_free_evolve_calls_per_term(monkeypatch, quad_points):
         assert len(calls) == expected
 
 
+@pytest.mark.parametrize("quad_points", [4, 6])
+def test_series_builds_one_phase_table_per_flight_time(monkeypatch, quad_points):
+    # an order-2 node flies the orbital to s2, then 16 fields over s1 - s2 and 16 over
+    # t - s1, a time every node of one s1 shares: at most 2 Q + 1 tables per s1; an
+    # order-1 node flies over s1 and t - s1.  The flights themselves stay as counted above.
+    builds, flights = [], []
+    build, fly = spectral.free_phase, hierarchy.free_evolve
+    monkeypatch.setattr(spectral, "free_phase", lambda *a: builds.append(a[1]) or build(*a))
+    monkeypatch.setattr(hierarchy, "free_evolve", lambda *a: flights.append(a[1]) or fly(*a))
+    # a grid no other test flies on, so no table is cached before the count
+    family = HierarchyFamily.from_orbital(gaussian_packet(GridSpec(1, 16, 6.25), width=1.0), 3, 0.5)
+    q = quad_points
+    for m, expected_flights, most_builds in ((1, 5 * q, 2 * q), (2, 33 * q**2, 2 * q**2 + q)):
+        builds.clear()
+        flights.clear()
+        dyson_term(family, 1, m, 0.05, quad_points)
+        assert len(flights) == expected_flights
+        assert 0 < len(builds) <= most_builds
+
+
+def test_free_evolve_reads_a_read_only_cached_table(monkeypatch):
+    tables = []
+    multiply = spectral.fourier_multiply
+    monkeypatch.setattr(spectral, "fourier_multiply", lambda x, m: tables.append(m) or multiply(x, m))
+    phi = gaussian_packet(GridSpec(1, 16, 6.0), width=1.0)
+    first, second = free_evolve(phi, 0.125), free_evolve(phi, 0.125)
+    assert tables[0] is tables[1]
+    np.testing.assert_array_equal(first.values, second.values)
+    with pytest.raises(ValueError):
+        tables[0][0] = 0.0
+    with pytest.raises(ValueError):
+        tables[0] *= 2.0
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 64, 12.0), GridSpec(3, 16, 8.0)], ids=["1d", "3d"])
+def test_free_evolve_is_its_formula_bit_for_bit(grid):
+    phi = gaussian_packet(grid, width=1.0, momentum=[0.7] * grid.dim)
+    for t in (0.3, -0.05, 0.3):  # the repeated time reads the cached table
+        expected = spectral.fourier_multiply(phi.values, spectral.free_phase(grid, t))
+        np.testing.assert_array_equal(free_evolve(phi, t).values, expected)
+
+
 def test_no_scipy_transforms_anywhere(transforms):
     line = GridSpec(1, 8, 6.0)
     cube = GridSpec(3, 8, 6.0)
@@ -170,28 +212,47 @@ def test_no_scipy_transforms_anywhere(transforms):
 # --- buffer contract ----------------------------------------------------------
 
 
-def _complex_cube(points, seed):
+def _complex_field(points, seed, rank=3):
     rng = np.random.default_rng(seed)
-    shape = (points,) * 3
+    shape = (points,) * rank
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _ascending(name, x, axes):
+    """numpy's 1-D fft/ifft of x over `axes` (all by default), lowest axis first."""
+    for axis in range(x.ndim) if axes is None else axes:
+        x = getattr(np.fft, name[:-1])(x, axis=axis)
+    return x
+
+
+# (rank, points, axes): the cube over every axis, two axes and one axis, and a
+# 64-point line (the orbital of the collision series), whose one axis is all of it
+LAYOUTS = pytest.mark.parametrize(
+    "rank, points, axes",
+    [(3, 8, None), (3, 8, (0, 2)), (3, 8, (1,)), (1, 64, None)],
+    ids=["cube", "cube-axes-0-2", "cube-axis-1", "line"],
+)
+
+
 @pytest.mark.parametrize("name", ["fftn", "ifftn"])
-@pytest.mark.parametrize("axes", [None, (0, 2)])
-def test_overwrite_transforms_writeable_complex_in_place(name, axes):
+@LAYOUTS
+def test_overwrite_transforms_writeable_complex_in_place(name, rank, points, axes):
     transform, reference = getattr(spectral, name), getattr(np.fft, name)
-    x = _complex_cube(8, seed=1)
+    x = _complex_field(points, seed=1, rank=rank)
     expected = reference(x, axes=axes)
+    ascending = _ascending(name, x, axes)
     assert transform(x, axes=axes, overwrite_x=True) is x
     np.testing.assert_allclose(x, expected, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(x, ascending)  # bit for bit, in place as out of place
     # a strided view of a larger buffer is written through, the rest untouched
-    base = _complex_cube(8, seed=2)
+    base = _complex_field(points, seed=2, rank=rank)
     before = base.copy()
-    view = base[:, ::2]
-    expected = reference(view, axes=axes)
+    strided, skipped = [(slice(None),) * (rank - 1) + (slice(start, None, 2),) for start in (0, 1)]
+    view = base[strided]
+    expected = _ascending(name, view, axes)
     assert transform(view, axes=axes, overwrite_x=True) is view
-    np.testing.assert_allclose(base[:, ::2], expected, rtol=0, atol=1e-13)
-    np.testing.assert_array_equal(base[:, 1::2], before[:, 1::2])
+    np.testing.assert_array_equal(base[strided], expected)
+    np.testing.assert_array_equal(base[skipped], before[skipped])
 
 
 def _read_only(x):
@@ -202,37 +263,35 @@ def _read_only(x):
 @pytest.mark.parametrize("name", ["fftn", "ifftn"])
 @pytest.mark.parametrize(
     "make, overwrite_x",
-    [(lambda: _read_only(_complex_cube(8, seed=3)), True),
-     (lambda: _complex_cube(8, seed=3).real.copy(), True),
-     (lambda: _complex_cube(8, seed=3).astype(np.complex64), True),
-     (lambda: _complex_cube(8, seed=3), False)],
+    [(_read_only, True),
+     (lambda x: x.real.copy(), True),
+     (lambda x: x.astype(np.complex64), True),
+     (lambda x: x, False)],
     ids=["read-only", "real", "complex64", "kept"],
 )
-def test_other_inputs_get_a_fresh_result(name, make, overwrite_x):
+@LAYOUTS
+def test_other_inputs_get_a_fresh_result(name, make, overwrite_x, rank, points, axes):
     transform, reference = getattr(spectral, name), getattr(np.fft, name)
-    x = make()
+    x = make(_complex_field(points, seed=3, rank=rank))
     before = x.copy()
-    result = transform(x, overwrite_x=overwrite_x)
+    result = transform(x, axes=axes, overwrite_x=overwrite_x)
     assert result.dtype == np.complex128
     assert not np.shares_memory(result, x)
     np.testing.assert_array_equal(x, before)
-    np.testing.assert_allclose(result, reference(before), rtol=0, atol=1e-5)
+    np.testing.assert_allclose(result, reference(before, axes=axes), rtol=0, atol=1e-5)
 
 
 @pytest.mark.parametrize("name", ["fftn", "ifftn"])
-@pytest.mark.parametrize("axes", [None, (0, 2)])
-def test_transforms_run_their_axes_in_ascending_order(name, axes):
+@LAYOUTS
+def test_transforms_run_their_axes_in_ascending_order(name, rank, points, axes):
     # bit for bit: the order fixes the round-off of every result
-    x = _complex_cube(16, seed=5)
-    expected = x
-    for axis in range(3) if axes is None else axes:
-        expected = getattr(np.fft, name[:-1])(expected, axis=axis)
-    np.testing.assert_array_equal(getattr(spectral, name)(x, axes=axes), expected)
+    x = _complex_field(2 * points, seed=5, rank=rank)
+    np.testing.assert_array_equal(getattr(spectral, name)(x, axes=axes), _ascending(name, x, axes))
 
 
 @pytest.mark.parametrize("name", ["fftn", "ifftn"])
 def test_three_axis_transform_allocates_one_output(name):
-    x = _complex_cube(32, seed=4)  # 512 KiB
+    x = _complex_field(32, seed=4)  # 512 KiB
     transform = getattr(spectral, name)
     tracemalloc.start()
     try:
