@@ -4,7 +4,8 @@ Units follow the rest of the package: hbar = 1, particle mass 1/2, so the
 kinetic operator is minus the Laplacian and a Fourier mode exp(ikx) carries
 kinetic energy k^2.  Transforms run on numpy.fft through `gplab.spectral`:
 forward transforms are unnormalized, inverse transforms carry 1/M per axis,
-and every transform is single-threaded, so reruns are bit-comparable.
+and every transform is single-threaded, so reruns are bit-comparable.  A
+small-grid `free_evolve` makes none: it applies a one-axis matrix instead.
 """
 
 from __future__ import annotations
@@ -180,20 +181,37 @@ def kinetic_energy(psi: WaveFunction, k2: np.ndarray | None = None) -> float:
     return spectral.parseval_energy(spectral.fftn(psi.values), psi.measure, k2)
 
 
+#: largest M^(d+2) a free flight takes by one-axis matrix products, not transforms
+MATRIX_FLIGHT_WORK = 2**21
+
+
 @functools.lru_cache(maxsize=4)
-def _flight_phase(grid: GridSpec, t: float) -> np.ndarray:
-    table = spectral.free_phase(grid, t)
-    table.flags.writeable = False
-    return table
+def _flight_propagator(grid: GridSpec, t: float, matrix: bool) -> np.ndarray:
+    propagator = spectral.free_propagator(grid, t) if matrix else spectral.free_phase(grid, t)
+    propagator.flags.writeable = False
+    return propagator
 
 
 def free_evolve(phi: WaveFunction, t: float) -> WaveFunction:
-    """Exact evolution of i d/dt phi = -Laplacian phi on the grid.
+    """Exact evolution of i d/dt phi = -Laplacian phi on the grid, every slot flown.
 
-    The one-slot table exp(-i t k^2) comes from a read-only cache of the last
-    4 (grid, t) pairs, since flights come in runs that share a time (a series
-    stage flies all its fields over one interval).  The cache holds at most
-    4 grid-sized tables: 16 MiB at 64^3.  Keys compare as numbers, so t = -0.0
-    may read the table of t = 0.0, which differs only in the sign of zeros."""
-    phase = _flight_phase(phi.grid, t)
-    return WaveFunction(phi.grid, spectral.fourier_multiply(phi.values, phase))
+    A grid with M^(d+2) <= MATRIX_FLIGHT_WORK (M <= 128 in 1D, 32 in 2D, 16
+    in 3D) flies by the M x M matrix `spectral.free_propagator` along every
+    axis, with no transform; a larger one by a transform pair with the table
+    `spectral.free_phase(grid, t, n)`.  Flights come in runs that share a time
+    (a series stage flies all its fields over one interval), so the matrix or
+    the one-slot table comes from a read-only cache of the last 4 (grid, t):
+    at most 4 M^2 x 16 B of matrices (256 KiB each at M = 128), or 4 grid-sized
+    tables (4 MiB each at 64^3).  An n-slot table, as large as the field, is
+    built per call and not kept.  Keys compare as numbers, so t = -0.0 may
+    read the entry of t = 0.0, which differs only in the sign of zeros."""
+    grid, m = phi.grid, phi.grid.points_per_axis
+    if m ** (grid.dim + 2) > MATRIX_FLIGHT_WORK:
+        n = phi.n_particles
+        phase = _flight_propagator(grid, t, False) if n == 1 else spectral.free_phase(grid, t, n)
+        return WaveFunction(grid, spectral.fourier_multiply(phi.values, phase))
+    propagator = _flight_propagator(grid, t, True)
+    values = phi.values @ propagator.T  # the last axis
+    for axis in range(values.ndim - 1):  # each leading axis, batched over the axes after it
+        values = np.matmul(propagator, values.reshape(m**axis, m, -1)).reshape(values.shape)
+    return WaveFunction(grid, values)

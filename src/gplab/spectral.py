@@ -1,6 +1,6 @@
 """Spectral core of the split-step solvers: every transform of the package,
-the one split-step loop, wavenumber and free-flight phase tables and weighted
-sums of squares.
+the one split-step loop, wavenumber and free-flight phase tables, the
+one-axis free-flight matrix and weighted sums of squares.
 
 Transforms are numpy.fft's, forward unnormalized and inverse carrying 1/M per
 axis, looked up as module attributes at call time and single-threaded.  Each
@@ -14,13 +14,14 @@ result is the same to the bit, and the n-D argument handling (about 2 of the
 Tables describe `n_slots` particle slots of `grid.dim` axes each (slot j owns
 axes [j*dim, (j+1)*dim)); only the per-grid 1D table of k_axis^2 is cached
 here, so no tensor-sized table outlives the computation that needs it
-(`grids.free_evolve` keeps its own few one-slot phase tables).  Sums of
-W |x|^2 over arrays larger than SLAB_ENTRIES run over leading-axis slabs, so
-they make no temporary larger than a slab.
+(`grids.free_evolve` keeps its own few one-axis matrices or one-slot phase
+tables).  Sums of W |x|^2 over arrays larger than SLAB_ENTRIES run over
+leading-axis slabs, so they make no temporary larger than a slab.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import operator
 from typing import Iterable
@@ -133,6 +134,16 @@ def free_phase(grid, t: float, n_slots: int = 1, slots: Iterable[int] | None = N
     """exp(-i t k^2) over the chosen slots (all by default): the free flow of
     i du/dt = -Laplacian u over time t, shaped like k_squared(grid, n_slots, slots)."""
     return np.exp(-1j * t * k_squared(grid, n_slots, slots))
+
+
+def free_propagator(grid, t: float) -> np.ndarray:
+    """The free flow over time t along one axis of `grid` as an M x M circulant
+    matrix, U[j, l] = ifft(exp(-i t k_axis^2))[(j - l) mod M]: one length-M
+    inverse transform and one gather, and U @ v equals ifft(exp(-i t k^2) fft(v))
+    up to round-off."""
+    column = np.fft.ifft(free_phase(dataclasses.replace(grid, dim=1), t))
+    index = np.arange(grid.points_per_axis)
+    return column[np.subtract.outer(index, index) % grid.points_per_axis]
 
 
 def weighted_norm_squared(x: np.ndarray, *weight: np.ndarray) -> float:

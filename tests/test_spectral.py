@@ -166,26 +166,71 @@ def test_series_builds_one_phase_table_per_flight_time(monkeypatch, quad_points)
         assert 0 < len(builds) <= most_builds
 
 
-def test_free_evolve_reads_a_read_only_cached_table(monkeypatch):
-    tables = []
-    multiply = spectral.fourier_multiply
-    monkeypatch.setattr(spectral, "fourier_multiply", lambda x, m: tables.append(m) or multiply(x, m))
-    phi = gaussian_packet(GridSpec(1, 16, 6.0), width=1.0)
+MATRIX_GRIDS = [GridSpec(1, 64, 12.0), GridSpec(2, 32, 8.0), GridSpec(3, 16, 8.0)]
+TRANSFORM_GRIDS = [GridSpec(1, 512, 12.0), GridSpec(2, 64, 8.0), GridSpec(3, 32, 8.0)]
+
+
+@pytest.mark.parametrize(
+    "grid, builder", [(GridSpec(1, 16, 6.0), "free_propagator"), (GridSpec(1, 512, 6.0), "free_phase")],
+    ids=["matrix", "table"],
+)
+def test_free_evolve_reads_a_read_only_cached_propagator(monkeypatch, grid, builder):
+    built = []
+    build = getattr(spectral, builder)
+    monkeypatch.setattr(spectral, builder, lambda *a: built.append(build(*a)) or built[-1])
+    phi = gaussian_packet(grid, width=1.0)
     first, second = free_evolve(phi, 0.125), free_evolve(phi, 0.125)
-    assert tables[0] is tables[1]
+    assert len(built) == 1  # the second flight shares the first one's matrix or table
     np.testing.assert_array_equal(first.values, second.values)
     with pytest.raises(ValueError):
-        tables[0][0] = 0.0
+        built[0][0] = 0.0
     with pytest.raises(ValueError):
-        tables[0] *= 2.0
+        built[0] *= 2.0
 
 
-@pytest.mark.parametrize("grid", [GridSpec(1, 64, 12.0), GridSpec(3, 16, 8.0)], ids=["1d", "3d"])
+@pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=["1d", "2d", "3d"])
 def test_free_evolve_is_its_formula_bit_for_bit(grid):
     phi = gaussian_packet(grid, width=1.0, momentum=[0.7] * grid.dim)
     for t in (0.3, -0.05, 0.3):  # the repeated time reads the cached table
         expected = spectral.fourier_multiply(phi.values, spectral.free_phase(grid, t))
         np.testing.assert_array_equal(free_evolve(phi, t).values, expected)
+
+
+@pytest.mark.parametrize("grid", MATRIX_GRIDS + TRANSFORM_GRIDS, ids=lambda g: f"{g.dim}d{g.points_per_axis}")
+def test_free_evolve_agrees_with_its_formula(grid):
+    phi = gaussian_packet(grid, width=1.0, momentum=[0.7] * grid.dim)
+    for t in (0.3, -0.05):
+        expected = spectral.fourier_multiply(phi.values, spectral.free_phase(grid, t))
+        assert _relative(free_evolve(phi, t).values, expected) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "grid, expected",
+    [
+        (GridSpec(1, 64, 12.0), 0),
+        (GridSpec(1, 128, 12.0), 0),
+        (GridSpec(3, 16, 8.0), 0),
+        (GridSpec(1, 256, 12.0), 2),
+        (GridSpec(1, 512, 12.0), 2),
+        (GridSpec(3, 32, 8.0), 2),
+    ],
+    ids=["1d64-matrix", "1d128-matrix", "3d16-matrix", "1d256-table", "1d512-table", "3d32-table"],
+)
+def test_free_evolve_path_by_transform_count(transforms, grid, expected):
+    phi = gaussian_packet(grid, width=1.0)
+    free_evolve(phi, 0.2)  # warms the cache
+    _reset(transforms)
+    free_evolve(phi, 0.2)
+    assert transforms == {"scipy": 0, "numpy": expected}
+
+
+@pytest.mark.parametrize("points", [16, 512], ids=["matrix", "table"])
+def test_free_evolve_flies_every_slot(points):
+    grid = GridSpec(1, points, 12.0)
+    phi = gaussian_packet(grid, width=1.0, momentum=[1.0])
+    flown = free_evolve(phi, 0.3).values
+    pair = free_evolve(product_state(phi, 2), 0.3).values
+    np.testing.assert_allclose(pair, np.multiply.outer(flown, flown), rtol=0, atol=1e-13)
 
 
 def test_no_scipy_transforms_anywhere(transforms):
