@@ -5,7 +5,8 @@ kinetic operator is minus the Laplacian and a Fourier mode exp(ikx) carries
 kinetic energy k^2.  Transforms run on numpy.fft through `gplab.spectral`:
 forward transforms are unnormalized, inverse transforms carry 1/M per axis,
 and every transform is single-threaded, so reruns are bit-comparable.  A
-small-grid `free_evolve` makes none: it applies a one-axis matrix instead.
+small-grid `free_evolve` makes none: it applies a one-axis matrix instead,
+built from cached one-axis tables with no transform either.
 """
 
 from __future__ import annotations

@@ -40,10 +40,16 @@ from .potential import PotentialModel
 # --- kernel plumbing ------------------------------------------------------
 
 
+def _check_orbital(phi: WaveFunction) -> None:
+    if phi.n_particles != 1:
+        raise DomainError(f"need a one-slot orbital, got a field of {phi.n_particles} slots")
+
+
 def factorized_kernel(phi: WaveFunction, k: int) -> np.ndarray:
     """Kernel of the pure k-fold product of one orbital."""
     if k < 1:
         raise DomainError("k must be >= 1")
+    _check_orbital(phi)
     return _assemble_terms([(1.0, [(phi.values, phi.values)] * k)], phi.grid.size)
 
 
@@ -222,6 +228,7 @@ class HierarchyFamily:
     def from_orbital(cls, phi: WaveFunction, k_max: int, sigma: float) -> "HierarchyFamily":
         if k_max < 1:
             raise DomainError("k_max must be >= 1")
+        _check_orbital(phi)
         return cls(phi, float(sigma), k_max)
 
 
@@ -269,20 +276,23 @@ def _evolve_terms(terms: list, grid: GridSpec, tau: float) -> list:
     return [(coeff, [(fly(a), fly(b)) for a, b in slots]) for coeff, slots in terms]
 
 
+def _slot_fields(terms: list, slot: int, side: int) -> np.ndarray:
+    """The (terms, M^d) stack of every term's field on one side (0: a, 1: b) of a slot."""
+    return np.array([slots[slot][side] for _, slots in terms]).reshape(len(terms), -1)
+
+
 def _assemble_terms(terms: list, size: int) -> np.ndarray:
     """The level-k kernel L @ R = sum_t c_t (a_t1 x .. x a_tk)(b_t1 x .. x b_tk)^H of
     rank-one product terms (c_t, [(a_t1, b_t1), ..]), L and R row-wise Kronecker
-    products, L with the coefficients; checks the 2^28-entry budget first."""
-    k = len(terms[0][1])
+    products, L with the coefficients; checks the 2^28-entry budget first.
+    Beyond the kernel it holds L and R and one slot's stack of fields."""
+    k, count = len(terms[0][1]), len(terms)
     check_entry_budget(size ** (2 * k), f"level-{k} kernel")
-    left = right = np.ones((len(terms), 1))
+    left, right = np.array([coeff for coeff, _ in terms])[:, None], np.ones((count, 1))
     for slot in range(k):
-        a = np.stack([slots[slot][0].ravel() for _, slots in terms])
-        b = np.stack([slots[slot][1].ravel() for _, slots in terms])
-        left = (left[:, :, None] * a[:, None, :]).reshape(len(terms), -1)
-        right = (right[:, :, None] * b[:, None, :]).reshape(len(terms), -1)
-    coeffs = np.array([coeff for coeff, _ in terms])
-    return (left.T * coeffs) @ right.conj()
+        left = (left[:, :, None] * _slot_fields(terms, slot, 0)[:, None, :]).reshape(count, -1)
+        right = (right[:, :, None] * _slot_fields(terms, slot, 1)[:, None, :]).reshape(count, -1)
+    return left.T @ np.conjugate(right, out=right)
 
 
 def _terms_norm(terms: list, grid: GridSpec, k: int) -> float:
@@ -293,8 +303,7 @@ def _terms_norm(terms: list, grid: GridSpec, k: int) -> float:
     so callers write differences into the fields, one slot per term."""
     gram = np.ones((len(terms), len(terms)))
     for slot in range(k):
-        a = np.stack([slots[slot][0].ravel() for _, slots in terms])
-        b = np.stack([slots[slot][1].ravel() for _, slots in terms])
+        a, b = _slot_fields(terms, slot, 0), _slot_fields(terms, slot, 1)
         gram = gram * (a.conj() @ a.T) * (b @ b.conj().T)
     coeffs = np.array([coeff for coeff, _ in terms])
     return float(np.sqrt(max(np.real(coeffs.conj() @ gram @ coeffs), 0.0)) * grid.cell_volume**k)
@@ -313,6 +322,11 @@ def dyson_term(
     are midpoint-rule integrals over the time simplex with `quad_points`
     nodes per axis: at each node the level-(k+m) product of the orbital,
     freely flown to s_m, alternates collision and free flight up to t.
+    Each node's weight goes into its terms' coefficients, and the terms of
+    successive nodes are assembled together, once their Kronecker factors
+    (2 M^(d k) entries per term) hold min(M^(2 d k), spectral.SLAB_ENTRIES)
+    entries: 4 nodes per batch at order 2 on a 64-point line, 32 on 8^3.
+    A batch's fields and factors take about one kernel or one slab each.
     Orders above two are unsupported (cost grows with the level that must be
     carried).
     """
@@ -332,13 +346,19 @@ def dyson_term(
     total = np.zeros((size**k, size**k), dtype=complex)
     if family.sigma == 0.0:
         return total
+    limit, batch = min(size ** (2 * k), spectral.SLAB_ENTRIES), []
     for weight, stops in _simplex_nodes([t], m, quad_points):
         phi_s = free_evolve(phi, stops[-1])
-        terms = [(1.0, [(phi_s.values, phi_s.values)] * (k + m))]
+        terms = [(weight, [(phi_s.values, phi_s.values)] * (k + m))]
         for j in reversed(range(m)):  # collide at stops[j + 1], fly to stops[j]
             terms = _collide_terms(terms, family.sigma)
             terms = _evolve_terms(terms, grid, stops[j] - stops[j + 1])
-        total += weight * _assemble_terms(terms, size)
+        batch += terms
+        if 2 * len(batch) * size**k >= limit:
+            total += _assemble_terms(batch, size)
+            batch = []
+    if batch:
+        total += _assemble_terms(batch, size)
     return total
 
 

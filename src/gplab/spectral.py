@@ -12,10 +12,12 @@ calls numpy's 1-D fft/ifft directly, as fftn/ifftn do once per axis: the
 result is the same to the bit, and the n-D argument handling (about 2 of the
 5 us of a 64-point fftn) is skipped.
 Tables describe `n_slots` particle slots of `grid.dim` axes each (slot j owns
-axes [j*dim, (j+1)*dim)); only the per-grid 1D table of k_axis^2 is cached
-here, so no tensor-sized table outlives the computation that needs it
-(`grids.free_evolve` keeps its own few one-axis matrices or one-slot phase
-tables).  Sums of W |x|^2 over arrays larger than SLAB_ENTRIES run over
+axes [j*dim, (j+1)*dim)); only per-grid one-axis tables are cached here, the
+1D table of k_axis^2 and the M x M inverse-DFT table and circulant index that
+build `free_propagator` without a transform (at most 16 grids, 24 M^2 B each:
+96 KiB at M = 64), so no tensor-sized table outlives the computation that
+needs it (`grids.free_evolve` keeps its own few one-axis matrices or one-slot
+phase tables).  Sums of W |x|^2 over arrays larger than SLAB_ENTRIES run over
 leading-axis slabs, so they make no temporary larger than a slab.
 """
 
@@ -136,14 +138,29 @@ def free_phase(grid, t: float, n_slots: int = 1, slots: Iterable[int] | None = N
     return np.exp(-1j * t * k_squared(grid, n_slots, slots))
 
 
+@functools.lru_cache(maxsize=16)
+def _line_tables(grid):
+    """The 1D grid of one axis of `grid`, the M x M inverse-DFT table
+    exp(2 pi i (j k mod M) / M) / M and the circulant index (j - l) mod M,
+    read-only.  The angles are reduced mod M first: exp of an unreduced
+    2 pi j k / M, up to about 2 pi M, loses digits in proportion to it."""
+    m = grid.points_per_axis
+    index = np.arange(m)
+    inverse = np.exp(2j * np.pi * (np.multiply.outer(index, index) % m) / m) / m
+    circulant = np.subtract.outer(index, index) % m
+    for table in (inverse, circulant):
+        table.flags.writeable = False
+    return dataclasses.replace(grid, dim=1), inverse, circulant
+
+
 def free_propagator(grid, t: float) -> np.ndarray:
     """The free flow over time t along one axis of `grid` as an M x M circulant
-    matrix, U[j, l] = ifft(exp(-i t k_axis^2))[(j - l) mod M]: one length-M
-    inverse transform and one gather, and U @ v equals ifft(exp(-i t k^2) fft(v))
-    up to round-off."""
-    column = np.fft.ifft(free_phase(dataclasses.replace(grid, dim=1), t))
-    index = np.arange(grid.points_per_axis)
-    return column[np.subtract.outer(index, index) % grid.points_per_axis]
+    matrix, U[j, l] = ifft(exp(-i t k_axis^2))[(j - l) mod M], and U @ v equals
+    ifft(exp(-i t k^2) fft(v)) up to round-off.  The column is one product of
+    the cached inverse-DFT table with the line's `free_phase`, gathered through
+    the cached circulant index: a build makes no transform."""
+    line, inverse, circulant = _line_tables(grid)
+    return (inverse @ free_phase(line, t))[circulant]
 
 
 def weighted_norm_squared(x: np.ndarray, *weight: np.ndarray) -> float:

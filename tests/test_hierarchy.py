@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gplab import hierarchy
 from gplab.errors import ConfigurationError, DomainError
 from gplab.gp import evolve_gp
 from gplab.grids import (
@@ -21,6 +22,8 @@ from gplab.hierarchy import (
     _assemble_terms,
     _collide,
     _collide_terms,
+    _evolve_terms,
+    _simplex_nodes,
     _terms_norm,
     bbgky_residual,
     dyson_partial_sum,
@@ -615,6 +618,70 @@ def test_series_guards(grid, orbital):
         dyson_term(family, 2, 1, 0.1)  # needs level 3 > k_max
     with pytest.raises(ConfigurationError):
         dyson_term(family, 1, 1, 0.1, quad_points=2)
+
+
+def test_two_slot_fields_rejected_as_orbitals():
+    pair = product_state(gaussian_packet(GridSpec(1, 16, 8.0), width=1.0), 2)
+    with pytest.raises(DomainError, match="2 slots"):
+        factorized_kernel(pair, 1)
+    with pytest.raises(DomainError, match="2 slots"):
+        HierarchyFamily.from_orbital(pair, 3, 0.5)
+
+
+def _dyson_term_oracle(family, k, m, t, quad_points):
+    """The order-m term node by node: each node's kernel assembled alone and
+    added with its weight."""
+    phi, grid = family.orbital, family.orbital.grid
+    total = np.zeros((grid.size**k, grid.size**k), dtype=complex)
+    for weight, stops in _simplex_nodes([t], m, quad_points):
+        phi_s = free_evolve(phi, stops[-1])
+        terms = [(1.0, [(phi_s.values, phi_s.values)] * (k + m))]
+        for j in reversed(range(m)):
+            terms = _collide_terms(terms, family.sigma)
+            terms = _evolve_terms(terms, grid, stops[j] - stops[j + 1])
+        total += weight * _assemble_terms(terms, grid.size)
+    return total
+
+
+@pytest.mark.parametrize(
+    "grid, k, m, quad_points, batches",
+    [
+        (GridSpec(1, 16, 8.0), 1, 1, 8, 2),  # 4 nodes of 2 terms fill a 256-entry kernel
+        (GridSpec(1, 16, 8.0), 1, 2, 4, 16),  # a node of 8 terms fills it alone
+        (GridSpec(1, 16, 8.0), 2, 1, 48, 2),  # 32 nodes of 4 terms fill a 256^2 kernel, then 16
+        (GridSpec(1, 16, 8.0), 2, 2, 4, 3),  # 6 nodes of 24 terms, then 6, then 4
+        (GridSpec(3, 8, 8.0), 1, 2, 4, 1),  # 32 nodes would fill a 512^2 kernel; 16 run
+    ],
+    ids=["1d-k1-m1", "1d-k1-m2", "1d-k2-m1", "1d-k2-m2", "3d-k1-m2"],
+)
+def test_batched_series_term_matches_node_by_node(monkeypatch, grid, k, m, quad_points, batches):
+    phi = gaussian_packet(grid, width=1.0, momentum=[0.5] + [0.0] * (grid.dim - 1))
+    family = HierarchyFamily.from_orbital(phi, 4, 0.5)
+    expected = _dyson_term_oracle(family, k, m, 0.05, quad_points)
+    calls = []
+    monkeypatch.setattr(hierarchy, "_assemble_terms", lambda *a: calls.append(a) or _assemble_terms(*a))
+    term = dyson_term(family, k, m, 0.05, quad_points)
+    assert len(calls) == batches
+    assert np.linalg.norm(term - expected) <= 1e-13 * np.linalg.norm(expected)
+    zero = dyson_term(HierarchyFamily.from_orbital(phi, 4, 0.0), k, m, 0.05, quad_points)
+    assert not np.any(zero)
+
+
+def test_batched_series_term_memory_at_8_cubed():
+    # a level-1 kernel on 8^3 is 512^2 entries (4 MiB); the term holds it, one
+    # batch's product and the batch's fields and Kronecker factors (about one
+    # kernel each): 16.2 MiB measured, against 12.1 MiB node by node.  Without the
+    # batch bound, the 256 nodes' fields alone would take 32 MiB.
+    grid = GridSpec(3, 8, 8.0)
+    family = HierarchyFamily.from_orbital(gaussian_packet(grid, width=1.0), 3, 0.5)
+    dyson_term(family, 1, 2, 0.05, 4)  # caches the flight matrices
+    tracemalloc.start()
+    try:
+        dyson_term(family, 1, 2, 0.05, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * 2**20
 
 
 def test_series_kernel_budget_checked_before_allocation():

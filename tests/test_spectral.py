@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from gplab import hierarchy, spectral
+from gplab import grids, hierarchy, spectral
 from gplab.errors import ConvergenceError
 from gplab.gp import evolve_gp, gp_energy, minimize_gp
 from gplab.grids import GridSpec, free_evolve, gaussian_packet, kinetic_energy
@@ -218,10 +218,24 @@ def test_free_evolve_agrees_with_its_formula(grid):
 )
 def test_free_evolve_path_by_transform_count(transforms, grid, expected):
     phi = gaussian_packet(grid, width=1.0)
-    free_evolve(phi, 0.2)  # warms the cache
+    grids._flight_propagator.cache_clear()
+    spectral._line_tables.cache_clear()
     _reset(transforms)
-    free_evolve(phi, 0.2)
+    free_evolve(phi, 0.2)  # a cold cache: the matrix is built without a transform
     assert transforms == {"scipy": 0, "numpy": expected}
+    _reset(transforms)
+    free_evolve(phi, 0.2)  # a warm cache
+    assert transforms == {"scipy": 0, "numpy": expected}
+
+
+@pytest.mark.parametrize("points", [8, 64, 128])
+@pytest.mark.parametrize("t", [1e-4, 0.05, 3.0])
+def test_free_propagator_is_its_transform_formula(points, t):
+    grid = GridSpec(1, points, 12.0)
+    index = np.arange(points)
+    column = np.fft.ifft(np.exp(-1j * t * grid.k_axis() ** 2))
+    expected = column[np.subtract.outer(index, index) % points]
+    assert _relative(spectral.free_propagator(grid, t), expected) < 1e-14
 
 
 @pytest.mark.parametrize("points", [16, 512], ids=["matrix", "table"])
