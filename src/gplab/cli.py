@@ -112,11 +112,10 @@ def _run_gp_evolve(cfg, out_dir: Path):
     stride = max(1, steps // 1000)
     rows = [[0.0, phi0.norm(), gp_energy(phi0, a0)]]
 
-    def sample(step, t, wf):
-        if step % stride == 0 or step == steps:
-            rows.append([t, wf.norm(), gp_energy(wf, a0)])
+    def sample(step, t, wf, kinetic):
+        rows.append([t, wf.norm(), gp_energy(wf, a0, kinetic=kinetic)])
 
-    phi_t = evolve_gp(phi0, sigma, t_final, dt, callback=sample)
+    phi_t = evolve_gp(phi0, sigma, t_final, dt, callback=sample, stride=stride)
     output = cfg.record["output"]
     if output["binary_snapshots"]:
         write_state_binary(out_dir / f"{output['prefix']}_state_initial.bin", phi0)
@@ -156,36 +155,33 @@ def _run_manybody(cfg, out_dir: Path):
         product_state,
         total_potential,
     )
-    from .spectral import k_squared, split_steps
+    from .spectral import split_steps
 
     grid, trap, base, n = cfg.grid, cfg.trap, cfg.potential, cfg.record["particles"]
     pair = base.scaled_analog1d(n) if grid.dim == 1 else base.scaled(n)
     sigma = _resolve_coupling(cfg)
     phi0 = gaussian_packet(grid, width=grid.box_length / 8.0)
     psi = product_state(phi0, n)
-    potential, k2 = total_potential(grid, n, pair, trap), k_squared(grid, n)
+    potential = total_potential(grid, n, pair, trap)
     t_final, dt = cfg.record["time"]["t_final"], cfg.record["time"]["dt"]
     steps, _ = split_steps(t_final, dt)
     stride = max(1, steps // 200)
     rows = []
     reference_t, reference = 0.0, phi0
 
-    def record(t, state):
+    def record(step, t, state, kinetic=None):
         nonlocal reference_t, reference
         if t > reference_t:  # advance the mean-field reference from the last sample
             reference = evolve_gp(reference, sigma, t - reference_t, dt)
             reference_t = t
         overlap = condensate_overlap(marginal(state, 1), reference)
-        energy = energy_moment(state, potential, 1, k2=k2)
+        energy = energy_moment(state, potential, 1, kinetic=kinetic)
         rows.append([t, state.norm(), energy, overlap, 1.0 - overlap])
 
-    record(0.0, psi)
-
-    def sample(step, t, state):
-        if step % stride == 0 or step == steps:
-            record(t, state)
-
-    psi_t = evolve_manybody(psi, pair, trap, t_final, dt, callback=sample, potential=potential)
+    record(0, 0.0, psi)
+    psi_t = evolve_manybody(
+        psi, pair, trap, t_final, dt, callback=record, stride=stride, potential=potential
+    )
     output = cfg.record["output"]
     if output["binary_snapshots"]:
         from .snapshots import write_marginal_binary
@@ -357,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         # pin thread pools before numpy is imported anywhere
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
+            os.environ[var] = str(args.threads)
         try:
             return run(args.config, threads=args.threads)
         except (ConfigurationError, DomainError, FileNotFoundError) as exc:

@@ -28,13 +28,20 @@ from .errors import ConfigurationError, ConvergenceError, DomainError
 from .grids import GridSpec, WaveFunction, gaussian_packet, kinetic_energy
 from .potential import TrapModel
 
-DynamicsCallback = Callable[[int, float, WaveFunction], None]
+#: callback(step, time, field, kinetic) of the split-step evolvers
+DynamicsCallback = Callable[[int, float, WaveFunction, float], None]
 
 
-def gp_energy(phi: WaveFunction, a0: float, trap: TrapModel | None = None) -> float:
-    """Energy functional: spectral gradient term, sampled trap, quartic term."""
+def gp_energy(
+    phi: WaveFunction, a0: float, trap: TrapModel | None = None, *, kinetic: float | None = None
+) -> float:
+    """Energy functional: spectral gradient term, sampled trap, quartic term.
+    `kinetic` is int |grad phi|^2 if the caller already holds it (a split-step
+    callback does); it is computed here by one transform otherwise."""
     v_ext = trap.sample(phi.grid) if trap is not None and trap.confining else None
-    return _energy(phi.values, kinetic_energy(phi), v_ext, a0, phi.grid.cell_volume)
+    if kinetic is None:
+        kinetic = kinetic_energy(phi)
+    return _energy(phi.values, kinetic, v_ext, a0, phi.grid.cell_volume)
 
 
 def _energy(values: np.ndarray, kinetic: float, v_ext, a0: float, cell_volume: float) -> float:
@@ -50,11 +57,15 @@ def evolve_gp(
     t: float,
     dt: float,
     callback: DynamicsCallback | None = None,
+    *,
+    stride: int = 1,
 ) -> WaveFunction:
     """Propagate the orbital to time t (t may be negative to run backwards).
 
     dt is the nominal step; the actual step is t/round(|t|/dt) so the
     endpoint lands exactly on t.  The norm is preserved exactly per step.
+    `callback` fires at every `stride`-th step and the last, as in
+    spectral.split_step_evolve.
     """
     def nonlinear_phase(dt_eff):
         peak = float(np.max(np.abs(phi0.values)) ** 2)
@@ -67,7 +78,7 @@ def evolve_gp(
             )
         return lambda values: np.exp(-1j * sigma * dt_eff * np.abs(values) ** 2)
 
-    return spectral.split_step_evolve(phi0, t, dt, nonlinear_phase, callback)
+    return spectral.split_step_evolve(phi0, t, dt, nonlinear_phase, callback, stride)
 
 
 def minimize_gp(

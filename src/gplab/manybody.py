@@ -146,8 +146,9 @@ def evolve_manybody(
     trap: TrapModel | None,
     t: float,
     dt: float,
-    callback: Callable[[int, float, WaveFunction], None] | None = None,
+    callback: Callable[[int, float, WaveFunction, float], None] | None = None,
     *,
+    stride: int = 1,
     potential: np.ndarray | None = None,
 ) -> WaveFunction:
     """Unitary split-step evolution under kinetic + trap + pair interaction.
@@ -156,7 +157,9 @@ def evolve_manybody(
     factor is a phase so the norm and the exchange symmetry are preserved
     exactly.  Negative t runs the evolution backwards.  `potential` is the
     table `total_potential(psi0.grid, psi0.n_particles, pair, trap)` if the
-    caller already holds it; it is built here otherwise.
+    caller already holds it; it is built here otherwise.  callback(step, time,
+    state, kinetic) fires at every `stride`-th step and the last, as in
+    spectral.split_step_evolve.
     """
 
     def potential_phase(dt_eff):
@@ -166,24 +169,32 @@ def evolve_manybody(
         table = np.exp(-1j * v * dt_eff)
         return lambda values: table
 
-    return spectral.split_step_evolve(psi0, t, dt, potential_phase, callback)
+    return spectral.split_step_evolve(psi0, t, dt, potential_phase, callback, stride)
 
 
 def energy_moment(
-    psi: WaveFunction, potential: np.ndarray, order: int = 1, *, k2: np.ndarray | None = None
+    psi: WaveFunction,
+    potential: np.ndarray,
+    order: int = 1,
+    *,
+    k2: np.ndarray | None = None,
+    kinetic: float | None = None,
 ) -> float:
     """<psi, H^order psi> with spectral kinetic part; `potential` is the
     sampled table `total_potential(psi.grid, psi.n_particles, pair, trap)`,
     built once by the caller for every state it measures.  `k2` is the table
     `spectral.k_squared(psi.grid, psi.n_particles)` if the caller already
-    holds it; it is built here otherwise."""
+    holds it; it is built here otherwise.  At order 1, `kinetic` is
+    int |grad psi|^2 if the caller already holds it (a split-step callback
+    does): then no transform is made."""
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
+    if order == 1:
+        if kinetic is None:
+            kinetic = kinetic_energy(psi, k2)
+        return kinetic + spectral.weighted_norm_squared(psi.values, potential) * psi.measure
     if k2 is None:
         k2 = spectral.k_squared(psi.grid, psi.n_particles)
-    if order == 1:
-        kinetic = kinetic_energy(psi, k2)
-        return kinetic + spectral.weighted_norm_squared(psi.values, potential) * psi.measure
     h_psi = spectral.fourier_multiply(psi.values, k2) + potential * psi.values
     return spectral.weighted_norm_squared(h_psi) * psi.measure
 

@@ -83,32 +83,45 @@ def split_steps(t: float, dt: float) -> tuple[int, float]:
     return steps, t / steps
 
 
-def split_step_evolve(psi, t, dt, potential_phase, callback=None):
+def split_step_evolve(psi, t, dt, potential_phase, callback=None, stride=1):
     """Evolve the field `psi` (a grids.WaveFunction of any slot count) to time t
     by split_steps(t, dt) symmetric steps at 4 transforms each: half kinetic,
     potential phase, half kinetic.
 
     If any step is taken, potential_phase(dt_eff) is called once and returns
     the map from the half-kinetic-stepped values to that step's pointwise
-    factor exp(-i dt_eff V).  callback(step, time, field) and the result get
-    fields of psi's type; no array handed out is written again.
+    factor exp(-i dt_eff V).  callback(step, time, field, kinetic) fires at
+    every `stride`-th step and at the last one; `kinetic` is int |grad
+    field|^2 over every slot, read from the spectrum the step's last inverse
+    transform starts from, at no extra transform.  The callback and the
+    result get fields of psi's type; no array handed out is written again.
     """
+    if not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise DomainError(f"stride must be a positive integer, got {stride!r}")
     grid, wrap = psi.grid, type(psi)
     if not np.all(np.isfinite(psi.values)):
         raise SolverError("initial state contains non-finite values")
     steps, dt_eff = split_steps(t, dt)
     if steps == 0:
         return wrap(grid, psi.values.astype(complex, copy=True))
-    half_kinetic = free_phase(grid, dt_eff / 2.0, psi.n_particles)
-    phase = potential_phase(dt_eff)  # before the working copy: its temporaries are freed first
-    values = psi.values.astype(complex, copy=True)
-    for step in range(steps):
-        # the callback may keep the previous step's array: never overwrite it
-        values = fourier_multiply(values, half_kinetic)
+    k2 = k_squared(grid, psi.n_particles)
+    half_kinetic = np.exp(-1j * (dt_eff / 2.0) * k2)  # free_phase(grid, dt_eff / 2, n) from k2
+    if callback is None:  # only samples read it: free the field-sized table
+        k2 = None
+    phase = potential_phase(dt_eff)
+    values, shared = psi.values, True  # shared: the caller may hold `values`
+    for step in range(1, steps + 1):
+        # a shared array is left as it is; every other step runs in place
+        values = fourier_multiply(values, half_kinetic, overwrite_x=not shared)
         values *= phase(values)
-        values = fourier_multiply(values, half_kinetic, overwrite_x=True)
-        if callback is not None:
-            callback(step + 1, (step + 1) * dt_eff, wrap(grid, values))
+        hat = fftn(values, overwrite_x=True)
+        hat *= half_kinetic
+        shared = callback is not None and (step % stride == 0 or step == steps)
+        if shared:
+            kinetic = parseval_energy(hat, psi.measure, k2)
+        values = ifftn(hat, overwrite_x=True)
+        if shared:
+            callback(step, step * dt_eff, wrap(grid, values), kinetic)
     if not np.all(np.isfinite(values)):
         raise SolverError("evolution produced non-finite values")
     return wrap(grid, values)
@@ -122,13 +135,15 @@ def _axis_k_squared(grid) -> np.ndarray:
 
 
 def k_squared(grid, n_slots: int = 1, slots: Iterable[int] | None = None) -> np.ndarray:
-    """Sum of k_axis^2 over every axis of the chosen slots (all by default),
-    shaped to broadcast against the rank-(n_slots * dim) layout."""
+    """Sum of k_axis^2 over every axis of the chosen slots (all by default, at
+    least one), a fresh array shaped to broadcast against the rank-(n_slots *
+    dim) layout."""
     table, d, rank = _axis_k_squared(grid), grid.dim, n_slots * grid.dim
-    total = np.zeros((1,) * rank)
+    total = None
     for slot in range(n_slots) if slots is None else slots:
         for axis in range(slot * d, (slot + 1) * d):
-            total = total + table.reshape((-1,) + (1,) * (rank - 1 - axis))
+            column = table.reshape((1,) * axis + (-1,) + (1,) * (rank - 1 - axis))
+            total = column.copy() if total is None else total + column
     return total
 
 

@@ -123,7 +123,7 @@ def test_criterion_04_gp_conservation():
     e0 = gp_energy(phi0, a0)
     worst_norm, worst_energy = 0.0, 0.0
 
-    def watch(step, tt, wf):
+    def watch(step, tt, wf, kinetic):
         nonlocal worst_norm, worst_energy
         worst_norm = max(worst_norm, abs(wf.norm() - 1.0))
         worst_energy = max(worst_energy, abs(gp_energy(wf, a0) - e0))

@@ -1019,7 +1019,8 @@ def test_manybody_run_builds_one_energy_k_squared_table(tmp_path, monkeypatch):
     assert cli.main(["run", "--config", str(_manybody_config(tmp_path))]) == 0
     _, rows = _read_rows(tmp_path / "mb" / "mb_results.csv")
     assert len(rows) == 11
-    # one table for the energies of all 11 samples, one for the half-kinetic phase
+    # one table for the t = 0 energy, one for the half-kinetic phase and the
+    # kinetic energies of the other 10 samples
     assert len(builds) == 2
 
 
@@ -1029,3 +1030,14 @@ def test_threads_must_be_positive(tmp_path):
         cli.main(["run", "--config", str(config), "--threads", "0"])
     assert excinfo.value.code == 2
     assert cli.main(["run", "--config", str(config), "--threads", "2"]) == 0
+
+
+def test_threads_override_inherited_blas_settings(tmp_path, monkeypatch):
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for name in names:
+        monkeypatch.setenv(name, "2")
+    config = _scatter_config(tmp_path)
+    assert cli.main(["run", "--config", str(config), "--threads", "1"]) == 0
+    assert [os.environ[name] for name in names] == ["1", "1", "1"]
+    manifest = json.loads((tmp_path / "out" / "scatter_manifest.json").read_text())
+    assert manifest["threads"] == 1

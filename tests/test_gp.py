@@ -56,7 +56,7 @@ def test_one_slot_norm_is_the_plain_sum(dim, points, box, seed):
 def test_evolve_gp_hands_out_one_slot_fields(line_grid):
     seen = []
     phi0 = gaussian_packet(line_grid, width=1.0)
-    out = evolve_gp(phi0, 1.0, 0.02, 1e-2, callback=lambda s, t, wf: seen.append(wf))
+    out = evolve_gp(phi0, 1.0, 0.02, 1e-2, callback=lambda s, t, wf, kin: seen.append(wf))
     assert len(seen) == 2
     for wf in seen + [out]:
         assert type(wf) is WaveFunction
@@ -126,7 +126,7 @@ def test_free_gaussian_matches_closed_form(line_grid):
 def test_norm_conserved_over_long_run(line_grid):
     wf = gaussian_packet(line_grid, width=2.0)
     drifts = []
-    evolve_gp(wf, 0.5, 1.0, 1e-3, callback=lambda s, t, w: drifts.append(abs(w.norm() - 1.0)))
+    evolve_gp(wf, 0.5, 1.0, 1e-3, callback=lambda s, t, w, kin: drifts.append(abs(w.norm() - 1.0)))
     assert len(drifts) == 1000
     assert max(drifts) < 1e-10
 

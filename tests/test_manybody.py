@@ -212,7 +212,9 @@ def test_kinetic_energy_of_product_adds_per_slot(grid, orbital, n):
 def test_evolve_manybody_hands_out_n_slot_fields(grid, orbital):
     seen = []
     psi0 = product_state(orbital, 3)
-    out = evolve_manybody(psi0, None, None, 0.02, 1e-2, callback=lambda s, t, st: seen.append(st))
+    out = evolve_manybody(
+        psi0, None, None, 0.02, 1e-2, callback=lambda s, t, st, kin: seen.append(st)
+    )
     assert len(seen) == 2
     for state in seen + [out]:
         assert type(state) is WaveFunction

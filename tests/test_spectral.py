@@ -8,14 +8,15 @@ transform runs on numpy.fft, none on scipy.fft.  The series budget counts
 `free_evolve` calls through the binding `gplab.hierarchy` uses.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.fft
 
-from gplab import grids, hierarchy, spectral
-from gplab.errors import ConvergenceError
+from gplab import cli, grids, hierarchy, spectral
+from gplab.errors import ConvergenceError, DomainError
 from gplab.gp import evolve_gp, gp_energy, minimize_gp
 from gplab.grids import GridSpec, free_evolve, gaussian_packet, kinetic_energy
 from gplab.hierarchy import (
@@ -47,20 +48,37 @@ PAIR = GaussianPotential(1.5, 0.5)
 TRAP = TrapModel("harmonic", 1.0)
 
 
-@pytest.fixture
-def transforms(monkeypatch):
-    """Calls of every scipy.fft and numpy.fft transform, by backend."""
-    counts = {"scipy": 0, "numpy": 0}
+def _record_transforms(monkeypatch, record):
+    """Call record(backend, input) before every scipy.fft and numpy.fft transform."""
     for backend, module in (("scipy", scipy.fft), ("numpy", np.fft)):
         for name in TRANSFORMS:
             original = getattr(module, name)
 
-            def counted(*args, _original=original, _backend=backend, **kwargs):
-                counts[_backend] += 1
-                return _original(*args, **kwargs)
+            def counted(x, *args, _original=original, _backend=backend, **kwargs):
+                record(_backend, x)
+                return _original(x, *args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """Calls of every scipy.fft and numpy.fft transform, by backend."""
+    counts = {"scipy": 0, "numpy": 0}
+
+    def record(backend, x):
+        counts[backend] += 1
+
+    _record_transforms(monkeypatch, record)
     return counts
+
+
+@pytest.fixture
+def transform_sizes(monkeypatch):
+    """Input sizes of every scipy.fft and numpy.fft transform, by backend."""
+    sizes = {"scipy": [], "numpy": []}
+    _record_transforms(monkeypatch, lambda backend, x: sizes[backend].append(np.size(x)))
+    return sizes
 
 
 def _reset(counts):
@@ -75,7 +93,9 @@ def test_evolve_manybody_four_transforms_per_step(transforms):
     psi = product_state(gaussian_packet(grid, width=1.0), 3)
     seen = []
     _reset(transforms)
-    evolve_manybody(psi, PAIR, TRAP, 7 * 0.01, 0.01, callback=lambda s, t, st: seen.append(st))
+    evolve_manybody(
+        psi, PAIR, TRAP, 7 * 0.01, 0.01, callback=lambda s, t, st, kin: seen.append(st)
+    )
     assert transforms == {"scipy": 0, "numpy": 4 * 7}
     # in-place transforms never touch a state already handed to the callback
     replay = [product_state(gaussian_packet(grid, width=1.0), 3)]
@@ -85,11 +105,43 @@ def test_evolve_manybody_four_transforms_per_step(transforms):
         assert np.max(np.abs(state.values - expected.values)) < 1e-13
 
 
+def _gp_run(callback, stride):
+    phi = gaussian_packet(GridSpec(2, 16, 8.0), width=1.0)
+    return evolve_gp(phi, 2.0, 0.05, 0.005, callback, stride=stride)
+
+
+def _manybody_run(callback, stride):
+    psi = product_state(gaussian_packet(GridSpec(1, 16, 6.0), width=1.0), 3)
+    return evolve_manybody(psi, PAIR, TRAP, 0.1, 0.01, callback, stride=stride)
+
+
+@pytest.mark.parametrize("run,t", [(_gp_run, 0.05), (_manybody_run, 0.1)], ids=["gp", "manybody"])
+def test_callbacks_fire_at_sample_steps_with_their_kinetic_energy(transforms, run, t):
+    every, seen = [], []
+    run(lambda step, time, field, kinetic: every.append(field), 1)
+    _reset(transforms)
+    run(lambda *sample: seen.append(sample), 3)
+    # 10 steps, sampled at 3, 6, 9 and the last, at no extra transform
+    assert transforms == {"scipy": 0, "numpy": 4 * 10}
+    assert [(step, time) for step, time, *_ in seen] == [(s, s * (t / 10)) for s in (3, 6, 9, 10)]
+    for step, _, field, kinetic in seen:
+        assert kinetic == pytest.approx(kinetic_energy(field), rel=1e-13, abs=0)
+        # the in-place steps between samples never touch a field handed out
+        assert np.max(np.abs(field.values - every[step - 1].values)) < 1e-13
+
+
+@pytest.mark.parametrize("stride", [0, -1, 1.5])
+def test_split_step_stride_must_be_a_positive_integer(stride):
+    phi = gaussian_packet(GridSpec(1, 16, 6.0), width=1.0)
+    with pytest.raises(DomainError, match="stride"):
+        evolve_gp(phi, 1.0, 0.1, 0.01, lambda *args: None, stride=stride)
+
+
 def test_evolve_gp_four_transforms_per_step(transforms):
     phi = gaussian_packet(GridSpec(2, 16, 8.0), width=1.0)
     seen = []
     _reset(transforms)
-    evolve_gp(phi, 2.0, 9 * 0.005, 0.005, callback=lambda s, t, wf: seen.append(wf))
+    evolve_gp(phi, 2.0, 9 * 0.005, 0.005, callback=lambda s, t, wf, kin: seen.append(wf))
     assert transforms == {"scipy": 0, "numpy": 4 * 9}
     # in-place transforms never touch an orbital already handed to the callback
     replay = [phi]
@@ -113,8 +165,36 @@ def test_energy_moment_first_order_is_one_transform(transforms):
     psi = random_symmetric_state(GridSpec(1, 16, 6.0), 3, seed=1)
     potential = total_potential(psi.grid, 3, PAIR, TRAP)
     _reset(transforms)
-    energy_moment(psi, potential, 1)
+    energy = energy_moment(psi, potential, 1)
     assert transforms == {"scipy": 0, "numpy": 1}
+    # a kinetic term the caller holds spares the transform
+    kinetic = kinetic_energy(psi)
+    _reset(transforms)
+    assert energy_moment(psi, potential, 1, kinetic=kinetic) == energy
+    assert transforms == {"scipy": 0, "numpy": 0}
+
+
+def test_sampled_manybody_run_makes_four_transforms_per_step(tmp_path, transform_sizes):
+    # 400 steps at stride 2: 4 transforms of the 3-slot state per step and
+    # one for the t = 0 row's energy, none per sample; the GP reference's
+    # transforms are of 16-point lines
+    config = {
+        "schema_version": "1",
+        "experiment": "manybody",
+        "potential": {"kind": "gaussian", "v0": 1.0, "width": 0.5},
+        "grid": {"dim": 1, "points_per_axis": 16, "box_length": 8.0},
+        "particles": 3,
+        "time": {"t_final": 0.4, "dt": 0.001},
+        "coupling": {"mode": "explicit", "value": 0.7},
+        "output": {"dir": str(tmp_path / "mb"), "prefix": "mb"},
+    }
+    path = tmp_path / "mb.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", "--config", str(path)]) == 0
+    rows = (tmp_path / "mb" / "mb_results.csv").read_text().splitlines()
+    assert len(rows) == 1 + 201
+    assert transform_sizes["scipy"] == []
+    assert transform_sizes["numpy"].count(16**3) == 4 * 400 + 1
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -389,6 +469,14 @@ def test_k_squared_matches_reference():
         _k2_reference(grid, 3, (0, 2)),
     )
     np.testing.assert_array_equal(grid.k_squared_mesh(), _k2_reference(grid, 1, (0,)))
+    # one axis: still the layout's rank, and a fresh writeable array
+    line = GridSpec(1, 16, 6.0)
+    middle = spectral.k_squared(line, 3, (1,))
+    np.testing.assert_array_equal(
+        np.broadcast_to(middle, line.shape * 3), _k2_reference(line, 3, (1,))
+    )
+    assert middle.shape == (1, 16, 1) and middle.flags.writeable
+    assert not np.shares_memory(middle, spectral.k_squared(line, 3, (1,)))
 
 
 def test_parseval_energy_moment_matches_direct_form():
