@@ -173,12 +173,10 @@ def gaussian_packet(
     return _normalized_in_place(grid, np.exp(-r2 / (2.0 * width**2) + 1j * phase))
 
 
-def kinetic_energy(psi: WaveFunction, k2: np.ndarray | None = None) -> float:
+def kinetic_energy(psi: WaveFunction) -> float:
     """Spectral integral of |grad psi|^2 over every slot (the kinetic operator
-    is minus the Laplacian of all n slots); `k2` is the table
-    `spectral.k_squared(psi.grid, psi.n_particles)` if the caller holds it."""
-    if k2 is None:
-        k2 = spectral.k_squared(psi.grid, psi.n_particles)
+    is minus the Laplacian of all n slots)."""
+    k2 = spectral.k_squared(psi.grid, psi.n_particles)
     return spectral.parseval_energy(spectral.fftn(psi.values), psi.measure, k2)
 
 

@@ -89,8 +89,6 @@ def _collide(gamma_next: DensityMatrix, k: int, weight: np.ndarray) -> np.ndarra
     W(x_j, z) F[x, z, c]: one matrix product and no traced-slot diagonal.
     Slots index M^d points, so any d works.
     """
-    if gamma_next.factor is None:
-        raise DomainError("the collision needs a pure-state marginal's Gram factor")
     size = gamma_next.grid.size
     factor = gamma_next.factor.reshape((size,) * (k + 1) + (-1,))
     v = sum(weight.reshape((1,) * j + (size,) + (1,) * (k - 1 - j) + (size, 1)) for j in range(k))
@@ -151,12 +149,13 @@ def bbgky_residual(
     if n_particles < k + 1:
         raise DomainError(f"a {k + 1}-particle marginal needs n_particles >= {k + 1}")
     lhs = 1j * (after.kernel - before.kernel) / (2.0 * dt)
-    work, rows, _ = _per_axis(center.kernel, grid, k)
+    kernel = center.kernel
+    work, rows, _ = _per_axis(kernel, grid, k)
     rhs = spectral.fourier_multiply(work, spectral.k_squared(grid, 2 * k, range(k)), rows)
     for i in range(k):
         for j in range(i + 1, k):
             rhs += pair_field(grid, pair, 2 * k, i, j) * work
-    rhs = rhs.reshape(center.kernel.shape)
+    rhs = rhs.reshape(kernel.shape)
     rhs -= rhs.conj().T  # in place: one kernel-sized temporary, the adjoint
     # collision with the pair potential through the (k+1)-marginal
     weight = grid.cell_volume * pair_field(grid, pair, 2, 0, 1).reshape(grid.size, grid.size)
@@ -384,15 +383,13 @@ def sobolev_trace_norm(dm: DensityMatrix) -> float:
     Equals (1 + int |grad phi|^2)^k on the k-fold product of a normalized
     orbital, and is invariant under the free flow.
 
-    The weight acts on the row slots of blocks of columns, at most
-    spectral.SLAB_ENTRIES entries each, so no copy of the whole kernel or
-    factor is made.  On a dense kernel only the diagonal entries of each
-    block are summed; on a Gram factor F the trace is weight sum W |F^|^2 /
-    M^(d k) (Parseval on the row transform), and no kernel is built.
+    On the Gram factor F the trace is weight sum W |F^|^2 / M^(d k)
+    (Parseval on the row transform), taken over blocks of columns of at most
+    spectral.SLAB_ENTRIES entries each, so neither the kernel nor a copy of
+    the whole factor is made.
     """
     grid, k, factor = dm.grid, dm.k, dm.factor
-    source = dm.kernel if factor is None else factor
-    size, total_columns = source.shape
+    size, total_columns = factor.shape
     columns = max(1, spectral.SLAB_ENTRIES // size)
     row_axes = tuple(range(k * grid.dim))
     weight = np.ones((1,) * (k * grid.dim + 1))  # the row layout, then the block's columns
@@ -400,15 +397,9 @@ def sobolev_trace_norm(dm: DensityMatrix) -> float:
         weight = weight * (1.0 + spectral.k_squared(grid, k, (particle,)))[..., None]
     total = 0.0
     for start in range(0, total_columns, columns):
-        block = source[:, start : start + columns]
-        width = block.shape[1]
-        block = block.reshape(grid.shape * k + (width,))
-        if factor is not None:
-            hat = spectral.fftn(block, axes=row_axes)
-            total += spectral.weighted_norm_squared(hat, weight) * dm.weight / size
-        else:
-            work = spectral.fourier_multiply(block, weight, row_axes)
-            total += np.real(np.trace(work.reshape(size, width), offset=-start))
+        block = factor[:, start : start + columns]
+        hat = spectral.fftn(block.reshape(grid.shape * k + (block.shape[1],)), axes=row_axes)
+        total += spectral.weighted_norm_squared(hat, weight) * dm.weight / size
     return float(total * grid.cell_volume**k)
 
 

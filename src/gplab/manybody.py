@@ -177,24 +177,20 @@ def energy_moment(
     potential: np.ndarray,
     order: int = 1,
     *,
-    k2: np.ndarray | None = None,
     kinetic: float | None = None,
 ) -> float:
     """<psi, H^order psi> with spectral kinetic part; `potential` is the
     sampled table `total_potential(psi.grid, psi.n_particles, pair, trap)`,
-    built once by the caller for every state it measures.  `k2` is the table
-    `spectral.k_squared(psi.grid, psi.n_particles)` if the caller already
-    holds it; it is built here otherwise.  At order 1, `kinetic` is
-    int |grad psi|^2 if the caller already holds it (a split-step callback
-    does): then no transform is made."""
+    built once by the caller for every state it measures.  At order 1,
+    `kinetic` is int |grad psi|^2 if the caller already holds it (a
+    split-step callback does): then no transform is made."""
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
     if order == 1:
         if kinetic is None:
-            kinetic = kinetic_energy(psi, k2)
+            kinetic = kinetic_energy(psi)
         return kinetic + spectral.weighted_norm_squared(psi.values, potential) * psi.measure
-    if k2 is None:
-        k2 = spectral.k_squared(psi.grid, psi.n_particles)
+    k2 = spectral.k_squared(psi.grid, psi.n_particles)
     h_psi = spectral.fourier_multiply(psi.values, k2) + potential * psi.values
     return spectral.weighted_norm_squared(h_psi) * psi.measure
 
@@ -203,66 +199,47 @@ def energy_moment(
 
 
 class DensityMatrix:
-    """k-particle marginal as a kernel over the k-particle grid index set.
+    """k-particle marginal, held as a Gram factor.
 
     The kernel follows the continuum convention: the operator acts as
     (gamma f)(x) = sum_y kernel[x, y] f(y) dx^(d k), and the trace is the
     diagonal sum with the same measure, normalized to 1.
 
-    `DensityMatrix(grid, k, kernel)` holds a dense kernel.  A marginal of a
-    pure state (`marginal`, `partial_trace` of one) holds its Gram factor
-    instead: `factor` is an (M^(d k), J) read-only view of the state's
-    amplitudes, no copy, and `weight` the measure cell_volume^(n-k) of the
-    traced slots, so that kernel = weight * factor @ factor^H.  That
-    (M^(d k))^2 kernel is built the first time `.kernel` is read, after its
-    2^28-entry budget is checked, and kept from then on; `trace`,
-    `partial_trace`, `condensate_overlap`, `sobolev_trace_norm` and the
-    hierarchy's collision work on the factor and never build it.
-    The view follows the state: a marginal of a state whose amplitudes are
-    later written changes with them.
+    `factor` is an (M^(d k), J) read-only view of the state's amplitudes, no
+    copy, and `weight` the measure cell_volume^(n-k) of the traced slots, so
+    that kernel = weight * factor @ factor^H.  That (M^(d k))^2 kernel is
+    built on each read of `.kernel`, after its 2^28-entry budget is checked;
+    `trace`, `eigenvalues`, `partial_trace`, `condensate_overlap`,
+    `sobolev_trace_norm` and the hierarchy's collision work on the factor and
+    never build it.  The view follows the state: a marginal of a state whose
+    amplitudes are later written changes with them, its kernel included.
     """
 
-    def __init__(
-        self,
-        grid: GridSpec,
-        k: int,
-        kernel: np.ndarray | None = None,
-        *,
-        factor: np.ndarray | None = None,
-        weight: float = 1.0,
-    ):
-        if (kernel is None) == (factor is None):
-            raise DomainError("a density matrix holds a dense kernel or a Gram factor")
-        self.grid, self.k, self._kernel, self.weight = grid, k, kernel, weight
-        self.factor = None
-        if factor is not None:
-            self.factor = factor.view()
-            self.factor.flags.writeable = False
+    def __init__(self, grid: GridSpec, k: int, factor: np.ndarray, weight: float):
+        self.grid, self.k, self.weight = grid, k, weight
+        self.factor = factor.view()
+        self.factor.flags.writeable = False
 
     @property
     def kernel(self) -> np.ndarray:
-        if self._kernel is None:
-            rows = self.factor.shape[0]
-            check_entry_budget(rows * rows, f"{self.k}-particle kernel")
-            self._kernel = (self.factor @ self.factor.conj().T) * self.weight
-        return self._kernel
+        rows = self.factor.shape[0]
+        check_entry_budget(rows * rows, f"{self.k}-particle kernel")
+        return (self.factor @ self.factor.conj().T) * self.weight
 
     @property
     def measure(self) -> float:
         return self.grid.cell_volume**self.k
 
     def trace(self) -> float:
-        if self.factor is not None:
-            return spectral.weighted_norm_squared(self.factor) * self.weight * self.measure
-        return float(np.real(np.trace(self.kernel)) * self.measure)
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.kernel - self.kernel.conj().T)))
+        return spectral.weighted_norm_squared(self.factor) * self.weight * self.measure
 
     def eigenvalues(self) -> np.ndarray:
-        """Occupation numbers, descending."""
-        vals = np.linalg.eigvalsh(self.kernel) * self.measure
-        return vals[::-1]
+        """Occupation numbers, descending: the factor's squared singular
+        values, padded with zeros to M^(d k) entries."""
+        s = np.linalg.svd(self.factor, compute_uv=False)
+        vals = np.zeros(self.factor.shape[0])
+        vals[: s.size] = s**2 * self.weight * self.measure
+        return vals
 
 
 def marginal(psi: WaveFunction, k: int) -> DensityMatrix:
@@ -272,34 +249,28 @@ def marginal(psi: WaveFunction, k: int) -> DensityMatrix:
     if not 1 <= k <= n:
         raise DomainError(f"k must lie in 1..{n}, got {k}")
     factor = psi.values.reshape(psi.grid.size**k, -1)
-    return DensityMatrix(psi.grid, k, factor=factor, weight=psi.grid.cell_volume ** (n - k))
+    return DensityMatrix(psi.grid, k, factor, psi.grid.cell_volume ** (n - k))
 
 
 def partial_trace(dm: DensityMatrix) -> DensityMatrix:
-    """Trace out the last particle of a k-particle kernel."""
+    """Trace out the last particle of a k-particle marginal: the traced slot
+    joins the factor's columns."""
     if dm.k < 2:
         raise DomainError("need k >= 2 to trace out a particle")
-    m = dm.grid.size
     rows = dm.grid.size ** (dm.k - 1)
-    if dm.factor is not None:  # the traced slot joins the factor's columns
-        weight = dm.weight * dm.grid.cell_volume
-        return DensityMatrix(dm.grid, dm.k - 1, factor=dm.factor.reshape(rows, -1), weight=weight)
-    four = dm.kernel.reshape(rows, m, rows, m)
-    kernel = np.einsum("acbc->ab", four) * dm.grid.cell_volume
-    return DensityMatrix(dm.grid, dm.k - 1, kernel)
+    weight = dm.weight * dm.grid.cell_volume
+    return DensityMatrix(dm.grid, dm.k - 1, dm.factor.reshape(rows, -1), weight)
 
 
 def condensate_overlap(dm: DensityMatrix, phi: WaveFunction) -> float:
     """<phi^(x k), gamma^(k) phi^(x k)> in [0, 1] on a k-particle marginal: 1 - overlap is the
-    depletion; on a state's k-marginal, sqrt(1 - overlap) is its distance to phi in k slots."""
+    depletion; on a state's k-marginal, sqrt(1 - overlap) is its distance to phi in k slots.
+    Computed as weight |factor^H phi^(x k)|^2."""
     ensure_same_grid(dm.grid, phi.grid)
     if phi.n_particles != 1:
         raise DomainError("the condensate phi must be one orbital")
     v = functools.reduce(np.multiply.outer, [phi.values] * dm.k).ravel()
-    if dm.factor is not None:  # weight |factor^H phi^(x k)|^2
-        value = spectral.weighted_norm_squared(v.conj() @ dm.factor) * dm.weight
-    else:
-        value = np.real(np.vdot(v, dm.kernel @ v))
+    value = spectral.weighted_norm_squared(v.conj() @ dm.factor) * dm.weight
     return float(value * dm.grid.cell_volume ** (2 * dm.k))
 
 

@@ -4,7 +4,9 @@ Layout: 8-byte magic ``GPLAB001``, u32 dim, u32 points_per_axis,
 f64 box_length (all little-endian), then the complex64 field in row-major
 order.  The header describes the one-particle grid: an n-slot state holds
 ``grid.size**n`` entries and a level-k marginal ``(grid.size**k)**2``, so the
-slot count or level is implied by the payload size.
+slot count or level is implied by the payload size.  `read_state_binary`
+returns the state; `read_marginal_binary` returns ``(grid, kernel)``, the
+header's grid and the (M^(d k), M^(d k)) complex kernel it read.
 """
 
 from __future__ import annotations
@@ -65,9 +67,7 @@ def write_marginal_binary(path: str | Path, dm) -> Path:
     return _write_binary(path, dm.grid, dm.kernel)
 
 
-def read_marginal_binary(path: str | Path):
-    from .manybody import DensityMatrix
-
+def read_marginal_binary(path: str | Path) -> tuple[GridSpec, np.ndarray]:
     grid, data = _read_binary(path, "marginal")
     k = 1
     while (grid.size**k) ** 2 < data.size:
@@ -75,4 +75,4 @@ def read_marginal_binary(path: str | Path):
     rows = grid.size**k
     if rows * rows != data.size:
         raise ConfigurationError(f"{path}: payload is not a square kernel on this grid")
-    return DensityMatrix(grid, k, data.reshape(rows, rows).astype(complex))
+    return grid, data.reshape(rows, rows).astype(complex)

@@ -49,3 +49,57 @@ def l2_distance(a: WaveFunction, b: WaveFunction) -> float:
     return float(
         np.sqrt(np.sum(np.abs(a.values - b.values) ** 2) * a.grid.cell_volume)
     )
+
+
+# --- dense-kernel oracles -----------------------------------------------------
+# Written out on the (M^(d k), M^(d k)) kernel array, to check what
+# DensityMatrix computes on its Gram factor.
+
+
+def k2_reference(grid: GridSpec, n_slots: int, slots) -> np.ndarray:
+    """Full-size sum of squared wavenumbers over the axes of `slots`."""
+    k2 = (2.0 * np.pi * np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)) ** 2
+    rank = n_slots * grid.dim
+    total = np.zeros(grid.shape * n_slots)
+    for slot in slots:
+        for a in range(grid.dim):
+            shape = [1] * rank
+            shape[slot * grid.dim + a] = grid.points_per_axis
+            total = total + k2.reshape(shape)
+    return total
+
+
+def dense_trace(kernel: np.ndarray, grid: GridSpec, k: int) -> float:
+    return float(np.real(np.trace(kernel)) * grid.cell_volume**k)
+
+
+def dense_partial_trace(kernel: np.ndarray, grid: GridSpec, k: int) -> np.ndarray:
+    """The (k-1)-particle kernel: the last slot's diagonal summed by einsum."""
+    rows = grid.size ** (k - 1)
+    four = kernel.reshape(rows, grid.size, rows, grid.size)
+    return np.einsum("acbc->ab", four) * grid.cell_volume
+
+
+def dense_overlap(kernel: np.ndarray, phi: WaveFunction, k: int) -> float:
+    """<phi^(x k), K phi^(x k)> with the measure of both contractions."""
+    v = phi.values.ravel()
+    for _ in range(k - 1):
+        v = np.multiply.outer(v, phi.values.ravel()).ravel()
+    return float(np.real(np.vdot(v, kernel @ v)) * phi.grid.cell_volume ** (2 * k))
+
+
+def dense_eigenvalues(kernel: np.ndarray, grid: GridSpec, k: int) -> np.ndarray:
+    """Occupation numbers, descending."""
+    return np.linalg.eigvalsh(kernel)[::-1] * grid.cell_volume**k
+
+
+def dense_sobolev_trace(kernel: np.ndarray, grid: GridSpec, k: int) -> float:
+    """Trace of the kernel against prod_j (1 - Laplacian_j) on its row slots."""
+    weight = np.ones(grid.shape * k)
+    for slot in range(k):
+        weight = weight * (1.0 + k2_reference(grid, k, (slot,)))
+    rows = tuple(range(k * grid.dim))
+    work = kernel.reshape(grid.shape * (2 * k))
+    weight = weight.reshape(weight.shape + (1,) * (k * grid.dim))  # constant along the columns
+    work = np.fft.ifftn(np.fft.fftn(work, axes=rows) * weight, axes=rows)
+    return float(np.real(np.trace(work.reshape(kernel.shape))) * grid.cell_volume**k)

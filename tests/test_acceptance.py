@@ -23,7 +23,6 @@ from gplab.hierarchy import (
     power_counting_margin,
 )
 from gplab.manybody import (
-    DensityMatrix,
     condensate_overlap,
     correlation_quotient,
     evolve_manybody,
@@ -42,7 +41,7 @@ from gplab.potential import (
 )
 from gplab.scattering import coupling_sigma, jastrow, solve_zero_energy
 
-from conftest import barrier_a0, l2_distance
+from conftest import barrier_a0, dense_partial_trace, l2_distance
 
 
 class _Criterion:
@@ -204,7 +203,7 @@ def test_criterion_07_exact_marginal_equation():
             gamma2_frame = marginal(evolved, 2)
             # the factored trace, the dense einsum over the built kernel and gamma1
             factored = partial_trace(gamma2_frame).kernel
-            dense = partial_trace(DensityMatrix(grid, 2, gamma2_frame.kernel)).kernel
+            dense = dense_partial_trace(gamma2_frame.kernel, grid, 2)
             one = frames[tt].kernel
             consistency = max(
                 np.max(np.abs(a - b)) for a, b in ((factored, dense), (factored, one), (dense, one))

@@ -23,7 +23,7 @@ from gplab.errors import ConfigurationError, SolverError
 from gplab.grids import GridSpec, gaussian_packet
 from gplab.snapshots import MAGIC, read_state_binary, write_state_binary
 
-from conftest import l2_distance
+from conftest import dense_trace, l2_distance
 
 
 def _scatter_config(tmp_path, out_name="out", prefix="scatter", extra=None):
@@ -504,10 +504,10 @@ def test_marginal_binary_roundtrip(tmp_path):
     grid = GridSpec(1, 16, 4.0)
     dm = marginal(product_state(gaussian_packet(grid, width=0.8), 2), 1)
     path = write_marginal_binary(tmp_path / "marginal.bin", dm)
-    back = read_marginal_binary(path)
-    assert back.grid == grid and back.k == 1
-    assert np.max(np.abs(back.kernel - dm.kernel)) < 1e-6
-    assert back.trace() == pytest.approx(1.0, abs=1e-6)
+    back_grid, back = read_marginal_binary(path)
+    assert back_grid == grid and back.shape == (grid.size, grid.size)  # level 1
+    assert np.max(np.abs(back - dm.kernel)) < 1e-6
+    assert dense_trace(back, grid, 1) == pytest.approx(1.0, abs=1e-6)
     _assert_damaged_files_rejected(tmp_path, path, read_marginal_binary)
 
 
@@ -530,8 +530,8 @@ def test_manybody_run_emits_marginal_dump(tmp_path):
     assert len(rows) >= 2
     from gplab.snapshots import read_marginal_binary
 
-    dumped = read_marginal_binary(tmp_path / "mb" / "mb_marginal1.bin")
-    assert dumped.k == 1
+    dumped_grid, dumped = read_marginal_binary(tmp_path / "mb" / "mb_marginal1.bin")
+    assert dumped.shape == (dumped_grid.size, dumped_grid.size)  # level 1
     manifest = json.loads((tmp_path / "mb" / "mb_manifest.json").read_text())
     assert manifest["mode"] == "analog1d"
 
@@ -548,9 +548,9 @@ def test_manybody_run_at_time_zero_dumps_initial_marginal(tmp_path):
     assert cli.main(["run", "--config", str(path)]) == 0
     _, rows = _read_rows(tmp_path / "mb" / "mb_results.csv")
     assert [float(row[0]) for row in rows] == [0.0]
-    dumped = read_marginal_binary(tmp_path / "mb" / "mb_marginal1.bin")
+    _, dumped = read_marginal_binary(tmp_path / "mb" / "mb_marginal1.bin")
     initial = marginal(product_state(gaussian_packet(GridSpec(1, 16, 8.0), width=1.0), 2), 1)
-    assert np.max(np.abs(dumped.kernel - initial.kernel)) < 1e-6  # complex64 payload
+    assert np.max(np.abs(dumped - initial.kernel)) < 1e-6  # complex64 payload
 
 
 def test_coupling_validation():

@@ -37,7 +37,6 @@ from gplab.hierarchy import (
     sobolev_trace_norm,
 )
 from gplab.manybody import (
-    DensityMatrix,
     condensate_overlap,
     evolve_manybody,
     marginal,
@@ -49,7 +48,14 @@ from gplab.manybody import (
 )
 from gplab.potential import BarrierPotential, GaussianPotential, scale_potential
 
-from conftest import plane_wave_k
+from conftest import (
+    dense_eigenvalues,
+    dense_overlap,
+    dense_partial_trace,
+    dense_sobolev_trace,
+    dense_trace,
+    plane_wave_k,
+)
 
 
 @pytest.fixture(scope="module")
@@ -65,24 +71,19 @@ def orbital(grid):
 # --- free propagation -----------------------------------------------------
 
 
-def _free_propagate(dm, t):
-    return DensityMatrix(dm.grid, dm.k, free_propagate_kernel(dm.kernel, dm.grid, dm.k, t))
-
-
 def test_free_propagate_at_zero_is_identity(grid, orbital):
-    dm = DensityMatrix(grid, 1, factorized_kernel(orbital, 1))
-    out = _free_propagate(dm, 0.0)
-    assert np.max(np.abs(out.kernel - dm.kernel)) < 1e-14
+    kernel = factorized_kernel(orbital, 1)
+    out = free_propagate_kernel(kernel, grid, 1, 0.0)
+    assert np.max(np.abs(out - kernel)) < 1e-14
 
 
 def test_free_propagate_conjugates_projector(grid, orbital):
-    dm = DensityMatrix(grid, 1, factorized_kernel(orbital, 1))
     t = 0.37
-    out = _free_propagate(dm, t)
+    out = free_propagate_kernel(factorized_kernel(orbital, 1), grid, 1, t)
     expected = factorized_kernel(free_evolve(orbital, t), 1)
-    assert np.max(np.abs(out.kernel - expected)) < 1e-12
-    assert out.trace() == pytest.approx(1.0, abs=1e-12)
-    eigs = out.eigenvalues()
+    assert np.max(np.abs(out - expected)) < 1e-12
+    assert dense_trace(out, grid, 1) == pytest.approx(1.0, abs=1e-12)
+    eigs = dense_eigenvalues(out, grid, 1)
     assert eigs[0] == pytest.approx(1.0, abs=1e-10)
 
 
@@ -95,11 +96,11 @@ def test_free_propagate_preserves_spectrum_and_regularity(grid):
         ),
     ).normalized()
     dm = marginal(state, 1)
-    out = _free_propagate(dm, 0.51)
-    assert out.trace() == pytest.approx(dm.trace(), abs=1e-10)
-    assert out.hermiticity_defect() < 1e-10
-    assert np.allclose(out.eigenvalues(), dm.eigenvalues(), atol=1e-10)
-    assert sobolev_trace_norm(out) == pytest.approx(sobolev_trace_norm(dm), abs=1e-10)
+    out = free_propagate_kernel(dm.kernel, grid, 1, 0.51)
+    assert dense_trace(out, grid, 1) == pytest.approx(dm.trace(), abs=1e-10)
+    assert np.max(np.abs(out - out.conj().T)) < 1e-10
+    assert np.allclose(dense_eigenvalues(out, grid, 1), dm.eigenvalues(), atol=1e-10)
+    assert dense_sobolev_trace(out, grid, 1) == pytest.approx(sobolev_trace_norm(dm), abs=1e-10)
 
 
 # --- collision operator -----------------------------------------------------
@@ -167,12 +168,6 @@ def test_collision_vanishes_for_flat_density_and_zero_coupling(grid, orbital):
     flat = WaveFunction(grid, np.ones(grid.shape, dtype=complex)).normalized()
     assert np.max(np.abs(_term_collision(flat, 1, 0.9))) < 1e-14
     assert np.max(np.abs(_term_collision(orbital, 1, 0.0))) < 1e-14
-
-
-def test_collision_rejects_dense_kernel(grid):
-    dense = DensityMatrix(grid, 2, np.zeros((grid.size**2, grid.size**2), dtype=complex))
-    with pytest.raises(DomainError):
-        _collide(dense, 1, np.eye(grid.size))
 
 
 def _random_orbital(grid, seed):
@@ -702,17 +697,16 @@ def test_series_kernel_budget_checked_before_allocation():
 
 def test_sobolev_norm_flat_and_single_mode(grid):
     flat = WaveFunction(grid, np.ones(grid.shape, dtype=complex)).normalized()
-    dm = DensityMatrix(grid, 1, factorized_kernel(flat, 1))
-    assert sobolev_trace_norm(dm) == pytest.approx(1.0, abs=1e-12)
+    assert sobolev_trace_norm(marginal(flat, 1)) == pytest.approx(1.0, abs=1e-12)
     mode = plane_wave(grid, 3)
-    dm = DensityMatrix(grid, 1, factorized_kernel(mode, 1))
-    assert sobolev_trace_norm(dm) == pytest.approx(1.0 + plane_wave_k(grid, 3), rel=1e-12)
+    expected = 1.0 + plane_wave_k(grid, 3)
+    assert sobolev_trace_norm(marginal(mode, 1)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_sobolev_norm_factorized_power(grid, orbital):
     base = 1.0 + kinetic_energy(orbital)
     for k in (1, 2):
-        dm = DensityMatrix(grid, k, factorized_kernel(orbital, k))
+        dm = marginal(product_state(orbital, k), k)
         assert sobolev_trace_norm(dm) == pytest.approx(base**k, rel=1e-8)
 
 
@@ -724,13 +718,10 @@ def test_sobolev_norm_constant_along_flat_trajectory(grid):
     values = []
     for t in (0.0, 0.3, 0.7):
         phi_t = evolve_gp(mode, sigma, t, 1e-3) if t > 0 else mode
-        values.append(sobolev_trace_norm(DensityMatrix(grid, 1, factorized_kernel(phi_t, 1))))
+        values.append(sobolev_trace_norm(marginal(phi_t, 1)))
     assert max(values) - min(values) < 1e-8
     packet = gaussian_packet(grid, width=1.0)
-    free = [
-        sobolev_trace_norm(DensityMatrix(grid, 1, factorized_kernel(free_evolve(packet, t), 1)))
-        for t in (0.0, 0.4)
-    ]
+    free = [sobolev_trace_norm(marginal(free_evolve(packet, t), 1)) for t in (0.0, 0.4)]
     assert abs(free[1] - free[0]) < 1e-8
 
 
@@ -779,20 +770,18 @@ def test_factored_marginal_matches_its_dense_kernel(layout, box, seed):
     state = random_symmetric_state(grid, n, seed)
     dm = marginal(state, k)
     assert np.shares_memory(dm.factor, state.values) and not dm.factor.flags.writeable
-    dense = DensityMatrix(grid, k, dm.kernel)
-    _assert_close(dm.trace(), dense.trace())
-    _assert_close(sobolev_trace_norm(dm), sobolev_trace_norm(dense))
+    dense = dm.kernel
+    _assert_close(dm.trace(), dense_trace(dense, grid, k))
+    _assert_close(sobolev_trace_norm(dm), dense_sobolev_trace(dense, grid, k))
     phi = random_symmetric_state(grid, 1, seed + 1)
-    _assert_close(condensate_overlap(dm, phi), condensate_overlap(dense, phi))
+    _assert_close(condensate_overlap(dm, phi), dense_overlap(dense, phi, k))
     if k == 1:
         return
-    reduced = partial_trace(dm)
-    assert reduced.factor is not None
-    _assert_close(reduced.kernel, partial_trace(dense).kernel)
+    _assert_close(partial_trace(dm).kernel, dense_partial_trace(dense, grid, k))
     # the collision, against a real symmetric pair weight
     raw = np.random.default_rng(seed).normal(size=(grid.size, grid.size))
     weight = raw + raw.T
-    _assert_close(_collide(dm, k - 1, weight), _collision_oracle(dense.kernel, k - 1, weight))
+    _assert_close(_collide(dm, k - 1, weight), _collision_oracle(dense, k - 1, weight))
 
 
 def test_marginal_checks_build_no_level_two_kernel():

@@ -34,7 +34,13 @@ from gplab.manybody import (
 from gplab.potential import BarrierPotential, GaussianPotential, TrapModel, born_coupling_1d
 from gplab.scattering import jastrow, solve_zero_energy
 
-from conftest import plane_wave_k
+from conftest import (
+    dense_eigenvalues,
+    dense_overlap,
+    dense_partial_trace,
+    dense_trace,
+    plane_wave_k,
+)
 
 
 def _distance_reference(grid):
@@ -183,24 +189,52 @@ def test_marginal_of_two_mode_state(grid):
     assert abs(eigs[2]) < 1e-10
 
 
+def test_marginal_kernel_follows_its_state():
+    # the factor is a view of the state, so a kernel read before a write is not kept
+    grid = GridSpec(1, 16, 8.0)
+    psi = gaussian_packet(grid, width=1.0)
+    dm = marginal(psi, 1)
+    before = dm.kernel
+    psi.values *= 2.0
+    assert dm.trace() == pytest.approx(4.0, rel=1e-12)
+    assert dense_trace(dm.kernel, grid, 1) == pytest.approx(4.0, rel=1e-12)
+    assert np.max(np.abs(dm.kernel - 4.0 * before)) < 1e-12
+
+
+def test_eigenvalues_build_no_kernel():
+    # the full 3-particle marginal on 64 points: a 2^36-entry kernel, over budget
+    grid = GridSpec(1, 64, 8.0)
+    dm = marginal(product_state(gaussian_packet(grid, width=1.0), 3), 3)
+    eigs = dm.eigenvalues()
+    assert eigs.shape == (64**3,)
+    assert eigs[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.all(eigs[1:] == 0.0)
+    with pytest.raises(ConfigurationError, match="2\\^28"):
+        dm.kernel
+
+
 def test_marginal_chain_consistency(grid):
     state = random_symmetric_state(grid, 3, seed=11)
     dm2 = marginal(state, 2)
     dm1 = marginal(state, 1)
-    for dm in (dm2, DensityMatrix(grid, 2, dm2.kernel)):
-        assert np.max(np.abs(partial_trace(dm).kernel - dm1.kernel)) < 1e-10
-    assert dm2.hermiticity_defect() < 1e-10
+    dense = dm2.kernel
+    for reduced in (partial_trace(dm2).kernel, dense_partial_trace(dense, grid, 2)):
+        assert np.max(np.abs(reduced - dm1.kernel)) < 1e-10
+    assert np.max(np.abs(dense - dense.conj().T)) < 1e-10
     assert np.all(dm2.eigenvalues() > -1e-10)
+    assert np.allclose(dm2.eigenvalues(), dense_eigenvalues(dense, grid, 2), atol=1e-10)
 
 
 def test_partial_trace_on_a_plane_grid():
     # tracing out a slot weighs it by one cell volume dx^d, not dx^(d^2)
     state = random_symmetric_state(GridSpec(2, 8, 5.0), 2, seed=1)
-    factored = marginal(state, 2)
-    for dm in (factored, DensityMatrix(state.grid, 2, factored.kernel)):
-        reduced = partial_trace(dm)
-        assert reduced.trace() == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(reduced.kernel - marginal(state, 1).kernel)) < 1e-12
+    gamma2 = marginal(state, 2)
+    factored = partial_trace(gamma2)
+    dense = dense_partial_trace(gamma2.kernel, state.grid, 2)
+    assert factored.trace() == pytest.approx(1.0, abs=1e-12)
+    assert dense_trace(dense, state.grid, 1) == pytest.approx(1.0, abs=1e-12)
+    for reduced in (factored.kernel, dense):
+        assert np.max(np.abs(reduced - marginal(state, 1).kernel)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -226,11 +260,11 @@ def test_condensate_overlap_trivial_cases(grid):
     proj = marginal(product_state(p1, 2), 1)
     assert condensate_overlap(proj, p1) == pytest.approx(1.0, abs=1e-12)
     assert condensate_overlap(proj, p2) == pytest.approx(0.0, abs=1e-12)
-    mixed = 0.5 * (
-        marginal(product_state(p1, 2), 1).kernel + marginal(product_state(p2, 2), 1).kernel
-    )
-    dm = DensityMatrix(grid, 1, mixed)
+    # the equal mixture of the two projectors, as one Gram factor
+    m1, m2 = marginal(product_state(p1, 2), 1), marginal(product_state(p2, 2), 1)
+    dm = DensityMatrix(grid, 1, np.hstack([m1.factor, m2.factor]), 0.5 * m1.weight)
     assert condensate_overlap(dm, p1) == pytest.approx(0.5, abs=1e-12)
+    assert dense_overlap(dm.kernel, p1, 1) == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(GridMismatchError):
         condensate_overlap(proj, plane_wave(GridSpec(1, 64, 8.0), 1))
 
@@ -506,7 +540,8 @@ def test_marginals_have_unit_trace_and_are_hermitian(layout, k, box, seed):
     state = random_symmetric_state(GridSpec(dim, points, box), n, seed)
     dm = marginal(state, k)
     assert abs(dm.trace() - 1.0) < 1e-12
-    assert dm.hermiticity_defect() < 1e-12
+    kernel = dm.kernel
+    assert np.max(np.abs(kernel - kernel.conj().T)) < 1e-12
 
 
 @small_cases

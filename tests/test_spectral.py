@@ -28,7 +28,6 @@ from gplab.hierarchy import (
     sobolev_trace_norm,
 )
 from gplab.manybody import (
-    DensityMatrix,
     correlation_quotient,
     energy_moment,
     evolve_manybody,
@@ -39,6 +38,8 @@ from gplab.manybody import (
     total_potential,
 )
 from gplab.potential import GaussianPotential, TrapModel
+
+from conftest import dense_sobolev_trace, k2_reference
 
 TRANSFORMS = (
     "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft", "rfft2", "irfft2",
@@ -445,19 +446,6 @@ def test_three_axis_transform_allocates_one_output(name):
 # --- round-off equivalence with the numpy.fft formulas ----------------------
 
 
-def _k2_reference(grid, n_slots, slots):
-    """Full-size sum of squared wavenumbers over the axes of `slots`."""
-    k2 = (2.0 * np.pi * np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)) ** 2
-    rank = n_slots * grid.dim
-    total = np.zeros(grid.shape * n_slots)
-    for slot in slots:
-        for a in range(grid.dim):
-            shape = [1] * rank
-            shape[slot * grid.dim + a] = grid.points_per_axis
-            total = total + k2.reshape(shape)
-    return total
-
-
 def _relative(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
@@ -466,14 +454,14 @@ def test_k_squared_matches_reference():
     grid = GridSpec(2, 8, 5.0)
     np.testing.assert_array_equal(
         np.broadcast_to(spectral.k_squared(grid, 3, (0, 2)), grid.shape * 3),
-        _k2_reference(grid, 3, (0, 2)),
+        k2_reference(grid, 3, (0, 2)),
     )
-    np.testing.assert_array_equal(grid.k_squared_mesh(), _k2_reference(grid, 1, (0,)))
+    np.testing.assert_array_equal(grid.k_squared_mesh(), k2_reference(grid, 1, (0,)))
     # one axis: still the layout's rank, and a fresh writeable array
     line = GridSpec(1, 16, 6.0)
     middle = spectral.k_squared(line, 3, (1,))
     np.testing.assert_array_equal(
-        np.broadcast_to(middle, line.shape * 3), _k2_reference(line, 3, (1,))
+        np.broadcast_to(middle, line.shape * 3), k2_reference(line, 3, (1,))
     )
     assert middle.shape == (1, 16, 1) and middle.flags.writeable
     assert not np.shares_memory(middle, spectral.k_squared(line, 3, (1,)))
@@ -484,7 +472,7 @@ def test_parseval_energy_moment_matches_direct_form():
     psi = random_symmetric_state(grid, 3, seed=5)
     v = psi.values
     w = total_potential(grid, 3, PAIR, TRAP)
-    h_psi = np.fft.ifftn(np.fft.fftn(v) * _k2_reference(grid, 3, range(3))) + w * v
+    h_psi = np.fft.ifftn(np.fft.fftn(v) * k2_reference(grid, 3, range(3))) + w * v
     direct = float(np.real(np.sum(np.conj(v) * h_psi)) * psi.measure)
     assert energy_moment(psi, w, 1) == pytest.approx(direct, rel=1e-12)
 
@@ -492,7 +480,7 @@ def test_parseval_energy_moment_matches_direct_form():
 def test_free_evolve_matches_numpy_reference():
     grid = GridSpec(2, 16, 6.0)
     phi = gaussian_packet(grid, width=0.8, momentum=[1.0, -2.0])
-    phase = np.exp(-1j * _k2_reference(grid, 1, (0,)) * 0.3)
+    phase = np.exp(-1j * k2_reference(grid, 1, (0,)) * 0.3)
     reference = np.fft.ifftn(np.fft.fftn(phi.values) * phase)
     assert _relative(free_evolve(phi, 0.3).values, reference) < 1e-12
 
@@ -506,8 +494,8 @@ def _kernel_reference(grid, k, t):
     work = kernel.reshape(grid.shape * (2 * k))
     rows = tuple(range(k * grid.dim))
     cols = tuple(range(k * grid.dim, 2 * k * grid.dim))
-    k2_rows = _k2_reference(grid, 2 * k, range(k))
-    k2_cols = _k2_reference(grid, 2 * k, range(k, 2 * k))
+    k2_rows = k2_reference(grid, 2 * k, range(k))
+    k2_cols = k2_reference(grid, 2 * k, range(k, 2 * k))
     work = np.fft.ifftn(np.fft.fftn(work, axes=rows) * np.exp(-1j * t * k2_rows), axes=rows)
     work = np.fft.fftn(np.fft.ifftn(work, axes=cols) * np.exp(1j * t * k2_cols), axes=cols)
     return kernel, work.reshape(kernel.shape)
@@ -523,21 +511,17 @@ def test_kernel_transforms_match_numpy_reference(dim, points, k):
 def test_sobolev_trace_norm_matches_numpy_reference():
     grid = GridSpec(1, 16, 6.0)
     dm = marginal(random_symmetric_state(grid, 3, seed=2), 2)
-    weight = (1.0 + _k2_reference(grid, 4, (0,))) * (1.0 + _k2_reference(grid, 4, (1,)))
-    work = dm.kernel.reshape(grid.shape * 4)
-    work = np.fft.ifftn(np.fft.fftn(work, axes=(0, 1)) * weight, axes=(0, 1))
-    reference = float(np.real(np.trace(work.reshape(dm.kernel.shape))) * grid.cell_volume**2)
+    reference = dense_sobolev_trace(dm.kernel, grid, 2)
     assert sobolev_trace_norm(dm) == pytest.approx(reference, rel=1e-12)
 
 
 def test_sobolev_trace_norm_column_blocks_sum_to_the_whole_trace(monkeypatch):
     grid = GridSpec(1, 16, 6.0)
     factored = marginal(random_symmetric_state(grid, 3, seed=2), 2)  # 256 rows, 16 columns
-    dense = DensityMatrix(grid, 2, factored.kernel)  # 256 columns
-    whole = sobolev_trace_norm(dense)  # one block
-    # blocks of 6 columns of 256 rows: the last one partial in both layouts
+    whole = dense_sobolev_trace(factored.kernel, grid, 2)
+    assert sobolev_trace_norm(factored) == pytest.approx(whole, rel=1e-13)  # one block
+    # blocks of 6 columns of 256 rows: the last one partial
     monkeypatch.setattr(spectral, "SLAB_ENTRIES", 6 * 256)
-    assert sobolev_trace_norm(dense) == pytest.approx(whole, rel=1e-13)
     assert sobolev_trace_norm(factored) == pytest.approx(whole, rel=1e-13)
 
 
@@ -545,14 +529,15 @@ def test_sobolev_trace_norm_makes_no_kernel_sized_copy():
     # the series_and_marginals benchmark setting: a 4096^2 (256 MiB) two-particle kernel
     grid = GridSpec(1, 64, 8.0)
     phi = gaussian_packet(grid, width=1.0)
-    dm = DensityMatrix(grid, 2, hierarchy.factorized_kernel(phi, 2))
+    dm = marginal(product_state(phi, 2), 2)
+    kernel_bytes = dm.factor.shape[0] ** 2 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
         value = sobolev_trace_norm(dm)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < dm.kernel.nbytes / 4
+    assert peak < kernel_bytes / 4
     assert value == pytest.approx((1.0 + kinetic_energy(phi)) ** 2, rel=1e-8)
 
 
