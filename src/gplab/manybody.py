@@ -38,45 +38,26 @@ def check_entry_budget(entries: int, what: str) -> None:
 
 
 def pair_field(grid: GridSpec, f: PairProfile, n_slots: int, i: int, j: int) -> np.ndarray:
-    """f(|x_i - x_j|) for slots i != j, shaped to broadcast over an n_slots layout."""
-    table, gather = _pair_gather(grid, f, n_slots, i, j)
-    return table[gather]
-
-
-def _pair_gather(grid: GridSpec, f: PairProfile, n_slots: int, i: int, j: int):
-    """f on the M^d periodic displacements, and the per-axis index arrays
-    that gather f(|x_i - x_j|) from it over an n_slots layout.
+    """f(|x_i - x_j|) for slots i != j, shaped to broadcast over an n_slots
+    layout: a read-only view that allocates nothing field-sized.
 
     The wrapped distance depends only on the index difference (a - b) mod M
-    along each axis, so f is evaluated once on the M^d displacements (the
-    centred radius mesh rolled by M/2 per axis, |-L/2 + h (k + M/2 mod M)|
-    = h min(k, M - k)) and gathered with one index array per axis.
+    along each axis, so f is evaluated once on the M^d periodic displacements
+    (the centred radius mesh rolled by M/2 per axis, |-L/2 + h (k + M/2 mod M)|
+    = h min(k, M - k)).  Tiled twice per axis, the table is read at M + a - b:
+    stride +s on the earlier slot's axes, -s on the later slot's.
     """
-    check_entry_budget(grid.size**2, "pair field")  # M^d rows by M^d columns, any n_slots
+    if i == j or not (0 <= i < n_slots and 0 <= j < n_slots):
+        raise DomainError(f"need two distinct slots in 0..{n_slots - 1}, got {i} and {j}")
+    check_entry_budget(grid.size**2, "pair field")  # the view spans M^d by M^d entries, any n_slots
     d, m = grid.dim, grid.points_per_axis
-    distance = np.roll(np.sqrt(grid.radius_squared_mesh()), m // 2, axis=tuple(range(d)))
-    table = np.asarray(f(distance), dtype=float)
-    index = np.arange(m)
-    difference = (index[:, None] - index[None, :]) % m
-    gather = []
-    for a in range(d):
-        shape = [1] * (n_slots * d)
-        shape[i * d + a] = shape[j * d + a] = m
-        gather.append(difference.reshape(shape))
-    return table, tuple(gather)
-
-
-def _pair_slabs(grid: GridSpec, f: PairProfile, values: np.ndarray, i: int, j: int):
-    """(rows, f(|x_i - x_j|)[rows]) over leading-axis slabs of `values`, an
-    n-slot layout, each slab of at most spectral.SLAB_ENTRIES amplitudes, so
-    the whole pair field is never held."""
-    table, gather = _pair_gather(grid, f, values.ndim // grid.dim, i, j)
-    step = max(1, spectral.SLAB_ENTRIES * values.shape[0] // values.size)
-    if all(g.shape[0] == 1 for g in gather):
-        step = values.shape[0]  # constant along the leading axis: gather it once
-    for start in range(0, values.shape[0], step):
-        rows = slice(start, start + step)
-        yield rows, table[tuple(g[rows] if g.shape[0] > 1 else g for g in gather)]
+    table = f(np.roll(np.sqrt(grid.radius_squared_mesh()), m // 2, axis=tuple(range(d))))
+    origin = np.tile(np.asarray(table, dtype=float), (2,) * d)[(slice(m, None),) * d]
+    shape, strides = np.ones((n_slots, d), dtype=int), np.zeros((n_slots, d), dtype=int)
+    first, second = sorted((i, j))
+    shape[[first, second]] = m
+    strides[first], strides[second] = origin.strides, np.negative(origin.strides)
+    return np.lib.stride_tricks.as_strided(origin, shape.ravel(), strides.ravel(), writeable=False)
 
 
 def total_potential(
@@ -102,23 +83,24 @@ def total_potential(
 # --- initial states -----------------------------------------------------
 
 
+def _outer_power(phi: WaveFunction, n_particles: int) -> np.ndarray:
+    """phi's values tensored n times, into a new complex array."""
+    check_entry_budget(phi.grid.size**n_particles, f"{n_particles}-particle state")
+    return functools.reduce(np.multiply.outer, [phi.values] * n_particles, np.ones((), complex))
+
+
 def product_state(phi: WaveFunction, n_particles: int) -> WaveFunction:
     """phi tensored n times (uncorrelated initial data)."""
-    check_entry_budget(phi.grid.size**n_particles, f"{n_particles}-particle state")
-    values = np.array(1.0, dtype=complex)
-    for _ in range(n_particles):
-        values = np.tensordot(values, phi.values, axes=0)
-    return _normalized_in_place(phi.grid, values)
+    return _normalized_in_place(phi.grid, _outer_power(phi, n_particles))
 
 
 def jastrow_product_state(
     phi: WaveFunction, n_particles: int, pair_profile: PairProfile
 ) -> WaveFunction:
     """Product orbital dressed with the short-range pair factor on every pair."""
-    raw = product_state(phi, n_particles).values
+    raw = _outer_power(phi, n_particles)
     for i, j in itertools.combinations(range(n_particles), 2):
-        for rows, factor in _pair_slabs(phi.grid, pair_profile, raw, i, j):
-            raw[rows] *= factor
+        raw *= pair_field(phi.grid, pair_profile, n_particles, i, j)
     return _normalized_in_place(phi.grid, raw)
 
 
@@ -296,11 +278,10 @@ def correlation_quotient(
     if pair_profile is None:
         work = psi.values.astype(complex, copy=True)
     else:
-        work = np.empty(psi.values.shape, dtype=complex)
-        for rows, factor in _pair_slabs(grid, pair_profile, psi.values, i, j):
-            if np.any(factor <= 0.0) or not np.all(np.isfinite(factor)):
-                raise DomainError("pair profile must be positive on the whole grid")
-            np.divide(psi.values[rows], factor, out=work[rows])
+        field = pair_field(grid, pair_profile, n, i, j)
+        if not 0.0 < field.min() <= field.max() < np.inf:  # a NaN fails both
+            raise DomainError("pair profile must be positive on the whole grid")
+        work = np.divide(psi.values, field, dtype=complex)
     hat = spectral.fftn(work, overwrite_x=True)
     k2_i, k2_j = spectral.k_squared(grid, n, (i,)), spectral.k_squared(grid, n, (j,))
     return spectral.parseval_energy(hat, psi.measure, k2_i, k2_j)

@@ -80,6 +80,23 @@ def dense_partial_trace(kernel: np.ndarray, grid: GridSpec, k: int) -> np.ndarra
     return np.einsum("acbc->ab", four) * grid.cell_volume
 
 
+def gathered_pair_field(grid: GridSpec, f, n_slots: int, i: int, j: int) -> np.ndarray:
+    """f(|x_i - x_j|) as a new array over an n_slots layout: f on the M^d periodic
+    displacements, gathered with one (a - b) mod M index array per axis, the
+    earlier slot's index as a."""
+    d, m = grid.dim, grid.points_per_axis
+    distance = np.roll(np.sqrt(grid.radius_squared_mesh()), m // 2, axis=tuple(range(d)))
+    table = np.asarray(f(distance), dtype=float)
+    index = np.arange(m)
+    difference = (index[:, None] - index[None, :]) % m
+    gather = []
+    for a in range(d):
+        shape = [1] * (n_slots * d)
+        shape[i * d + a] = shape[j * d + a] = m
+        gather.append(difference.reshape(shape))
+    return table[tuple(gather)]
+
+
 def dense_overlap(kernel: np.ndarray, phi: WaveFunction, k: int) -> float:
     """<phi^(x k), K phi^(x k)> with the measure of both contractions."""
     v = phi.values.ravel()

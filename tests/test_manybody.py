@@ -39,6 +39,7 @@ from conftest import (
     dense_overlap,
     dense_partial_trace,
     dense_trace,
+    gathered_pair_field,
     plane_wave_k,
 )
 
@@ -105,7 +106,7 @@ def test_memory_budget_names_the_limit():
         total_potential(
             GridSpec(3, 16, 2.0), 3, GaussianPotential(1.0, 0.5), TrapModel("harmonic", 1.0)
         )
-    # a pair field on a 64^3 grid gathers (64^3)^2 = 2^36 entries, for any slot count
+    # a pair field on a 64^3 grid spans (64^3)^2 = 2^36 entries, for any slot count
     with pytest.raises(ConfigurationError, match="2\\^28"):
         pair_field(GridSpec(3, 64, 8.0), GaussianPotential(1.0, 0.5), 2, 0, 1)
 
@@ -317,8 +318,9 @@ def test_correlation_quotient_plane_waves(grid):
     assert value == pytest.approx(k2 * k2, rel=1e-10)
     with pytest.raises(DomainError):
         correlation_quotient(state, None, 0, 0)
-    with pytest.raises(DomainError):
-        correlation_quotient(state, lambda r: np.zeros_like(r), 0, 1)
+    for bad in (0.0, -1.0, np.inf, np.nan):  # at the largest distances only
+        with pytest.raises(DomainError, match="positive"):
+            correlation_quotient(state, lambda r: np.where(r < 3.0, 1.0, bad), 0, 1)
 
 
 def test_correlation_quotient_separates_dressed_from_raw():
@@ -450,6 +452,28 @@ def test_pair_field_matches_direct_distances(layout, box):
         assert np.max(np.abs(field.reshape(reference.shape) - reference)) < 1e-12 * box
 
 
+def test_pair_field_is_the_gathered_field_as_a_read_only_view():
+    profiles = (jastrow(solve_zero_energy(BarrierPotential(4.0, 1.0)), 4), lambda r: r)
+    for dim, points, n in itertools.product((1, 2, 3), (8, 16), (2, 3, 4)):
+        if points ** (dim * n) > 2**16:
+            continue
+        grid = GridSpec(dim, points, 4.7)  # a box whose displacement table is not mirror-exact
+        for profile, (i, j) in itertools.product(profiles, itertools.permutations(range(n), 2)):
+            field = pair_field(grid, profile, n, i, j)
+            assert np.array_equal(field, gathered_pair_field(grid, profile, n, i, j))
+            with pytest.raises(ValueError):
+                field[...] = 0.0
+        _, built = _extra_peak(pair_field, grid, profiles[0], n, 0, n - 1)
+        assert built < 2**dim * grid.size * 8 + 64 * 1024  # the tiled table, never the field
+
+
+def test_pair_field_rejects_equal_or_missing_slots():
+    grid = GridSpec(1, 8, 4.0)
+    for i, j in ((0, 0), (1, 1), (0, 2), (2, 0), (-1, 0)):
+        with pytest.raises(DomainError, match="distinct slots"):
+            pair_field(grid, GaussianPotential(1.0, 0.5), 2, i, j)
+
+
 @pair_cases
 @given(layout=layouts.filter(lambda lay: lay[1] ** (lay[0] * lay[2]) <= 2**24), box=boxes)
 def test_total_potential_is_exchange_symmetric(layout, box):
@@ -489,20 +513,17 @@ def _extra_peak(call, *args):
 
 def test_pair_state_diagnostics_make_no_extra_state_sized_temporaries():
     # the criterion 09 setting: two bosons on 16^3, a 2^24-amplitude (256 MiB)
-    # state and a 128 MiB pair field
+    # state, whose 128 MiB pair field is a view of a 256 KiB table
     profile = jastrow(solve_zero_energy(BarrierPotential(8.0, 1.0)), 8)
     phi = gaussian_packet(GridSpec(3, 16, 6.0), width=1.2)
-    state_bytes, field_bytes = 16 * phi.grid.size**2, 8 * phi.grid.size**2
+    state_bytes, mib = 16 * phi.grid.size**2, 2**20
     state, built = _extra_peak(jastrow_product_state, phi, 2, profile)
-    assert built < 1.1 * (state_bytes + field_bytes)
-    # pair factors are applied and divided out in slabs: the whole field is never held
-    assert built < state_bytes + field_bytes / 2
+    assert built < state_bytes + 12 * mib  # the state it returns, and one norm slab
     _, norm = _extra_peak(state.norm)
     assert norm < state_bytes / 8
     for pair_profile in (profile, None):
         _, quotient = _extra_peak(correlation_quotient, state, pair_profile, 0, 1)
-        assert state_bytes + quotient < 1.1 * (2 * state_bytes + field_bytes)
-        assert quotient < state_bytes + field_bytes / 2
+        assert quotient < state_bytes + 20 * mib  # one work array, and the sum's slabs
 
 
 # --- invariants on small layouts ------------------------------------------------
