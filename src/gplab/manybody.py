@@ -37,6 +37,12 @@ def check_entry_budget(entries: int, what: str) -> None:
         raise ConfigurationError(f"{what} needs {entries} entries; budget is 2^28 = {MAX_ENTRIES}")
 
 
+def _displacement_table(grid: GridSpec, f: PairProfile) -> np.ndarray:
+    """f on the M^d periodic displacements (see pair_field)."""
+    r2 = np.roll(grid.radius_squared_mesh(), grid.points_per_axis // 2, tuple(range(grid.dim)))
+    return np.asarray(f(np.sqrt(r2)), dtype=float)
+
+
 def pair_field(grid: GridSpec, f: PairProfile, n_slots: int, i: int, j: int) -> np.ndarray:
     """f(|x_i - x_j|) for slots i != j, shaped to broadcast over an n_slots
     layout: a read-only view that allocates nothing field-sized.
@@ -51,8 +57,7 @@ def pair_field(grid: GridSpec, f: PairProfile, n_slots: int, i: int, j: int) -> 
         raise DomainError(f"need two distinct slots in 0..{n_slots - 1}, got {i} and {j}")
     check_entry_budget(grid.size**2, "pair field")  # the view spans M^d by M^d entries, any n_slots
     d, m = grid.dim, grid.points_per_axis
-    table = f(np.roll(np.sqrt(grid.radius_squared_mesh()), m // 2, axis=tuple(range(d))))
-    origin = np.tile(np.asarray(table, dtype=float), (2,) * d)[(slice(m, None),) * d]
+    origin = np.tile(_displacement_table(grid, f), (2,) * d)[(slice(m, None),) * d]
     shape, strides = np.ones((n_slots, d), dtype=int), np.zeros((n_slots, d), dtype=int)
     first, second = sorted((i, j))
     shape[[first, second]] = m
@@ -269,22 +274,20 @@ def correlation_quotient(
 
     Returns int |grad_i grad_j (psi / f(x_i - x_j))|^2, the profile-relative
     smoothness of the pair (i, j); pass None for the undivided integral.
-    Computed spectrally in one work array the size of psi: the weight is
-    |k_i|^2 |k_j|^2 in Fourier space, summed as its two factors.
+    Computed by `spectral.transform_energy` in a work array of half psi's size,
+    with the weight |k_i|^2 |k_j|^2 as its two factors and 1/f as a pair_field view.
     """
     n, grid = psi.n_particles, psi.grid
     if n < 2 or i == j or not (0 <= i < n and 0 <= j < n):
         raise DomainError("need two distinct particle indices on an n >= 2 state")
-    if pair_profile is None:
-        work = psi.values.astype(complex, copy=True)
-    else:
-        field = pair_field(grid, pair_profile, n, i, j)
-        if not 0.0 < field.min() <= field.max() < np.inf:  # a NaN fails both
+    reciprocal = None
+    if pair_profile is not None:
+        table = _displacement_table(grid, pair_profile)  # every value pair_field reads
+        if not 0.0 < table.min() <= table.max() < np.inf:  # a NaN fails both
             raise DomainError("pair profile must be positive on the whole grid")
-        work = np.divide(psi.values, field, dtype=complex)
-    hat = spectral.fftn(work, overwrite_x=True)
+        reciprocal = pair_field(grid, lambda r: 1.0 / pair_profile(r), n, i, j)
     k2_i, k2_j = spectral.k_squared(grid, n, (i,)), spectral.k_squared(grid, n, (j,))
-    return spectral.parseval_energy(hat, psi.measure, k2_i, k2_j)
+    return spectral.transform_energy(psi.values, psi.measure, k2_i, k2_j, factor=reciprocal)
 
 
 def hardy_check(phi: WaveFunction) -> tuple[float, float]:

@@ -213,3 +213,25 @@ def parseval_energy(hat: np.ndarray, measure: float, *weight: np.ndarray) -> flo
     factors (see weighted_norm_squared), and W = k_squared(...) gives
     int |grad f|^2."""
     return weighted_norm_squared(hat, *weight) * measure / hat.size
+
+
+def transform_energy(x: np.ndarray, measure: float, *weight: np.ndarray, factor=None) -> float:
+    """parseval_energy(fftn(x * factor), measure, *weight), `factor` real, broadcast, 1 if None,
+    in one complex buffer of half x's size: a radix-2 decimation-in-frequency split of axis 0
+    (M = 2h) transforms x[r] + x[r+h] for the even frequencies, (x[r] - x[r+h]) w^r the odd."""
+    if x.shape[0] % 2:
+        raise DomainError(f"transform_energy splits axis 0: its length {x.shape[0]} must be even")
+    h = x.shape[0] // 2
+    half, total = np.empty((h,) + x.shape[1:], dtype=complex), 0.0
+    for part, combine in enumerate((np.add, np.subtract)):
+        row = np.empty(x.shape[1:], dtype=complex)  # x[r + h] * factor, a row at a time
+        for r in range(h):
+            for index, out in ((r, half[r]), (r + h, row)):
+                np.multiply(x[index], 1.0 if factor is None else _leading(factor, index), out=out)
+            combine(half[r], row, out=half[r])
+            if part:
+                half[r] *= np.exp(-2j * np.pi * r / x.shape[0])  # w = e^(-2 pi i/M)
+        del row, out  # both name the row buffer: free it before the sum makes its slabs
+        hat = fftn(half, overwrite_x=True)
+        total += weighted_norm_squared(hat, *(w[part::2] if len(w) > 1 else w for w in weight))
+    return total * measure / x.size

@@ -14,6 +14,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gplab import cli, grids, hierarchy, spectral
 from gplab.errors import ConvergenceError, DomainError
@@ -32,7 +34,9 @@ from gplab.manybody import (
     energy_moment,
     evolve_manybody,
     hardy_check,
+    jastrow_product_state,
     marginal,
+    pair_field,
     product_state,
     random_symmetric_state,
     total_potential,
@@ -173,6 +177,16 @@ def test_energy_moment_first_order_is_one_transform(transforms):
     _reset(transforms)
     assert energy_moment(psi, potential, 1, kinetic=kinetic) == energy
     assert transforms == {"scipy": 0, "numpy": 0}
+
+
+def test_correlation_quotient_is_two_half_sized_transforms(transform_sizes):
+    # one transform per frequency half of axis 0, dressed or raw, each of half the state
+    grid = GridSpec(2, 8, 6.0)
+    psi = jastrow_product_state(gaussian_packet(grid, width=1.0), 2, lambda r: 1.0 + r)
+    for profile in (lambda r: 1.0 + r, None):
+        transform_sizes["numpy"].clear()
+        correlation_quotient(psi, profile, 0, 1)
+        assert transform_sizes == {"scipy": [], "numpy": [8**4 // 2] * 2}
 
 
 def test_sampled_manybody_run_makes_four_transforms_per_step(tmp_path, transform_sizes):
@@ -579,3 +593,34 @@ def test_slab_sums_match_numpy(monkeypatch, slab):
     ):
         value = spectral.weighted_norm_squared(x, *weight)
         assert value == pytest.approx(float(reference), rel=1e-13)
+
+
+# --- transform energy by frequency halves -------------------------------------
+
+energy_layouts = st.tuples(
+    st.integers(2, 4), st.sampled_from([8, 16]), st.integers(1, 3)
+).filter(lambda lay: lay[1] ** (lay[0] * lay[2]) <= 2**16)
+
+
+@settings(max_examples=30, deadline=None)
+@given(layout=energy_layouts, data=st.data())
+def test_transform_energy_matches_the_whole_transform(layout, data):
+    # weight factors of axis-0 length M (slot 0's) and 1 (any other slot's);
+    # x is not symmetric, so every ordered slot pair reads different values
+    n, points, dim = layout
+    grid = GridSpec(dim, points, 6.0)
+    i, j = data.draw(st.permutations(range(n)))[:2]
+    x = _random_layout(n * dim, points, seed=data.draw(st.integers(0, 2**32 - 1)))
+    weight = spectral.k_squared(grid, n, (i,)), spectral.k_squared(grid, n, (j,))
+    field = pair_field(grid, lambda r: 1.0 / (1.0 + np.exp(-r * r)), n, i, j)
+    for factor, scaled in ((None, x), (field, x * field)):
+        reference = spectral.parseval_energy(spectral.fftn(scaled), 0.3, *weight)
+        value = spectral.transform_energy(x, 0.3, *weight, factor=factor)
+        assert value == pytest.approx(reference, rel=1e-13)
+    unweighted = spectral.transform_energy(x, 0.3)
+    assert unweighted == pytest.approx(spectral.parseval_energy(spectral.fftn(x), 0.3), rel=1e-13)
+
+
+def test_transform_energy_needs_an_even_leading_axis():
+    with pytest.raises(DomainError, match="even"):
+        spectral.transform_energy(np.ones((3, 4), dtype=complex), 1.0)
