@@ -86,7 +86,6 @@ def minimize_gp(
     a0: float,
     grid: GridSpec,
     tol: float = 1e-10,
-    initial: WaveFunction | None = None,
     max_iterations: int = 100_000,
     callback: Callable[[int, float], None] | None = None,
 ) -> tuple[WaveFunction, float]:
@@ -101,15 +100,15 @@ def minimize_gp(
     The search ends at the first accepted step that lowers the energy by less
     than tol, or when halving stalls at roundoff.  Spectra of phi and u are
     carried along, so an iteration costs 4 transforms and the line search none.
+    The search starts from a Gaussian of width L/8 at the box centre.
     """
     if trap is None or not trap.confining:
         raise ConfigurationError("ground-state search needs a confining trap")
     if a0 < 0:
         raise DomainError("a0 must be >= 0")
     sigma, dv = 8.0 * np.pi * a0, grid.cell_volume
-    if initial is None:
-        initial = gaussian_packet(grid, width=0.25 * grid.box_length / 2.0)
-    phi = initial.normalized().values.astype(complex, copy=True)
+    start = gaussian_packet(grid, width=0.25 * grid.box_length / 2.0)
+    phi = start.normalized().values.astype(complex, copy=True)
     phi_hat = spectral.fftn(phi)
     k2, v_ext = spectral.k_squared(grid), trap.sample(grid)
 

@@ -53,11 +53,16 @@ def pair_field(grid: GridSpec, f: PairProfile, n_slots: int, i: int, j: int) -> 
     = h min(k, M - k)).  Tiled twice per axis, the table is read at M + a - b:
     stride +s on the earlier slot's axes, -s on the later slot's.
     """
+    return _pair_view(grid, _displacement_table(grid, f), n_slots, i, j)
+
+
+def _pair_view(grid: GridSpec, table: np.ndarray, n_slots: int, i: int, j: int) -> np.ndarray:
+    """pair_field's view over a displacement table already evaluated."""
     if i == j or not (0 <= i < n_slots and 0 <= j < n_slots):
         raise DomainError(f"need two distinct slots in 0..{n_slots - 1}, got {i} and {j}")
     check_entry_budget(grid.size**2, "pair field")  # the view spans M^d by M^d entries, any n_slots
     d, m = grid.dim, grid.points_per_axis
-    origin = np.tile(_displacement_table(grid, f), (2,) * d)[(slice(m, None),) * d]
+    origin = np.tile(table, (2,) * d)[(slice(m, None),) * d]
     shape, strides = np.ones((n_slots, d), dtype=int), np.zeros((n_slots, d), dtype=int)
     first, second = sorted((i, j))
     shape[[first, second]] = m
@@ -282,10 +287,10 @@ def correlation_quotient(
         raise DomainError("need two distinct particle indices on an n >= 2 state")
     reciprocal = None
     if pair_profile is not None:
-        table = _displacement_table(grid, pair_profile)  # every value pair_field reads
+        table = _displacement_table(grid, pair_profile)  # every value the view reads
         if not 0.0 < table.min() <= table.max() < np.inf:  # a NaN fails both
             raise DomainError("pair profile must be positive on the whole grid")
-        reciprocal = pair_field(grid, lambda r: 1.0 / pair_profile(r), n, i, j)
+        reciprocal = _pair_view(grid, 1.0 / table, n, i, j)
     k2_i, k2_j = spectral.k_squared(grid, n, (i,)), spectral.k_squared(grid, n, (j,))
     return spectral.transform_energy(psi.values, psi.measure, k2_i, k2_j, factor=reciprocal)
 

@@ -169,98 +169,28 @@ def jastrow(solution: ScatteringSolution, n: int) -> Callable:
     return f_n
 
 
-def coupling_sigma(
-    solution: ScatteringSolution,
-    check_scale: int | None = None,
-    check_tol: float = 1e-8,
-) -> float:
+def coupling_sigma(solution: ScatteringSolution) -> float:
     """Effective coupling: the 3D integral of V f, computed by quadrature.
 
-    For the exact solution this equals 8 pi a0.  With `check_scale` = n the
-    same integral is recomputed for the n-scaled family (n times the scaled
-    potential against the scaled pair factor) and must agree, confirming the
-    scale invariance of the coupling.
+    For the exact solution this equals 8 pi a0.
     """
     model = solution.potential
     nodes = solution.radii[solution.radii <= model.cutoff_radius]  # f's pieces join there
-    sigma = 4.0 * np.pi * _radial_integral(
-        lambda r: model(r) * solution.f(r) * r * r, model, nodes
-    )
-    if check_scale is not None:
-        scaled = model.scaled(check_scale)
-        f_n = jastrow(solution, check_scale)
-        sigma_scaled = 4.0 * np.pi * _radial_integral(
-            lambda r: check_scale * scaled(r) * f_n(r) * r * r, scaled, nodes / check_scale
-        )
-        scale = max(abs(sigma), 1e-30)
-        if abs(sigma_scaled - sigma) > check_tol * scale:
-            raise SolverError(
-                "scaled coupling integral disagrees with the base integral: "
-                f"{sigma_scaled!r} vs {sigma!r}"
-            )
-    return float(sigma)
-
-
-def _mesh_derivatives(r: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """y'' and y' at the interior nodes of a non-uniform mesh, three-point stencil."""
-    h_minus = np.diff(r)[:-1]
-    h_plus = np.diff(r)[1:]
-    y_mid, y_lo, y_hi = y[1:-1], y[:-2], y[2:]
-    denom = h_minus * h_plus * (h_minus + h_plus)
-    second = 2.0 * (h_minus * y_hi - (h_minus + h_plus) * y_mid + h_plus * y_lo) / denom
-    first = (h_minus**2 * y_hi - h_plus**2 * y_lo + (h_plus**2 - h_minus**2) * y_mid) / denom
-    return second, first
-
-
-def _on_jumps(r: np.ndarray, model: PotentialModel) -> np.ndarray:
-    """Nodes sitting on a profile jump, where one-sided limits differ."""
-    mask = np.zeros(r.shape, dtype=bool)
-    for rd in model.discontinuities:
-        mask |= np.isclose(r, rd, rtol=0, atol=1e-12 * max(rd, 1.0))
-    return mask
-
-
-def max_residual(solution: ScatteringSolution) -> float:
-    """Largest normalized defect |u'' - (V/2) u| over interior mesh nodes.
-
-    u'' is a three-point finite difference on the (non-uniform) mesh, so the
-    attainable floor is the difference-formula truncation, not the integrator
-    tolerance.  Nodes sitting exactly on a profile jump are skipped (the
-    two-sided stencil is meaningless there).
-    """
-    r, u = solution.radii, solution.u_values
-    second, _ = _mesh_derivatives(r, u)
-    rhs = 0.5 * np.asarray(solution.potential(r[1:-1]), dtype=float) * u[1:-1]
-    defect = np.abs(second - rhs)
-    defect[_on_jumps(r[1:-1], solution.potential)] = 0.0
-    scale = max(np.max(np.abs(rhs)), np.max(np.abs(u)) / max(r[-1], 1.0) ** 2)
-    if scale == 0.0:
-        return float(np.max(defect))
-    return float(np.max(defect) / scale)
+    integral = _radial_integral(lambda r: model(r) * solution.f(r) * r * r, model, nodes)
+    return float(4.0 * np.pi * integral)
 
 
 def nabla2_log_f_bound(solution: ScatteringSolution) -> float:
-    """Empirical constant in the curvature bound for log f.
+    """Constant in the curvature bound for log f: sup |r^2 Laplacian(log f)| / alpha.
 
-    Returns sup over mesh nodes of |r^2 * Laplacian(log f)| / alpha, with the
-    radial Laplacian g'' + 2 g'/r formed by finite differences on the mesh.
-    Nodes on profile jumps are excluded (one-sided limits differ there).
-    Zero potential gives exactly 0.
+    With f = u/r, the pair equation Laplacian f = (V/2) f gives exactly
+    r^2 Laplacian(log f) = r^2 V/2 - (r u'/u - 1)^2, read here at the mesh
+    nodes r > 0 from the solve's u and u'.  Zero potential gives exactly 0.
     """
     model = solution.potential
-    r = solution.radii
-    n_inside = int(np.count_nonzero(r < model.cutoff_radius))
-    if n_inside < 100:
-        raise ConfigurationError(
-            f"mesh too coarse: {n_inside} nodes inside the support (need >= 100)"
-        )
-    g = np.log(solution.f_values)
-    if np.allclose(g, 0.0, atol=1e-14):
-        return 0.0
     alpha = alpha_strength(model)
     if alpha == 0.0:
         return 0.0
-    second, first = _mesh_derivatives(r, g)
-    weighted = np.abs(r[1:-1] ** 2 * (second + 2.0 * first / r[1:-1]))
-    weighted[_on_jumps(r[1:-1], model)] = 0.0
-    return float(np.max(weighted) / alpha)
+    r, u, du = solution.radii[1:], solution.u_values[1:], solution.u_prime_values[1:]
+    curvature = 0.5 * r**2 * np.asarray(model(r), dtype=float) - (r * du / u - 1.0) ** 2
+    return float(np.max(np.abs(curvature)) / alpha)

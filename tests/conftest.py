@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gplab.grids import GridSpec, WaveFunction, ensure_same_grid
-from gplab.potential import BarrierPotential, GaussianPotential, TablePotential
+from gplab.potential import BarrierPotential, GaussianPotential, TablePotential, _radial_integral
+from gplab.scattering import ScatteringSolution, jastrow
 
 
 def _table_bump() -> TablePotential:
@@ -35,6 +36,16 @@ def barrier_a0(v0: float, radius: float) -> float:
     """
     kappa = np.sqrt(v0 / 2.0)
     return radius - np.tanh(kappa * radius) / kappa
+
+
+def scaled_coupling(solution: ScatteringSolution, n: int) -> float:
+    """`coupling_sigma`'s integral on the n-scaled family: n V_n against
+    f_n(r) = f(n r), on the solve's nodes scaled by 1/n.  Scale invariance
+    makes it equal to the base integral."""
+    model = solution.potential
+    scaled, f_n = model.scaled(n), jastrow(solution, n)
+    nodes = solution.radii[solution.radii <= model.cutoff_radius] / n
+    return float(4.0 * np.pi * _radial_integral(lambda r: n * scaled(r) * f_n(r) * r * r, scaled, nodes))
 
 
 def plane_wave_k(grid: GridSpec, modes: int | Sequence[int]) -> float:

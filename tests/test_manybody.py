@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gplab import spectral
 from gplab.errors import ConfigurationError, DomainError, GridMismatchError, SolverError
 from gplab.gp import evolve_gp
 from gplab.grids import (
@@ -337,6 +338,25 @@ def test_correlation_quotient_separates_dressed_from_raw():
         raws.append(correlation_quotient(state, None, 0, 1))
     assert raws[1] > raws[0]
     assert max(quotients) / min(quotients) < 2.0
+
+
+def test_correlation_quotient_evaluates_the_profile_once():
+    # 1/f is read from the M^d table the positivity check was made on, and the
+    # quotient is exactly the one through a pair_field of 1/f
+    grid = GridSpec(3, 8, 6.0)
+    profile = jastrow(solve_zero_energy(BarrierPotential(8.0, 1.0)), 4)
+    state = jastrow_product_state(gaussian_packet(grid, width=1.2), 2, profile)
+    sizes = []
+
+    def counted(r):
+        sizes.append(np.size(r))
+        return profile(r)
+
+    value = correlation_quotient(state, counted, 0, 1)
+    assert sizes == [grid.size]
+    reciprocal = pair_field(grid, lambda r: 1.0 / profile(r), 2, 0, 1)
+    k2 = [spectral.k_squared(grid, 2, (slot,)) for slot in (0, 1)]
+    assert value == spectral.transform_energy(state.values, state.measure, *k2, factor=reciprocal)
 
 
 def test_second_moment_controls_correlation_quotient(grid, orbital):

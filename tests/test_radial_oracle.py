@@ -19,6 +19,8 @@ from gplab.potential import (
 )
 from gplab.scattering import coupling_sigma, solve_zero_energy
 
+from conftest import scaled_coupling
+
 BASE_MODELS = {
     "barrier": BarrierPotential(2.0, 0.8),
     "gaussian": GaussianPotential(2.0, 0.5),
@@ -76,7 +78,9 @@ def test_profile_and_coupling_match_spline_and_adaptive_quadrature(model):
     spline = _spline_profile(solution)
     cutoff = model.cutoff_radius
     sigma = 4.0 * np.pi * _quad(lambda r: model(r) * spline(r) * r * r, cutoff)
-    assert coupling_sigma(solution, check_scale=3) == pytest.approx(sigma, rel=1e-12, abs=0.0)
+    coupling = coupling_sigma(solution)
+    assert coupling == pytest.approx(sigma, rel=1e-12, abs=0.0)
+    assert scaled_coupling(solution, 3) == pytest.approx(coupling, rel=1e-8, abs=0.0)
     radii = np.random.default_rng(7).uniform(0.0, cutoff, 500)
     assert np.max(np.abs(solution.f(radii) - spline(radii))) < 1e-10
 
