@@ -114,21 +114,6 @@ def jastrow_product_state(
     return _normalized_in_place(phi.grid, raw)
 
 
-def random_symmetric_state(grid: GridSpec, n_particles: int, seed: int) -> WaveFunction:
-    """Bosonic trial state: symmetrized complex Gaussian noise."""
-    check_entry_budget(grid.size**n_particles, f"{n_particles}-particle state")
-    rng = np.random.default_rng(seed)
-    shape = grid.shape * n_particles
-    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    sym = np.zeros_like(raw)
-    for perm in itertools.permutations(range(n_particles)):
-        axes = []
-        for p in perm:
-            axes.extend(range(p * grid.dim, (p + 1) * grid.dim))
-        sym += np.transpose(raw, axes)
-    return _normalized_in_place(grid, sym)
-
-
 # --- dynamics -----------------------------------------------------------
 
 
@@ -279,8 +264,9 @@ def correlation_quotient(
 
     Returns int |grad_i grad_j (psi / f(x_i - x_j))|^2, the profile-relative
     smoothness of the pair (i, j); pass None for the undivided integral.
-    Computed by `spectral.transform_energy` in a work array of half psi's size,
-    with the weight |k_i|^2 |k_j|^2 as its two factors and 1/f as a pair_field view.
+    Computed by `spectral.transform_energy` from real half spectra (9/32 of psi's
+    bytes at M = 16), with the even weight |k_i|^2 |k_j|^2 as its two factors and
+    1/f as a pair_field view; a real psi makes half the transforms of a complex one.
     """
     n, grid = psi.n_particles, psi.grid
     if n < 2 or i == j or not (0 <= i < n and 0 <= j < n):

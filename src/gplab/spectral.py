@@ -217,21 +217,42 @@ def parseval_energy(hat: np.ndarray, measure: float, *weight: np.ndarray) -> flo
 
 def transform_energy(x: np.ndarray, measure: float, *weight: np.ndarray, factor=None) -> float:
     """parseval_energy(fftn(x * factor), measure, *weight), `factor` real, broadcast, 1 if None,
-    in one complex buffer of half x's size: a radix-2 decimation-in-frequency split of axis 0
-    (M = 2h) transforms x[r] + x[r+h] for the even frequencies, (x[r] - x[r+h]) w^r the odd."""
+    for x of 2 or more axes, shape (M, ..., L) with M even, and weight factors even under
+    k -> -k (else DomainError).  An even W cancels the cross term of the real and imaginary
+    parts, so this is the energy of x.real * factor plus that of x.imag * factor, a part that
+    is all zero skipped.  Each part y fills one (M/2, ..., L/2 + 1) complex half spectrum (9/32
+    of x's bytes at M = L = 16) a row at a time: a radix-2 decimation-in-frequency split of axis
+    0 (M = 2h) gives the even frequencies as the transform of y[r] + y[r+h], the odd ones as that
+    of (y[r] - y[r+h]) w^r, w = e^(-2 pi i/M); each row takes a real transform of its axes, then
+    axis 0 one in place.  As |Y(-k)| = |Y(k)|, last-axis frequencies but 0 and L/2 count twice."""
+    if x.ndim < 2:
+        raise DomainError(f"transform_energy transforms rows: x needs 2 or more axes, not {x.ndim}")
     if x.shape[0] % 2:
         raise DomainError(f"transform_energy splits axis 0: its length {x.shape[0]} must be even")
-    h = x.shape[0] // 2
-    half, total = np.empty((h,) + x.shape[1:], dtype=complex), 0.0
-    for part, combine in enumerate((np.add, np.subtract)):
-        row = np.empty(x.shape[1:], dtype=complex)  # x[r + h] * factor, a row at a time
-        for r in range(h):
-            for index, out in ((r, half[r]), (r + h, row)):
-                np.multiply(x[index], 1.0 if factor is None else _leading(factor, index), out=out)
-            combine(half[r], row, out=half[r])
-            if part:
-                half[r] *= np.exp(-2j * np.pi * r / x.shape[0])  # w = e^(-2 pi i/M)
-        del row, out  # both name the row buffer: free it before the sum makes its slabs
-        hat = fftn(half, overwrite_x=True)
-        total += weighted_norm_squared(hat, *(w[part::2] if len(w) > 1 else w for w in weight))
+    for w in weight:  # w[-j mod n] = w[j] along every axis it spans
+        long = tuple(axis for axis, n in enumerate(w.shape) if n > 1)
+        if not np.array_equal(w, np.roll(np.flip(w, long), 1, long)):
+            raise DomainError("transform_energy needs weight factors even under k -> -k")
+    h, last = x.shape[0] // 2, x.shape[-1] // 2 + 1
+    count = np.where(np.arange(last) % (x.shape[-1] / 2) == 0, 1.0, 2.0)[(None,) * (x.ndim - 1)]
+    scale = np.ones((1,) * x.ndim) if factor is None else factor
+    half, total = np.empty((h,) + x.shape[1:-1] + (last,), dtype=complex), 0.0
+    for y in (x.real, x.imag):
+        if not y.any():
+            continue
+        for part, combine in enumerate((np.add, np.subtract)):
+            row = np.empty(x.shape[1:])  # y[r] * factor[r] -/+ y[r+h] * factor[r+h]
+            for r in range(h):
+                np.multiply(y[r], _leading(scale, r), out=row)
+                second = _leading(scale, r + h)
+                for s in range(len(row)):  # the second product a slab at a time: one row buffer
+                    slab = slice(s, s + 1)
+                    combine(row[slab], y[r + h, slab] * _leading(second, slab), out=row[slab])
+                np.fft.rfftn(row, out=half[r])
+                if part:
+                    half[r] *= np.exp(-2j * np.pi * r / x.shape[0])
+            del row  # free it before the sum makes its slabs
+            hat = fftn(half, axes=(0,), overwrite_x=True)
+            halves = (w[part::2, ..., :last] if len(w) > 1 else w[..., :last] for w in weight)
+            total += weighted_norm_squared(hat, count, *halves)
     return total * measure / x.size

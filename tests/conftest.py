@@ -1,3 +1,4 @@
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -53,6 +54,18 @@ def plane_wave_k(grid: GridSpec, modes: int | Sequence[int]) -> float:
     if isinstance(modes, int):
         modes = (modes,) + (0,) * (grid.dim - 1)
     return float(sum((2.0 * np.pi * n / grid.box_length) ** 2 for n in modes))
+
+
+def random_symmetric_state(grid: GridSpec, n_particles: int, seed: int) -> WaveFunction:
+    """Bosonic trial state: symmetrized complex Gaussian noise, normalized."""
+    rng = np.random.default_rng(seed)
+    shape = grid.shape * n_particles
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    sym = np.zeros_like(raw)
+    for perm in itertools.permutations(range(n_particles)):
+        sym += np.transpose(raw, [p * grid.dim + a for p in perm for a in range(grid.dim)])
+    sym /= WaveFunction(grid, sym).norm()
+    return WaveFunction(grid, sym)
 
 
 def l2_distance(a: WaveFunction, b: WaveFunction) -> float:

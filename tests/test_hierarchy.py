@@ -43,7 +43,6 @@ from gplab.manybody import (
     pair_field,
     partial_trace,
     product_state,
-    random_symmetric_state,
     total_potential,
 )
 from gplab.potential import BarrierPotential, GaussianPotential, scale_potential
@@ -55,6 +54,7 @@ from conftest import (
     dense_sobolev_trace,
     dense_trace,
     plane_wave_k,
+    random_symmetric_state,
 )
 
 

@@ -38,12 +38,11 @@ from gplab.manybody import (
     marginal,
     pair_field,
     product_state,
-    random_symmetric_state,
     total_potential,
 )
 from gplab.potential import GaussianPotential, TrapModel
 
-from conftest import dense_sobolev_trace, k2_reference
+from conftest import dense_sobolev_trace, k2_reference, random_symmetric_state
 
 TRANSFORMS = (
     "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft", "rfft2", "irfft2",
@@ -179,14 +178,19 @@ def test_energy_moment_first_order_is_one_transform(transforms):
     assert transforms == {"scipy": 0, "numpy": 0}
 
 
-def test_correlation_quotient_is_two_half_sized_transforms(transform_sizes):
-    # one transform per frequency half of axis 0, dressed or raw, each of half the state
+def test_correlation_quotient_transforms_real_rows_into_half_spectra(transform_sizes):
+    # for each part of psi (real, imaginary) that is not all zero and each frequency
+    # half of axis 0: one real transform per row (4 rows of 8^3 points) and one
+    # axis-0 transform of the (4, 8, 8, 5) half spectrum, dressed or raw
     grid = GridSpec(2, 8, 6.0)
-    psi = jastrow_product_state(gaussian_packet(grid, width=1.0), 2, lambda r: 1.0 + r)
-    for profile in (lambda r: 1.0 + r, None):
-        transform_sizes["numpy"].clear()
-        correlation_quotient(psi, profile, 0, 1)
-        assert transform_sizes == {"scipy": [], "numpy": [8**4 // 2] * 2}
+    real = jastrow_product_state(gaussian_packet(grid, width=1.0), 2, lambda r: 1.0 + r)
+    assert not real.values.imag.any()
+    one_part = ([8**3] * 4 + [4 * 8 * 8 * 5]) * 2
+    for psi, parts in ((real, 1), (random_symmetric_state(grid, 2, seed=4), 2)):
+        for profile in (lambda r: 1.0 + r, None):
+            transform_sizes["numpy"].clear()
+            correlation_quotient(psi, profile, 0, 1)
+            assert transform_sizes == {"scipy": [], "numpy": one_part * parts}
 
 
 def test_sampled_manybody_run_makes_four_transforms_per_step(tmp_path, transform_sizes):
@@ -606,21 +610,38 @@ energy_layouts = st.tuples(
 @given(layout=energy_layouts, data=st.data())
 def test_transform_energy_matches_the_whole_transform(layout, data):
     # weight factors of axis-0 length M (slot 0's) and 1 (any other slot's);
-    # x is not symmetric, so every ordered slot pair reads different values
+    # x is not symmetric, so every ordered slot pair reads different values;
+    # a real, a purely imaginary and a complex x each skip a different part
     n, points, dim = layout
     grid = GridSpec(dim, points, 6.0)
     i, j = data.draw(st.permutations(range(n)))[:2]
-    x = _random_layout(n * dim, points, seed=data.draw(st.integers(0, 2**32 - 1)))
+    z = _random_layout(n * dim, points, seed=data.draw(st.integers(0, 2**32 - 1)))
     weight = spectral.k_squared(grid, n, (i,)), spectral.k_squared(grid, n, (j,))
     field = pair_field(grid, lambda r: 1.0 / (1.0 + np.exp(-r * r)), n, i, j)
-    for factor, scaled in ((None, x), (field, x * field)):
-        reference = spectral.parseval_energy(spectral.fftn(scaled), 0.3, *weight)
-        value = spectral.transform_energy(x, 0.3, *weight, factor=factor)
-        assert value == pytest.approx(reference, rel=1e-13)
-    unweighted = spectral.transform_energy(x, 0.3)
-    assert unweighted == pytest.approx(spectral.parseval_energy(spectral.fftn(x), 0.3), rel=1e-13)
+    for x in (z.real.copy(), 1j * z.imag, z):
+        for factor, scaled in ((None, x), (field, x * field)):
+            reference = spectral.parseval_energy(spectral.fftn(scaled), 0.3, *weight)
+            value = spectral.transform_energy(x, 0.3, *weight, factor=factor)
+            assert value == pytest.approx(reference, rel=1e-13)
+        unweighted = spectral.transform_energy(x, 0.3)
+        assert unweighted == pytest.approx(spectral.parseval_energy(spectral.fftn(x), 0.3), rel=1e-13)
 
 
 def test_transform_energy_needs_an_even_leading_axis():
     with pytest.raises(DomainError, match="even"):
         spectral.transform_energy(np.ones((3, 4), dtype=complex), 1.0)
+
+
+def test_transform_energy_needs_an_even_weight():
+    # k itself is odd under k -> -k: the cross term of x.real and x.imag would not cancel
+    grid = GridSpec(1, 8, 6.0)
+    k = grid.k_axis()
+    with pytest.raises(DomainError, match="even under k -> -k"):
+        spectral.transform_energy(np.ones((8, 8), dtype=complex), 1.0, k[:, None])
+    with pytest.raises(DomainError, match="even under k -> -k"):
+        spectral.transform_energy(np.ones((8, 8), dtype=complex), 1.0, k[:, None] ** 2, k[None, :])
+
+
+def test_transform_energy_needs_two_axes():
+    with pytest.raises(DomainError, match="2 or more axes"):
+        spectral.transform_energy(np.ones(8, dtype=complex), 1.0)
