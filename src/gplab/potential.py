@@ -32,8 +32,6 @@ class PotentialModel:
 
     kind: str = "abstract"
     cutoff_radius: float = 0.0
-    #: radii where the profile jumps (mesh builders align nodes with these)
-    discontinuities: tuple[float, ...] = ()
     #: radii where a piecewise profile's pieces join (quadrature panels end there)
     knots: tuple[float, ...] = ()
 
@@ -43,9 +41,14 @@ class PotentialModel:
     def __call__(self, r):
         return _radial(r, self.cutoff_radius, self._profile, lambda x: 0.0)
 
+    def _rescaled(self, a: int, n: int) -> "PotentialModel":
+        """The model with amplitude times a^2 and every length over n."""
+        raise NotImplementedError
+
     def scaled(self, n: int) -> "PotentialModel":
         """Family member with amplitude n^2 and length scale 1/n."""
-        raise NotImplementedError
+        _check_count(n)
+        return self._rescaled(n, n)
 
     def scaled_analog1d(self, n: int) -> "PotentialModel":
         """Length scale 1/n at unchanged amplitude (one-dimensional family).
@@ -53,7 +56,8 @@ class PotentialModel:
         Then int V_n = b0/n, and n V_n concentrates to weight b0 as the
         three-dimensional family does.
         """
-        raise NotImplementedError
+        _check_count(n)
+        return self._rescaled(1, n)
 
     @property
     def label(self) -> str:
@@ -151,21 +155,14 @@ class BarrierPotential(PotentialModel):
         if not 0 < self.radius < np.inf:
             raise ConfigurationError("barrier radius must be positive and finite")
         object.__setattr__(self, "cutoff_radius", self.radius)
-        if self.v0 > 0:
-            object.__setattr__(self, "discontinuities", (self.radius,))
 
     kind = "barrier"
 
     def _profile(self, r: np.ndarray) -> np.ndarray:
         return np.full_like(r, self.v0, dtype=float)
 
-    def scaled(self, n: int) -> "BarrierPotential":
-        _check_count(n)
-        return BarrierPotential(self.v0 * n * n, self.radius / n)
-
-    def scaled_analog1d(self, n: int) -> "BarrierPotential":
-        _check_count(n)
-        return BarrierPotential(self.v0, self.radius / n)
+    def _rescaled(self, a: int, n: int) -> "BarrierPotential":
+        return BarrierPotential(self.v0 * a * a, self.radius / n)
 
     @property
     def label(self) -> str:
@@ -199,13 +196,8 @@ class GaussianPotential(PotentialModel):
     def _profile(self, r: np.ndarray) -> np.ndarray:
         return self.v0 * np.exp(-((r / self.width) ** 2))
 
-    def scaled(self, n: int) -> "GaussianPotential":
-        _check_count(n)
-        return GaussianPotential(self.v0 * n * n, self.width / n, self.cutoff_radius / n)
-
-    def scaled_analog1d(self, n: int) -> "GaussianPotential":
-        _check_count(n)
-        return GaussianPotential(self.v0, self.width / n, self.cutoff_radius / n)
+    def _rescaled(self, a: int, n: int) -> "GaussianPotential":
+        return GaussianPotential(self.v0 * a * a, self.width / n, self.cutoff_radius / n)
 
     @property
     def label(self) -> str:
@@ -253,16 +245,9 @@ class TablePotential(PotentialModel):
     def _profile(self, r: np.ndarray) -> np.ndarray:
         return self.amplitude * self._interp(r)
 
-    def scaled(self, n: int) -> "TablePotential":
-        _check_count(n)
+    def _rescaled(self, a: int, n: int) -> "TablePotential":
         return TablePotential(
-            tuple(r / n for r in self.radii), self.values, self.amplitude * n * n
-        )
-
-    def scaled_analog1d(self, n: int) -> "TablePotential":
-        _check_count(n)
-        return TablePotential(
-            tuple(r / n for r in self.radii), self.values, self.amplitude
+            tuple(r / n for r in self.radii), self.values, self.amplitude * a * a
         )
 
     @property

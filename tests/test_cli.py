@@ -553,6 +553,26 @@ def test_manybody_run_at_time_zero_dumps_initial_marginal(tmp_path):
     assert np.max(np.abs(dumped - initial.kernel)) < 1e-6  # complex64 payload
 
 
+def test_from_scattering_coupling_on_a_line_is_8_pi_a0():
+    from gplab.potential import born_coupling_1d
+    from gplab.scattering import solve_zero_energy
+
+    cfg = parse_config(
+        {
+            "schema_version": "1",
+            "experiment": "hierarchy",
+            "grid": {"dim": 1, "points_per_axis": 16, "box_length": 8.0},
+            "potential": GAUSSIAN,
+            "time": {"t_final": 0.02, "dt": 1e-3},
+            "coupling": {"mode": "from_scattering"},
+            "output": {"dir": "x", "prefix": "y"},
+        }
+    )
+    expected = 8.0 * np.pi * solve_zero_energy(cfg.potential).a0
+    assert cli._resolve_coupling(cfg) == expected
+    assert abs(expected - born_coupling_1d(cfg.potential)) > 0.1 * expected
+
+
 def test_coupling_validation():
     with pytest.raises(ConfigurationError):
         parse_config(

@@ -119,6 +119,17 @@ def test_random_symmetric_states(grid):
         assert marginal(state, 1).trace() == pytest.approx(1.0, abs=1e-10)
 
 
+def test_symmetry_defect_sees_an_asymmetric_last_pair(grid, orbital):
+    other = gaussian_packet(grid, width=0.6, center=[1.0])
+    f, g = orbital.values, other.values
+    scale = float(np.max(np.abs(f)) * np.max(np.abs(g)))
+    pair = WaveFunction(grid, np.multiply.outer(f, g))
+    assert pair.symmetry_defect() > 0.1 * scale
+    # f(x1) f(x2) g(x3) is symmetric in its first pair, not in its last
+    triple = WaveFunction(grid, np.multiply.outer(np.multiply.outer(f, f), g))
+    assert triple.symmetry_defect() > 0.1 * scale * float(np.max(np.abs(f)))
+
+
 def test_free_plane_wave_product_evolves_by_phase(grid):
     wf = plane_wave(grid, 2)
     state = product_state(wf, 2)
@@ -422,6 +433,20 @@ def test_hardy_inequality_on_trial_family():
         assert lhs <= rhs
     with pytest.raises(ConfigurationError):
         hardy_check(gaussian_packet(GridSpec(1, 32, 8.0), width=1.0))
+
+
+def test_hardy_left_side_is_the_direct_sum_with_the_origin_weight():
+    # the origin cell weighs 1/dx^2, the |r|^-2 of its face neighbors
+    grid = GridSpec(3, 16, 12.0)
+    wf = gaussian_packet(grid, width=1.2)
+    r2 = grid.radius_squared_mesh()
+    weight = 1.0 / np.where(r2 > 0, r2, grid.spacing**2)
+    density = np.abs(wf.values) ** 2
+    direct = float(np.sum(weight * density)) * grid.cell_volume
+    origin = float(np.sum(density[r2 == 0])) / grid.spacing**2 * grid.cell_volume
+    assert origin > 0.01 * direct  # a doubled or halved origin weight shows
+    lhs, _ = hardy_check(wf)
+    assert lhs == pytest.approx(direct, rel=1e-12)
 
 
 def test_hardy_scaling_covariance():

@@ -1,14 +1,16 @@
-"""The names the benchmark harness binds in gplab still exist.
+"""The names and signatures the benchmark harness binds in gplab still hold.
 
-`perfbench/tracer.py` wraps layer methods named in `LAYER_METHODS`, and
-`perfbench/job.py` calls layer functions through module attributes.  A
-refactor of `src/` that renames or deletes one of them would only fail when
-the benchmark runs; these checks fail in the test suite first.  Both files
-are read as source, never executed.
+`perfbench/tracer.py` wraps layer methods named in `LAYER_METHODS` and reads
+call arguments by position in its qty hooks, and `perfbench/job.py` calls
+layer functions through module attributes.  A refactor of `src/` that
+renames, deletes or reorders one of them would only fail when the benchmark
+runs; these checks fail in the test suite first.  Both files are read as
+source, never executed.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -68,3 +70,78 @@ def test_job_attributes_exist():
         if not hasattr(importlib.import_module(aliases[name]), attr)
     ]
     assert not missing, f"perfbench/job.py uses missing gplab names: {missing}"
+
+
+def _resolve(node: ast.expr, aliases: dict[str, str]):
+    """The gplab object an attribute chain such as `hierarchy.HierarchyFamily.from_orbital`
+    names, or None if the chain is not rooted in a gplab module."""
+    if isinstance(node, ast.Name):
+        return importlib.import_module(aliases[node.id]) if node.id in aliases else None
+    if isinstance(node, ast.Attribute):
+        owner = _resolve(node.value, aliases)
+        return None if owner is None else getattr(owner, node.attr)
+    return None
+
+
+def test_job_calls_bind_to_their_signatures():
+    tree = _tree("job.py")
+    aliases = _gplab_aliases(tree)
+    calls = 0
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        target = _resolve(node.func, aliases)
+        if target is None or inspect.ismodule(target):
+            continue
+        where = f"perfbench/job.py:{node.lineno} {ast.unparse(node.func)}"
+        assert not any(isinstance(a, ast.Starred) for a in node.args), where
+        assert all(k.arg is not None for k in node.keywords), where
+        signature = inspect.signature(target)
+        try:
+            signature.bind(*node.args, **{k.arg: k.value for k in node.keywords})
+        except TypeError as exc:
+            raise AssertionError(f"{where} does not bind: {exc}") from None
+        calls += 1
+    assert calls
+
+
+def _qty_reads() -> list[tuple[str, int, str, object]]:
+    """(span, position, parameter, default) for every argument that a qty hook
+    in perfbench/tracer.py reads by position.  The default is the one the hook
+    falls back to, or `inspect.Parameter.empty` if it needs the argument."""
+    tree = _tree("tracer.py")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    hooks = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "QTY_HOOKS"
+    )
+    reads = []
+    for key, value in zip(hooks.keys, hooks.values):
+        if not isinstance(value, ast.Name):
+            continue
+        for node in ast.walk(functions[value.id]):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "_arg":
+                index, name = (ast.literal_eval(a) for a in node.args[2:])
+                reads.append((key.value, index, name, inspect.Parameter.empty))
+            elif isinstance(node, ast.IfExp) and isinstance(node.orelse, ast.Call):
+                index = ast.literal_eval(node.body.slice)
+                name, default = (ast.literal_eval(a) for a in node.orelse.args)
+                reads.append((key.value, index, name, default))
+    return reads
+
+
+def test_qty_hooks_read_the_parameters_they_name():
+    reads = _qty_reads()
+    assert {span for span, *_ in reads} == {
+        "gp.evolve_gp", "manybody.evolve_manybody", "hierarchy.dyson_term"
+    }
+    for span, index, name, default in reads:
+        layer, function = span.split(".")
+        parameters = list(
+            inspect.signature(getattr(importlib.import_module(f"gplab.{layer}"), function))
+            .parameters.values()
+        )
+        assert parameters[index].name == name, (span, index, name)
+        if default is not inspect.Parameter.empty:
+            assert parameters[index].default == default, (span, name, default)

@@ -123,13 +123,31 @@ def test_scale_identity_and_barrier_case():
     scaled = scale_potential(model, 10)
     assert scaled.v0 == 100.0
     assert scaled.radius == pytest.approx(0.1)
+    # both family maps of every model are its constructor formula, bit for bit
+    barrier = BarrierPotential(2.7, 0.37)
+    gaussian = GaussianPotential(1.3, 0.45)
+    table = TablePotential((0.0, 0.3, 0.71, 1.3), (2.0, 1.1, 0.4, 0.0), 1.7)
+    for n in [*range(1, 17), 100, 4096, 10**6, 2**31 - 1]:
+        assert scale_potential(barrier, n) == BarrierPotential(2.7 * n * n, 0.37 / n)
+        assert barrier.scaled_analog1d(n) == BarrierPotential(2.7, 0.37 / n)
+        assert gaussian.scaled(n) == GaussianPotential(1.3 * n * n, 0.45 / n, 6.0 * 0.45 / n)
+        assert gaussian.scaled_analog1d(n) == GaussianPotential(1.3, 0.45 / n, 6.0 * 0.45 / n)
+        radii = tuple(r / n for r in table.radii)
+        assert table.scaled(n) == TablePotential(radii, table.values, 1.7 * n * n)
+        assert table.scaled_analog1d(n) == TablePotential(radii, table.values, 1.7)
 
 
 def test_scale_rejects_zero_and_negative_counts():
-    model = BarrierPotential(1.0, 1.0)
-    for bad in (0, -1, 2.5):
-        with pytest.raises(DomainError):
-            scale_potential(model, bad)
+    models = [
+        BarrierPotential(1.0, 1.0),
+        GaussianPotential(1.0, 0.5),
+        TablePotential((0.0, 1.0), (1.0, 0.0)),
+    ]
+    for model in models:
+        for family in (model.scaled, model.scaled_analog1d, lambda n: scale_potential(model, n)):
+            for bad in (0, -1, 2.5):
+                with pytest.raises(DomainError):
+                    family(bad)
 
 
 def test_scale_composes_exactly(test_potentials):

@@ -25,15 +25,17 @@ def _max_residual(solution):
 
     u'' is the three-point difference on the non-uniform mesh, so the floor is
     the formula's truncation, not the integrator's tolerance.  Nodes sitting on
-    a profile jump, where the two-sided stencil is meaningless, are skipped.
+    the jump of a nonzero barrier, where the two-sided stencil is meaningless,
+    are skipped.
     """
-    r, u = solution.radii, solution.u_values
+    r, u, model = solution.radii, solution.u_values, solution.potential
     h_minus, h_plus = np.diff(r)[:-1], np.diff(r)[1:]
     second = 2.0 * (h_minus * u[2:] - (h_minus + h_plus) * u[1:-1] + h_plus * u[:-2])
     second /= h_minus * h_plus * (h_minus + h_plus)
-    rhs = 0.5 * np.asarray(solution.potential(r[1:-1]), dtype=float) * u[1:-1]
+    rhs = 0.5 * np.asarray(model(r[1:-1]), dtype=float) * u[1:-1]
     defect = np.abs(second - rhs)
-    for jump in solution.potential.discontinuities:
+    if isinstance(model, BarrierPotential) and model.v0 > 0:
+        jump = model.radius
         defect[np.isclose(r[1:-1], jump, rtol=0, atol=1e-12 * max(jump, 1.0))] = 0.0
     scale = max(np.max(np.abs(rhs)), np.max(np.abs(u)) / max(r[-1], 1.0) ** 2)
     return float(np.max(defect) / scale)
