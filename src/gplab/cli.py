@@ -92,7 +92,7 @@ def _initial_orbital(cfg, a0):
     from .gp import minimize_gp
     from .grids import plane_wave
 
-    if cfg.trap.confining:
+    if cfg.trap is not None:
         phi, _ = minimize_gp(cfg.trap, a0, cfg.grid, tol=1e-10)
         return phi
     return plane_wave(cfg.grid, 1)

@@ -132,7 +132,8 @@ def _parse_potential(data: dict, base: Path) -> tuple[PotentialModel, dict]:
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A checked config: the record of the fields its experiment reads, and
-    the grid, trap and potential built from it (None where it reads none)."""
+    the grid, trap and potential built from it (None where it reads none;
+    the trap is None for kind 'none' too)."""
 
     record: dict
     grid: GridSpec | None = None
@@ -186,11 +187,13 @@ def parse_config(data: dict, base: str | Path = ".") -> ScenarioConfig:
     if "trap" in read:
         block = _block(data, "trap", {"kind", "omega"}, {"kind"}, {"kind": "none"})
         record["trap"] = {"kind": block["kind"]}
-        if block["kind"] != "none":
+        if block["kind"] == "harmonic":
             record["trap"]["omega"] = _real("trap: omega", block.get("omega", 1.0))
+            trap = TrapModel(record["trap"]["omega"])
+        elif block["kind"] != "none":
+            raise ConfigurationError(f"unknown trap kind {block['kind']!r}")
         elif "omega" in block:
             raise ConfigurationError("trap: omega has no effect on a trap of kind 'none'")
-        trap = TrapModel(**record["trap"])
 
     if "grid" in read:  # by default a line, the box a few times any O(1) state width
         line = {"dim": 1, "points_per_axis": 1024, "box_length": 16.0}

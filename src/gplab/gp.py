@@ -38,7 +38,7 @@ def gp_energy(
     """Energy functional: spectral gradient term, sampled trap, quartic term.
     `kinetic` is int |grad phi|^2 if the caller already holds it (a split-step
     callback does); it is computed here by one transform otherwise."""
-    v_ext = trap.sample(phi.grid) if trap is not None and trap.confining else None
+    v_ext = trap.sample(phi.grid) if trap is not None else None
     if kinetic is None:
         kinetic = kinetic_energy(phi)
     return _energy(phi.values, kinetic, v_ext, a0, phi.grid.cell_volume)
@@ -102,7 +102,7 @@ def minimize_gp(
     carried along, so an iteration costs 4 transforms and the line search none.
     The search starts from a Gaussian of width L/8 at the box centre.
     """
-    if trap is None or not trap.confining:
+    if trap is None:
         raise ConfigurationError("ground-state search needs a confining trap")
     if a0 < 0:
         raise DomainError("a0 must be >= 0")

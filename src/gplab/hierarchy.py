@@ -185,6 +185,8 @@ def infinite_hierarchy_residual(
     if k < 1:
         raise DomainError("k must be >= 1")
     before, center, after = _frame_triple(orbital_frames, t, dt)
+    for frame in (before, center, after):
+        _check_orbital(frame)
     grid, phi, a, b = center.grid, center.values, after.values, before.values
     h_phi = spectral.fourier_multiply(phi, spectral.k_squared(grid)) + sigma * abs(phi) ** 2 * phi
     u, a_k, b_k, phi_k = 1j * (a - b) / (2.0 * dt), [a] * k, [b] * k, [phi] * k

@@ -80,7 +80,7 @@ def total_potential(
     check_entry_budget(grid.size**n_particles, f"{n_particles}-particle potential")
     d = grid.dim
     total = np.zeros(grid.shape * n_particles)
-    if trap is not None and trap.confining:
+    if trap is not None:
         v1 = trap.sample(grid)
         for i in range(n_particles):  # slot i: its d axes, then 1s for the later slots
             total += v1.reshape(grid.shape + (1,) * (d * (n_particles - 1 - i)))

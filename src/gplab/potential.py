@@ -30,7 +30,6 @@ class PotentialModel:
     operations on them are pure.
     """
 
-    kind: str = "abstract"
     cutoff_radius: float = 0.0
     #: radii where a piecewise profile's pieces join (quadrature panels end there)
     knots: tuple[float, ...] = ()
@@ -156,8 +155,6 @@ class BarrierPotential(PotentialModel):
             raise ConfigurationError("barrier radius must be positive and finite")
         object.__setattr__(self, "cutoff_radius", self.radius)
 
-    kind = "barrier"
-
     def _profile(self, r: np.ndarray) -> np.ndarray:
         return np.full_like(r, self.v0, dtype=float)
 
@@ -173,25 +170,23 @@ class BarrierPotential(PotentialModel):
 class GaussianPotential(PotentialModel):
     """Gaussian bump v0 exp(-(r/width)^2), truncated at the cutoff.
 
-    The default cutoff of six widths puts the truncation jump at the
-    v0 * 2e-16 level, i.e. smooth to machine precision.
+    The default cutoff of six widths, written into `cutoff_radius`, puts the
+    truncation jump at the v0 * 2e-16 level, i.e. smooth to machine precision.
     """
 
     v0: float
     width: float
-    cutoff: float | None = None
+    cutoff_radius: float | None = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.v0 < np.inf:
             raise ConfigurationError("gaussian height must be finite and >= 0")
         if not 0 < self.width < np.inf:
             raise ConfigurationError("gaussian width must be positive and finite")
-        cutoff = 6.0 * self.width if self.cutoff is None else float(self.cutoff)
+        cutoff = 6.0 * self.width if self.cutoff_radius is None else float(self.cutoff_radius)
         if not 0 < cutoff < np.inf:
             raise ConfigurationError("cutoff radius must be positive and finite")
         object.__setattr__(self, "cutoff_radius", cutoff)
-
-    kind = "gaussian"
 
     def _profile(self, r: np.ndarray) -> np.ndarray:
         return self.v0 * np.exp(-((r / self.width) ** 2))
@@ -232,15 +227,13 @@ class TablePotential(PotentialModel):
             raise ConfigurationError("table values must be >= 0")
         if v[-1] != 0.0:
             raise ConfigurationError("table must end with value 0 at the cutoff radius")
-        if self.amplitude < 0:
-            raise ConfigurationError("amplitude must be >= 0")
+        if not 0 <= self.amplitude < np.inf:
+            raise ConfigurationError("amplitude must be finite and >= 0")
         object.__setattr__(self, "radii", tuple(float(x) for x in r))
         object.__setattr__(self, "values", tuple(float(x) for x in v))
         object.__setattr__(self, "cutoff_radius", float(r[-1]))
         object.__setattr__(self, "knots", self.radii)
         object.__setattr__(self, "_interp", _cubic_hermite(r, v, _pchip_slopes(r, v)))
-
-    kind = "table"
 
     def _profile(self, r: np.ndarray) -> np.ndarray:
         return self.amplitude * self._interp(r)
@@ -332,25 +325,13 @@ def alpha_strength(model: PotentialModel) -> float:
 
 @dataclass(frozen=True)
 class TrapModel:
-    """Confining external potential; `harmonic` is omega^2 r^2, `none` is 0."""
+    """Harmonic external potential omega^2 r^2; no trap is None, not a model."""
 
-    kind: str = "none"
-    omega: float = 1.0
+    omega: float
 
     def __post_init__(self) -> None:
-        if self.kind not in ("harmonic", "none"):
-            raise ConfigurationError(f"unknown trap kind {self.kind!r}")
-        if not np.isfinite(self.omega):
-            raise ConfigurationError("trap frequency must be finite")
-        if self.kind == "harmonic" and self.omega <= 0:
-            raise ConfigurationError("trap frequency must be positive")
-
-    @property
-    def confining(self) -> bool:
-        return self.kind != "none"
+        if not 0 < self.omega < np.inf:
+            raise ConfigurationError("trap frequency must be positive and finite")
 
     def sample(self, grid) -> np.ndarray:
-        r2 = grid.radius_squared_mesh()
-        if self.kind == "none":
-            return np.zeros_like(r2)
-        return self.omega**2 * r2
+        return self.omega**2 * grid.radius_squared_mesh()

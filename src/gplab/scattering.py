@@ -3,8 +3,9 @@
 Solves (-Laplacian + V/2) f = 0 with f -> 1 at infinity through the radial
 substitution u(r) = r f(r), which turns the problem into u'' = (V/2) u with
 u(0) = 0 and removes the coordinate singularity.  Outside the support of V
-the exact solution is linear, u(r) = A (r - a0), so the scattering length a0
-is read off just outside the support with no far-field fitting:
+the exact solution is linear, u(r) = A (r - a0), so the equation is solved on
+[0, cutoff_radius] only and the scattering length is read off at its edge
+with no far-field fitting:
 
     a0 = r - u(r)/u'(r)   evaluated at r = cutoff_radius.
 
@@ -30,19 +31,18 @@ from .potential import (
     alpha_strength,
 )
 
-DEFAULT_MESH_POINTS = 4096
-DEFAULT_R_MAX_FACTOR = 4.0
-_GRADING = 2.0  # exponential mesh grading toward r = 0 inside the support
+DEFAULT_MESH_POINTS = 2048  # mesh cells on [0, cutoff]
+_GRADING = 2.0  # exponential mesh grading toward r = 0
 
 
 @dataclass
 class ScatteringSolution:
     """Radial zero-energy solution with its scattering length.
 
-    `f_values` holds f on the solver mesh (normalized so f -> 1); `f`
-    evaluates anywhere: inside the support by cubic Hermite interpolation on
-    the mesh, with the slopes f' = (u' r - u)/r^2 that the solve returns
-    (f'(0) = 0), and by the exact exterior form 1 - a0/r beyond it.
+    `f_values` holds f on the solver mesh, which spans [0, cutoff] (normalized
+    so f -> 1); `f` evaluates anywhere: inside the support by cubic Hermite
+    interpolation on the mesh, with the slopes f' = (u' r - u)/r^2 that the
+    solve returns (f'(0) = 0), and by the exact exterior form 1 - a0/r beyond.
     Immutable after the solve; the evaluators are pure.
     """
 
@@ -55,11 +55,10 @@ class ScatteringSolution:
     _inside: Callable = field(repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        inside = self.radii <= self.potential.cutoff_radius
-        r, u, du = self.radii[inside], self.u_values[inside], self.u_prime_values[inside]
+        r, u, du = self.radii, self.u_values, self.u_prime_values
         slopes = np.zeros_like(r)
         slopes[1:] = (du[1:] * r[1:] - u[1:]) / r[1:] ** 2
-        self._inside = _cubic_hermite(r, self.f_values[inside], slopes)
+        self._inside = _cubic_hermite(r, self.f_values, slopes)
 
     def f(self, r):
         """Pair profile f(r); exact 1 - a0/r outside the potential support."""
@@ -67,16 +66,13 @@ class ScatteringSolution:
         return _radial(r, cutoff, self._inside, lambda x: 1.0 - self.a0 / np.maximum(x, cutoff))
 
 
-def _build_mesh(cutoff: float, r_max: float, n_points: int) -> np.ndarray:
-    """Graded mesh on [0, r_max]: refined toward 0 inside the support,
-    uniform outside, with a node exactly at the cutoff."""
-    n_in = n_points // 2
-    n_out = n_points - n_in
-    s = np.arange(n_in + 1) / n_in
-    inside = cutoff * (np.expm1(_GRADING * s) / np.expm1(_GRADING))
-    inside[0], inside[-1] = 0.0, cutoff
-    outside = np.linspace(cutoff, r_max, n_out + 1)[1:]
-    return np.concatenate([inside, outside])
+def _build_mesh(cutoff: float, cells: int) -> np.ndarray:
+    """Mesh of `cells` cells on [0, cutoff], graded toward 0, with its last
+    node exactly at the cutoff."""
+    s = np.arange(cells + 1) / cells
+    radii = cutoff * (np.expm1(_GRADING * s) / np.expm1(_GRADING))
+    radii[0], radii[-1] = 0.0, cutoff
+    return radii
 
 
 def _integrate_u(model: PotentialModel, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,19 +102,18 @@ def _integrate_u(model: PotentialModel, radii: np.ndarray) -> tuple[np.ndarray, 
     return np.array(u), np.array(v)
 
 
-def _solve_on_mesh(model: PotentialModel, r_max: float, n_points: int) -> ScatteringSolution:
-    radii = _build_mesh(model.cutoff_radius, r_max, n_points)
+def _solve_on_mesh(model: PotentialModel, cells: int) -> ScatteringSolution:
+    radii = _build_mesh(model.cutoff_radius, cells)
     u, v = _integrate_u(model, radii)
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise SolverError(
             "radial integration overflowed; max |u| = "
             f"{np.nanmax(np.abs(u)):.3e} (potential too strong for this mesh)"
         )
-    i_cut = int(np.searchsorted(radii, model.cutoff_radius))
-    slope = v[i_cut]
+    slope = v[-1]
     if slope <= 0:
         raise SolverError("exterior slope is non-positive; solution untrustworthy")
-    a0 = radii[i_cut] - u[i_cut] / slope
+    a0 = radii[-1] - u[-1] / slope
     f = np.empty_like(u)
     f[0] = v[0] / slope
     f[1:] = u[1:] / (slope * radii[1:])
@@ -127,29 +122,21 @@ def _solve_on_mesh(model: PotentialModel, r_max: float, n_points: int) -> Scatte
 
 def solve_zero_energy(
     model: PotentialModel,
-    r_max: float | None = None,
     tol: float = 1e-10,
     mesh_points: int = DEFAULT_MESH_POINTS,
 ) -> ScatteringSolution:
     """Solve the zero-energy pair equation and extract the scattering length.
 
-    The mesh is doubled until two successive extractions of a0 agree to
-    `tol` (relative to max(|a0|, a fraction of the support), so the V = 0
-    case converges immediately).
+    The `mesh_points` cells on [0, cutoff] are doubled until two successive
+    extractions of a0 agree to `tol` (relative to max(|a0|, a fraction of
+    the support), so the V = 0 case converges immediately).
     """
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
-    cutoff = model.cutoff_radius
-    if r_max is None:
-        r_max = DEFAULT_R_MAX_FACTOR * cutoff
-    if r_max <= cutoff:
-        raise ConfigurationError(
-            f"r_max={r_max:g} must exceed the support radius {cutoff:g}"
-        )
-    solution = _solve_on_mesh(model, r_max, mesh_points)
-    scale = max(abs(solution.a0), 1e-3 * cutoff)
+    solution = _solve_on_mesh(model, mesh_points)
+    scale = max(abs(solution.a0), 1e-3 * model.cutoff_radius)
     for _ in range(4):
-        finer = _solve_on_mesh(model, r_max, 2 * len(solution.radii) - 2)
+        finer = _solve_on_mesh(model, 2 * (len(solution.radii) - 1))
         change = abs(finer.a0 - solution.a0)
         if change <= tol * scale:
             return finer
@@ -174,9 +161,8 @@ def coupling_sigma(solution: ScatteringSolution) -> float:
 
     For the exact solution this equals 8 pi a0.
     """
-    model = solution.potential
-    nodes = solution.radii[solution.radii <= model.cutoff_radius]  # f's pieces join there
-    integral = _radial_integral(lambda r: model(r) * solution.f(r) * r * r, model, nodes)
+    model = solution.potential  # f's pieces join at the mesh nodes
+    integral = _radial_integral(lambda r: model(r) * solution.f(r) * r * r, model, solution.radii)
     return float(4.0 * np.pi * integral)
 
 
@@ -185,7 +171,9 @@ def nabla2_log_f_bound(solution: ScatteringSolution) -> float:
 
     With f = u/r, the pair equation Laplacian f = (V/2) f gives exactly
     r^2 Laplacian(log f) = r^2 V/2 - (r u'/u - 1)^2, read here at the mesh
-    nodes r > 0 from the solve's u and u'.  Zero potential gives exactly 0.
+    nodes r > 0 from the solve's u and u'.  Beyond the support u = r - a0
+    makes it -(a0/(r - a0))^2, largest in size at the cutoff: the edge term.
+    Zero potential gives exactly 0.
     """
     model = solution.potential
     alpha = alpha_strength(model)
@@ -193,4 +181,5 @@ def nabla2_log_f_bound(solution: ScatteringSolution) -> float:
         return 0.0
     r, u, du = solution.radii[1:], solution.u_values[1:], solution.u_prime_values[1:]
     curvature = 0.5 * r**2 * np.asarray(model(r), dtype=float) - (r * du / u - 1.0) ** 2
-    return float(np.max(np.abs(curvature)) / alpha)
+    edge = (solution.a0 / (model.cutoff_radius - solution.a0)) ** 2
+    return float(max(np.max(np.abs(curvature)), edge) / alpha)

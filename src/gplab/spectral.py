@@ -186,10 +186,11 @@ def weighted_norm_squared(x: np.ndarray, *weight: np.ndarray) -> float:
     np.sum(W * np.abs(x) ** 2); larger arrays are summed over slabs of the
     leading axis (recursing into single rows longer than a slab).
     """
-    if x.size <= SLAB_ENTRIES:
-        density = np.abs(x) ** 2
+    if x.size <= SLAB_ENTRIES:  # one slab-sized temporary, squared and weighted in place
+        density = np.abs(x)
+        np.square(density, out=density)
         if weight:
-            density = functools.reduce(operator.mul, weight) * density
+            density *= functools.reduce(operator.mul, weight)
         return float(np.sum(density))
     row = x.size // x.shape[0]
     step = max(1, SLAB_ENTRIES // row)

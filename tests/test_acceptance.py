@@ -148,7 +148,7 @@ def test_criterion_05_gp_ground_state():
     grid = GridSpec(3, 64, 16.0)
     energies = []
     phi, energy = minimize_gp(
-        TrapModel("harmonic", omega), 0.0, grid, tol=1e-9,
+        TrapModel(omega), 0.0, grid, tol=1e-9,
         callback=lambda i, e: energies.append(e),
     )
     exact = 3.0 * omega  # d = 3 ground energy of -Lap + omega^2 r^2
@@ -190,7 +190,7 @@ def test_criterion_07_exact_marginal_equation():
     c = _Criterion(7, "two-body marginal equation: dt^2 decay, chain consistency", 120.0)
     grid = GridSpec(1, 64, 8.0)
     phi = gaussian_packet(grid, width=1.0)
-    pair = scale_potential(GaussianPotential(2.0, 0.5, cutoff=3.0), 2)
+    pair = scale_potential(GaussianPotential(2.0, 0.5, cutoff_radius=3.0), 2)
     t = 0.1
     residuals = []
     for dt in (2e-3, 1e-3, 5e-4):

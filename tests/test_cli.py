@@ -21,6 +21,7 @@ from gplab.config import (
 )
 from gplab.errors import ConfigurationError, SolverError
 from gplab.grids import GridSpec, gaussian_packet
+from gplab.potential import TrapModel
 from gplab.snapshots import MAGIC, read_state_binary, write_state_binary
 
 from conftest import dense_trace, l2_distance
@@ -968,6 +969,25 @@ def test_record_holds_exactly_the_fields_the_experiment_reads(experiment):
     if "trap" in read:  # the default trap is none, which reads no frequency
         assert record["trap"] == {"kind": "none"}
     assert parse_config(record) == parse_config(data)
+
+
+
+@pytest.mark.parametrize("trap, built, digest", [
+    ({"kind": "none"}, None,
+     "6b42fae9e28466ea2b2a038d1d127628dc4b5ecd445c4c28d6e851b24d847355"),
+    ({"kind": "harmonic"}, TrapModel(1.0),
+     "a560b74dee13581f62e5d1fdabf51cec840cf39f7122c21f9549eb2c86a2c390"),
+])
+def test_trap_kind_parses_to_a_model_or_none(trap, built, digest):
+    # no trap is None; the record keeps the config's kind and the hash is pinned
+    data = {"schema_version": "1", "experiment": "gp_evolve", "trap": trap,
+            "output": {"dir": "out", "prefix": "x"}, "coupling": {"mode": "explicit", "value": 1.0}}
+    config = parse_config(data)
+    assert config.trap == built
+    assert config.record["trap"]["kind"] == trap["kind"]
+    assert config.config_hash() == digest
+    with pytest.raises(ConfigurationError, match="unknown trap kind 'box'"):
+        parse_config({**data, "trap": {"kind": "box"}})
 
 
 SHORT = {"t_final": 0.002, "dt": 1e-3}

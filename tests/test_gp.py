@@ -84,7 +84,7 @@ def test_energy_of_gaussian_in_trap(line_grid):
     # width-s Gaussian in the omega^2 x^2 trap: E = 1/(2 s^2) + omega^2 s^2 / 2
     # (width kept well under the box so periodization is below the tolerance)
     omega, s = 1.0, 1.2
-    trap = TrapModel("harmonic", omega)
+    trap = TrapModel(omega)
     wf = gaussian_packet(line_grid, width=s)
     expected = 1.0 / (2.0 * s**2) + omega**2 * s**2 / 2.0
     assert gp_energy(wf, 0.0, trap) == pytest.approx(expected, rel=1e-10)
@@ -175,7 +175,7 @@ def test_nan_input_rejected(line_grid):
 def test_ground_state_matches_oscillator(line_grid):
     # d-dimensional ground energy of -Lap + omega^2 r^2 is d * omega
     omega = 1.0
-    trap = TrapModel("harmonic", omega)
+    trap = TrapModel(omega)
     energies = []
     phi, energy = minimize_gp(trap, 0.0, line_grid, tol=1e-10, callback=lambda i, e: energies.append(e))
     assert energy == pytest.approx(omega, abs=1e-6)
@@ -187,7 +187,7 @@ def test_ground_state_matches_oscillator(line_grid):
 
 
 def test_ground_state_energy_increases_with_coupling(line_grid):
-    trap = TrapModel("harmonic", 1.0)
+    trap = TrapModel(1.0)
     _, e_free = minimize_gp(trap, 0.0, line_grid, tol=1e-10)
     _, e_coupled = minimize_gp(trap, 0.2, line_grid, tol=1e-10)
     assert e_coupled > e_free
@@ -204,7 +204,7 @@ def _flow_step(phi, trap, a0, dtau):
 
 
 def test_ground_state_is_flow_fixed_point(line_grid):
-    trap = TrapModel("harmonic", 1.0)
+    trap = TrapModel(1.0)
     tol, a0 = 1e-9, 0.1
     phi, energy = minimize_gp(trap, a0, line_grid, tol=tol)
     stepped = _flow_step(phi, trap, a0, 1e-3)
@@ -218,7 +218,7 @@ def test_ground_state_is_flow_fixed_point(line_grid):
     a0=st.floats(0.0, 0.5),
 )
 def test_ground_state_search_properties(points, omega, a0):
-    grid, trap, tol = GridSpec(1, points, 12.0), TrapModel("harmonic", omega), 1e-10
+    grid, trap, tol = GridSpec(1, points, 12.0), TrapModel(omega), 1e-10
     energies = []
     phi, energy = minimize_gp(trap, a0, grid, tol=tol, callback=lambda i, e: energies.append(e))
     assert all(b <= a for a, b in zip(energies, energies[1:]))
@@ -233,7 +233,7 @@ def test_ground_state_search_properties(points, omega, a0):
 def test_ground_state_search_converges_fast_on_3d_grid(omega):
     # the chain_3d ground state at 32^3: the split gradient flow took
     # 393-1,431 iterations here and stopped up to 4.3e-8 above the minimum
-    grid, trap = GridSpec(3, 32, 16.0), TrapModel("harmonic", omega)
+    grid, trap = GridSpec(3, 32, 16.0), TrapModel(omega)
     a0 = solve_zero_energy(GaussianPotential(2.0, 0.5)).a0
     iterations = []
     _, energy = minimize_gp(trap, a0, grid, tol=1e-10, callback=lambda i, e: iterations.append(i))
@@ -244,7 +244,7 @@ def test_ground_state_search_converges_fast_on_3d_grid(omega):
 
 def test_ground_state_requires_confining_trap(line_grid):
     with pytest.raises(ConfigurationError):
-        minimize_gp(TrapModel("none"), 0.0, line_grid)
+        minimize_gp(None, 0.0, line_grid)
 
 
 def test_ground_state_iteration_cap():
@@ -252,13 +252,13 @@ def test_ground_state_iteration_cap():
 
     grid = GridSpec(1, 64, 12.0)
     with pytest.raises(ConvergenceError):
-        minimize_gp(TrapModel("harmonic", 1.0), 0.0, grid, tol=0.0, max_iterations=5)
+        minimize_gp(TrapModel(1.0), 0.0, grid, tol=0.0, max_iterations=5)
 
 
 def test_iteration_cap_before_any_accepted_step():
     from gplab.errors import ConvergenceError
 
     grid = GridSpec(1, 64, 12.0)
-    trap = TrapModel("harmonic", 1.0)
+    trap = TrapModel(1.0)
     with pytest.raises(ConvergenceError, match="no step accepted"):
         minimize_gp(trap, 0.0, grid, max_iterations=0)

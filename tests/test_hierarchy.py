@@ -242,7 +242,7 @@ def _dense_hamiltonian(grid, pair):
 
 def test_stationary_eigenstate_has_tiny_residual():
     grid = GridSpec(1, 8, 6.0)
-    pair = GaussianPotential(1.5, 1.0, cutoff=2.5)
+    pair = GaussianPotential(1.5, 1.0, cutoff_radius=2.5)
     h = _dense_hamiltonian(grid, pair)
     _, vectors = np.linalg.eigh(h)
     m = grid.points_per_axis
@@ -258,7 +258,7 @@ def test_stationary_eigenstate_has_tiny_residual():
 def test_marginal_equation_residual_second_order():
     grid = GridSpec(1, 64, 8.0)
     phi = gaussian_packet(grid, width=1.0)
-    pair = scale_potential(GaussianPotential(2.0, 0.5, cutoff=3.0), 2)
+    pair = scale_potential(GaussianPotential(2.0, 0.5, cutoff_radius=3.0), 2)
     t = 0.1
     residuals = []
     for dt in (2e-3, 1e-3):
@@ -278,7 +278,7 @@ def test_marginal_equation_residual_second_order_in_3d():
     # criterion 07's pair on 8^3: slots index M^d points, so any d runs
     grid = GridSpec(3, 8, 8.0)
     phi = gaussian_packet(grid, width=1.0)
-    pair = scale_potential(GaussianPotential(2.0, 0.5, cutoff=3.0), 2)
+    pair = scale_potential(GaussianPotential(2.0, 0.5, cutoff_radius=3.0), 2)
     state0 = product_state(phi, 2)
     t = 0.008
     residuals = []
@@ -298,7 +298,7 @@ def test_two_particle_marginal_equation_residual_second_order():
     # k = 2 of n = 3 reaches the intra-group pair commutator
     grid = GridSpec(1, 8, 6.0)
     phi = gaussian_packet(grid, width=1.0, momentum=[0.5])
-    pair = GaussianPotential(2.0, 0.7, cutoff=2.5)
+    pair = GaussianPotential(2.0, 0.7, cutoff_radius=2.5)
     state0 = product_state(phi, 3)
     t = 0.1
     residuals = []
@@ -348,7 +348,7 @@ def _residual_oracle(frames, gamma_next, pair, n, t, dt):
 def test_residual_matches_two_half_oracle(n, k, dim, points):
     # H_k from the row half alone against both halves, on an evolved random state
     grid = GridSpec(dim, points, 6.0)
-    pair = GaussianPotential(2.0, 0.7, cutoff=2.5)
+    pair = GaussianPotential(2.0, 0.7, cutoff_radius=2.5)
     state0 = random_symmetric_state(grid, n, seed=5)
     t, dt = 0.006, 2e-3
     states = {tt: evolve_manybody_cached(state0, pair, tt, dt) for tt in (t - dt, t, t + dt)}
@@ -406,6 +406,13 @@ def test_frames_on_another_grid_rejected():
         bbgky_residual(frames, gamma2, BarrierPotential(0.0, 1.0), 2, 0.0, dt)
     with pytest.raises(ConfigurationError):
         infinite_hierarchy_residual({-dt: stray, 0.0: phi, dt: phi}, 1, 1.0, 0.0, dt)
+
+
+def test_limit_residual_rejects_multi_slot_frames(grid, orbital):
+    # the limit hierarchy runs on products of one orbital, as factorized_kernel does
+    pair, dt = product_state(orbital, 2), 1e-3
+    with pytest.raises(DomainError, match="2 slots"):
+        infinite_hierarchy_residual({-dt: pair, 0.0: pair, dt: pair}, 1, 1.0, 0.0, dt)
 
 
 def test_frames_at_another_level_rejected(grid, orbital):

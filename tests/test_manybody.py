@@ -105,7 +105,7 @@ def test_memory_budget_names_the_limit():
     # a three-particle potential on a 16^3 grid has 2^36 entries
     with pytest.raises(ConfigurationError, match="2\\^28"):
         total_potential(
-            GridSpec(3, 16, 2.0), 3, GaussianPotential(1.0, 0.5), TrapModel("harmonic", 1.0)
+            GridSpec(3, 16, 2.0), 3, GaussianPotential(1.0, 0.5), TrapModel(1.0)
         )
     # a pair field on a 64^3 grid spans (64^3)^2 = 2^36 entries, for any slot count
     with pytest.raises(ConfigurationError, match="2\\^28"):
@@ -140,9 +140,9 @@ def test_free_plane_wave_product_evolves_by_phase(grid):
 
 
 def test_evolution_preserves_symmetry_and_norm(grid, orbital):
-    pair = GaussianPotential(1.0, 1.0, cutoff=3.0)
+    pair = GaussianPotential(1.0, 1.0, cutoff_radius=3.0)
     state = product_state(orbital, 2)
-    out = evolve_manybody(state, pair, TrapModel("none"), 1.0, 1e-3)
+    out = evolve_manybody(state, pair, None, 1.0, 1e-3)
     assert abs(out.norm() - 1.0) < 1e-10
     assert out.symmetry_defect() < 1e-10
 
@@ -157,8 +157,8 @@ def test_nan_input_rejected(grid, orbital):
 
 
 def test_evolution_conserves_energy(grid, orbital):
-    pair = GaussianPotential(1.0, 1.0, cutoff=3.0)
-    trap = TrapModel("harmonic", 0.5)
+    pair = GaussianPotential(1.0, 1.0, cutoff_radius=3.0)
+    trap = TrapModel(0.5)
     state = product_state(orbital, 2)
     potential = total_potential(grid, 2, pair, trap)
     e0 = energy_moment(state, potential, 1)
@@ -169,8 +169,8 @@ def test_evolution_conserves_energy(grid, orbital):
 def test_evolution_reuses_a_held_potential_table(grid, orbital, monkeypatch):
     import gplab.manybody
 
-    pair = GaussianPotential(1.0, 1.0, cutoff=3.0)
-    trap = TrapModel("harmonic", 0.5)
+    pair = GaussianPotential(1.0, 1.0, cutoff_radius=3.0)
+    trap = TrapModel(0.5)
     state = product_state(orbital, 2)
     potential = total_potential(grid, 2, pair, trap)
     built = evolve_manybody(state, pair, trap, 0.05, 1e-2)
@@ -300,7 +300,7 @@ def test_pair_energy_approaches_short_range_limit():
     # tensor contraction for buildable sizes
     grid = GridSpec(1, 64, 8.0)
     phi = gaussian_packet(grid, width=1.0)
-    base = GaussianPotential(0.5, 1.0, cutoff=5.0)
+    base = GaussianPotential(0.5, 1.0, cutoff_radius=5.0)
     b0 = born_coupling_1d(base)
     rho = np.abs(phi.values) ** 2
     target = 0.5 * b0 * float(np.sum(rho**2) * grid.spacing)
@@ -465,7 +465,7 @@ def test_mean_field_trend_in_analog_mode():
     # the particle number grows along the one-dimensional analog family
     grid = GridSpec(1, 32, 8.0)
     phi = gaussian_packet(grid, width=1.0)
-    base = GaussianPotential(0.5, 1.0, cutoff=5.0)
+    base = GaussianPotential(0.5, 1.0, cutoff_radius=5.0)
     b0 = born_coupling_1d(base)
     t_final, dt = 0.3, 5e-3
     depletions = []
@@ -524,7 +524,7 @@ def test_pair_field_rejects_equal_or_missing_slots():
 def test_total_potential_is_exchange_symmetric(layout, box):
     dim, points, n = layout
     grid = GridSpec(dim, points, box)
-    total = total_potential(grid, n, GaussianPotential(1.0, 0.1 * box), TrapModel("harmonic", 1.0))
+    total = total_potential(grid, n, GaussianPotential(1.0, 0.1 * box), TrapModel(1.0))
     for i in range(n - 1):
         assert np.max(np.abs(exchange_particles(total, i, i + 1, dim) - total)) < 1e-12
 
@@ -568,8 +568,9 @@ def test_pair_state_diagnostics_make_no_extra_state_sized_temporaries():
     assert norm < state_bytes / 8
     for pair_profile in (profile, None):  # measured: 9S/32 + 9.6 MiB dressed, 9S/32 + 9.2 MiB raw
         _, quotient = _extra_peak(correlation_quotient, state, pair_profile, 0, 1)
-        # one (8, 16^4, 9) half spectrum, then one 8 MiB row and a slab, or the sum's slabs
-        assert quotient < 9 * state_bytes / 32 + 12 * mib
+        # one (8, 16^4, 9) half spectrum, then one 8 MiB row and its transform,
+        # or the sum's 4.5 MiB slab
+        assert quotient < 9 * state_bytes / 32 + 10 * mib
 
 
 # --- invariants on small layouts ------------------------------------------------
@@ -623,7 +624,7 @@ def test_marginals_have_unit_trace_and_are_hermitian(layout, k, box, seed):
 def test_evolution_is_reversible(layout, box, v0, omega, steps, seed):
     n, points, dim = layout
     state = random_symmetric_state(GridSpec(dim, points, box), n, seed)
-    pair, trap = GaussianPotential(v0, 0.1 * box), TrapModel("harmonic", omega)
+    pair, trap = GaussianPotential(v0, 0.1 * box), TrapModel(omega)
     t, dt = 0.01 * steps, 0.01
     back = evolve_manybody(evolve_manybody(state, pair, trap, t, dt), pair, trap, -t, dt)
     assert WaveFunction(state.grid, back.values - state.values).norm() < 1e-10

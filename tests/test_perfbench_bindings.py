@@ -4,13 +4,16 @@
 call arguments by position in its qty hooks, and `perfbench/job.py` calls
 layer functions through module attributes.  A refactor of `src/` that
 renames, deletes or reorders one of them would only fail when the benchmark
-runs; these checks fail in the test suite first.  Both files are read as
-source, never executed.
+runs; these checks fail in the test suite first, as do the attributes the
+qty hooks read on a call's result.  Both files are read as source, never
+executed.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
+import typing
 from pathlib import Path
 
 import pytest
@@ -145,3 +148,43 @@ def test_qty_hooks_read_the_parameters_they_name():
         assert parameters[index].name == name, (span, index, name)
         if default is not inspect.Parameter.empty:
             assert parameters[index].default == default, (span, name, default)
+
+
+def _result_reads() -> set[tuple[str, str]]:
+    """(span, attribute) for every `result.<attribute>` that a qty hook in
+    perfbench/tracer.py reads, in a lambda or in the function it names."""
+    tree = _tree("tracer.py")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    hooks = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "QTY_HOOKS"
+    )
+    reads = set()
+    for key, value in zip(hooks.keys, hooks.values):
+        body = functions[value.id] if isinstance(value, ast.Name) else value
+        for node in ast.walk(body):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "result"
+            ):
+                reads.add((key.value, node.attr))
+    return reads
+
+
+def test_qty_hooks_read_attributes_the_results_have():
+    reads = _result_reads()
+    assert reads == {
+        ("scattering.solve_zero_energy", "radii"),
+        ("gp.evolve_gp", "values"),
+        ("manybody.evolve_manybody", "values"),
+        ("manybody.product_state", "values"),
+        ("manybody.jastrow_product_state", "values"),
+    }
+    for span, attribute in reads:
+        layer, function = span.split(".")
+        returned = typing.get_type_hints(
+            getattr(importlib.import_module(f"gplab.{layer}"), function)
+        )["return"]
+        assert attribute in {field.name for field in dataclasses.fields(returned)}, span

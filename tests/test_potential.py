@@ -65,16 +65,19 @@ def test_table_interpolation_stays_nonnegative():
 
 
 @pytest.mark.parametrize(
-    "radii, values",
+    "radii, values, amplitude",
     [
-        ((0.0, 0.5, 0.5), (1.0, 0.5, 0.0)),  # not strictly increasing
-        ((0.0, 1.0), (1.0, 0.5)),  # does not end at zero
-        ((0.0, 1.0), (-1.0, 0.0)),  # negative sample
+        ((0.0, 0.5, 0.5), (1.0, 0.5, 0.0), 1.0),  # not strictly increasing
+        ((0.0, 1.0), (1.0, 0.5), 1.0),  # does not end at zero
+        ((0.0, 1.0), (-1.0, 0.0), 1.0),  # negative sample
+        ((0.0, 1.0), (1.0, 0.0), float("nan")),
+        ((0.0, 1.0), (1.0, 0.0), float("inf")),
+        ((0.0, 1.0), (1.0, 0.0), -1.0),
     ],
 )
-def test_table_invariants_rejected(radii, values):
+def test_table_invariants_rejected(radii, values, amplitude):
     with pytest.raises(ConfigurationError):
-        TablePotential(radii, values)
+        TablePotential(radii, values, amplitude)
 
 
 def test_table_with_subnormal_sample_builds_without_warnings():
@@ -127,6 +130,8 @@ def test_scale_identity_and_barrier_case():
     barrier = BarrierPotential(2.7, 0.37)
     gaussian = GaussianPotential(1.3, 0.45)
     table = TablePotential((0.0, 0.3, 0.71, 1.3), (2.0, 1.1, 0.4, 0.0), 1.7)
+    for model in (barrier, gaussian, table):  # n = 1 is the model itself
+        assert model.scaled(1) == model == model.scaled_analog1d(1)
     for n in [*range(1, 17), 100, 4096, 10**6, 2**31 - 1]:
         assert scale_potential(barrier, n) == BarrierPotential(2.7 * n * n, 0.37 / n)
         assert barrier.scaled_analog1d(n) == BarrierPotential(2.7, 0.37 / n)
@@ -204,19 +209,9 @@ def test_alpha_scale_invariant(test_potentials):
 
 
 def test_trap_models():
-    trap = TrapModel("harmonic", 2.0)
-    assert trap.confining
+    trap = TrapModel(2.0)
     grid = GridSpec(1, 8, 8.0)  # x = -4, -3, ..., 3
-    sampled = trap.sample(grid)[[4, 3, 0]]  # r^2 = 0, 1, 16
-    assert np.all(sampled >= 0.0)
-    assert sampled[-1] > sampled[1] > sampled[0]
-    free = TrapModel("none")
-    assert not free.confining
-    assert np.all(free.sample(grid) == 0.0)
-    with pytest.raises(ConfigurationError):
-        TrapModel("box")
-    with pytest.raises(ConfigurationError):
-        TrapModel("harmonic", -1.0)
-    for kind in ("harmonic", "none"):
-        with pytest.raises(ConfigurationError, match="finite"):
-            TrapModel(kind, float("nan"))
+    assert np.array_equal(trap.sample(grid)[[4, 3, 0]], [0.0, 4.0, 64.0])  # omega^2 r^2
+    for omega in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            TrapModel(omega)

@@ -89,7 +89,7 @@ def test_profile_and_coupling_match_spline_and_adaptive_quadrature(model):
 def test_coupling_integrates_the_profile_interpolant_exactly(model):
     """The coupling's panels end at the mesh nodes, where f's cubic pieces
     join: on a coarse solve it matches a reference on 32 times finer panels."""
-    solution = solve_zero_energy(model, tol=1e-2, mesh_points=64)
+    solution = solve_zero_energy(model, tol=1e-2, mesh_points=32)
     cutoff = model.cutoff_radius
     edges = np.union1d(solution.radii[solution.radii <= cutoff], np.linspace(0.0, cutoff, 4097))
     x, w = np.polynomial.legendre.leggauss(12)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from gplab.errors import ConfigurationError, DomainError, SolverError
+from gplab.errors import DomainError, SolverError
 from gplab.potential import (
     BarrierPotential,
     GaussianPotential,
@@ -88,8 +88,8 @@ def test_profile_monotone_and_bounded(test_potentials):
 
 def test_mesh_stability_of_a0():
     model = BarrierPotential(1.0, 1.0)
-    coarse = solve_zero_energy(model, mesh_points=4096)
-    fine = solve_zero_energy(model, mesh_points=8192)
+    coarse = solve_zero_energy(model, mesh_points=2048)
+    fine = solve_zero_energy(model, mesh_points=4096)
     assert abs(fine.a0 - coarse.a0) < 1e-10 * max(abs(coarse.a0), 1e-3)
 
 
@@ -97,7 +97,7 @@ def test_interior_equation_residual(test_potentials):
     # floor set by the three-point difference formula, not the integrator;
     # tabulated profiles interpolate C^1 only, so their floor is higher
     for model in test_potentials:
-        ceiling = 1e-4 if model.kind == "table" else 1e-6
+        ceiling = 1e-4 if isinstance(model, TablePotential) else 1e-6
         assert _max_residual(solve_zero_energy(model)) < ceiling
 
 
@@ -147,11 +147,6 @@ def test_coupling_below_born(test_potentials):
         assert sigma < born_coupling(model)
 
 
-def test_r_max_must_exceed_support():
-    with pytest.raises(ConfigurationError):
-        solve_zero_energy(BarrierPotential(1.0, 1.0), r_max=0.9)
-
-
 def test_overflow_reported_as_solver_error():
     with pytest.raises(SolverError):
         solve_zero_energy(BarrierPotential(1e9, 1.0))
@@ -159,7 +154,7 @@ def test_overflow_reported_as_solver_error():
 
 def test_unstable_scattering_length_reports_its_last_change():
     with pytest.raises(SolverError, match="last change") as info:
-        solve_zero_energy(GaussianPotential(1.0, 1.0), tol=1e-300, mesh_points=256)
+        solve_zero_energy(GaussianPotential(1.0, 1.0), tol=1e-300, mesh_points=128)
     change = float(re.search(r"last change (\S+)", str(info.value)).group(1))
     assert change > 0.0
 
@@ -199,8 +194,8 @@ def test_log_curvature_bound_zero_potential():
 
 def test_log_curvature_bound_stable_under_refinement():
     model = BarrierPotential(1.0, 1.0)
-    coarse = nabla2_log_f_bound(solve_zero_energy(model, mesh_points=4096))
-    fine = nabla2_log_f_bound(solve_zero_energy(model, mesh_points=8192))
+    coarse = nabla2_log_f_bound(solve_zero_energy(model, mesh_points=2048))
+    fine = nabla2_log_f_bound(solve_zero_energy(model, mesh_points=4096))
     assert coarse > 0.0
     assert abs(fine - coarse) / coarse < 0.05
 
@@ -212,7 +207,7 @@ def test_log_curvature_bound_scale_invariant():
     assert scaled == pytest.approx(base, rel=1e-8)
 
 
-@pytest.mark.parametrize("v0, radius", [(1.0, 1.0), (20.0, 0.8)])
+@pytest.mark.parametrize("v0, radius", [(1.0, 1.0), (20.0, 0.8), (25.0, 1.0)])
 def test_log_curvature_bound_matches_closed_form_barrier(v0, radius):
     # inside, u = sinh(kappa r) with kappa = sqrt(v0/2): r^2 Lap(log f) =
     # (kappa r)^2 - (kappa r coth(kappa r) - 1)^2; outside, f = 1 - a0/r gives

@@ -49,7 +49,7 @@ TRANSFORMS = (
     "rfftn", "irfftn", "hfft", "ihfft",
 )
 PAIR = GaussianPotential(1.5, 0.5)
-TRAP = TrapModel("harmonic", 1.0)
+TRAP = TrapModel(1.0)
 
 
 def _record_transforms(monkeypatch, record):
@@ -597,6 +597,23 @@ def test_slab_sums_match_numpy(monkeypatch, slab):
     ):
         value = spectral.weighted_norm_squared(x, *weight)
         assert value == pytest.approx(float(reference), rel=1e-13)
+
+
+
+def test_weighted_slab_sum_makes_one_slab_sized_temporary():
+    # two slabs of 2^20 entries: each is squared and weighted in one float
+    # temporary (8 MiB), with no second one for the weighted product
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((4, 2**19)) + 1j * rng.standard_normal((4, 2**19))
+    weight = rng.random((1, 2**19))
+    tracemalloc.start()
+    try:
+        value = spectral.weighted_norm_squared(x, weight)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(float(np.sum(weight * np.abs(x) ** 2)), rel=1e-13)
+    assert peak < 1.1 * 8 * spectral.SLAB_ENTRIES
 
 
 # --- transform energy by frequency halves -------------------------------------
