@@ -45,7 +45,7 @@ def scaled_coupling(solution: ScatteringSolution, n: int) -> float:
     makes it equal to the base integral."""
     model = solution.potential
     scaled, f_n = model.scaled(n), jastrow(solution, n)
-    nodes = solution.radii[solution.radii <= model.cutoff_radius] / n
+    nodes = solution.radii / n
     return float(4.0 * np.pi * _radial_integral(lambda r: n * scaled(r) * f_n(r) * r * r, scaled, nodes))
 
 

@@ -49,8 +49,7 @@ def _sup_r2_v(model):
 
 def _spline_profile(solution):
     """f inside the support by a not-a-knot cubic spline through the mesh values."""
-    inside = solution.radii <= solution.potential.cutoff_radius
-    return CubicSpline(solution.radii[inside], solution.f_values[inside])
+    return CubicSpline(solution.radii, solution.f_values)
 
 
 @pytest.fixture(
@@ -91,7 +90,7 @@ def test_coupling_integrates_the_profile_interpolant_exactly(model):
     join: on a coarse solve it matches a reference on 32 times finer panels."""
     solution = solve_zero_energy(model, tol=1e-2, mesh_points=32)
     cutoff = model.cutoff_radius
-    edges = np.union1d(solution.radii[solution.radii <= cutoff], np.linspace(0.0, cutoff, 4097))
+    edges = np.union1d(solution.radii, np.linspace(0.0, cutoff, 4097))
     x, w = np.polynomial.legendre.leggauss(12)
     half = 0.5 * np.diff(edges)[:, None]
     r = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * x

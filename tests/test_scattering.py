@@ -21,14 +21,21 @@ from conftest import barrier_a0, scaled_coupling
 
 
 def _max_residual(solution):
-    """Largest normalized defect |u'' - (V/2) u| over the interior mesh nodes.
+    """Largest normalized defect |u'' - (V/2) u| over the mesh nodes r > 0.
 
     u'' is the three-point difference on the non-uniform mesh, so the floor is
-    the formula's truncation, not the integrator's tolerance.  Nodes sitting on
-    the jump of a nonzero barrier, where the two-sided stencil is meaningless,
-    are skipped.
+    the formula's truncation, not the integrator's tolerance.  Beyond the
+    support u = u(cutoff) + (r - cutoff) exactly (u' = 1 there), which places
+    one exterior node after the cutoff node, at the spacing of as many uniform
+    cells on [cutoff, 4 cutoff], and gives max |u| on [0, 4 cutoff] for the
+    normalization; neither depends on where the solve's mesh ends.  Nodes
+    sitting on the jump of a nonzero barrier, where the two-sided stencil is
+    meaningless, are skipped.
     """
-    r, u, model = solution.radii, solution.u_values, solution.potential
+    model, cutoff = solution.potential, solution.potential.cutoff_radius
+    step = 3.0 * cutoff / (len(solution.radii) - 1)
+    r = np.append(solution.radii, cutoff + step)
+    u = np.append(solution.u_values, solution.u_values[-1] + step)
     h_minus, h_plus = np.diff(r)[:-1], np.diff(r)[1:]
     second = 2.0 * (h_minus * u[2:] - (h_minus + h_plus) * u[1:-1] + h_plus * u[:-2])
     second /= h_minus * h_plus * (h_minus + h_plus)
@@ -37,7 +44,8 @@ def _max_residual(solution):
     if isinstance(model, BarrierPotential) and model.v0 > 0:
         jump = model.radius
         defect[np.isclose(r[1:-1], jump, rtol=0, atol=1e-12 * max(jump, 1.0))] = 0.0
-    scale = max(np.max(np.abs(rhs)), np.max(np.abs(u)) / max(r[-1], 1.0) ** 2)
+    u_max = max(np.max(np.abs(u)), abs(u[-2] + 3.0 * cutoff))
+    scale = max(np.max(np.abs(rhs)), u_max / max(4.0 * cutoff, 1.0) ** 2)
     return float(np.max(defect) / scale)
 
 

@@ -9,8 +9,7 @@ survives when they pass.  A mutant whose old text is not found exactly once
 is an error: a change that moves the text must move the mutant with it, or
 retire it.
 
-    python tools/mutants.py                # the whole catalogue
-    python tools/mutants.py ID [ID ...]    # the named mutants only
+    python tools/mutants.py
 
 Exit status: 0 if every mutant was killed, 1 otherwise.
 """
@@ -76,21 +75,14 @@ def run(mutants: list[dict]) -> int:
             # pytest exits 1 when a test failed; any other code is not a kill
             status = {0: "SURVIVED", 1: "killed"}.get(code, f"error {code}")
             failures += status != "killed"
-            print(f"{status:9} {mutant['id']} ({seconds:.1f} s)")
+            print(f"{status:9} {mutant['id']} ({seconds:.1f} s): {mutant['what']}")
     print(f"{len(mutants) - failures} of {len(mutants)} mutants killed")
     return 1 if failures else 0
 
 
-def main(argv: list[str]) -> int:
-    mutants = json.loads(CATALOGUE.read_text())
-    if argv:
-        unknown = set(argv) - {mutant["id"] for mutant in mutants}
-        if unknown:
-            print(f"unknown mutant id(s): {sorted(unknown)}")
-            return 1
-        mutants = [mutant for mutant in mutants if mutant["id"] in argv]
-    return run(mutants)
+def main() -> int:
+    return run(json.loads(CATALOGUE.read_text()))
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
